@@ -70,7 +70,9 @@ let run arch src =
 let show label (vm : Vm.t) =
   let c = Vm.counters vm in
   let aborts =
-    Hashtbl.fold (fun k v acc -> Printf.sprintf "%s %s=%d" acc k v) c.Counters.abort_reasons ""
+    List.fold_left
+      (fun acc (k, v) -> Printf.sprintf "%s %s=%d" acc k v)
+      "" (Counters.abort_breakdown c)
   in
   Printf.printf "  %-10s result=%-12s commits=%-6d aborts=%-3d deopts=%-3d demotions=%d%s\n"
     label

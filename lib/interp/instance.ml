@@ -46,7 +46,7 @@ let create ?(seed = 42) ?(fuel = max_int) (prog : Nomap_bytecode.Opcode.program)
     fuel;
   }
 
-let burn t n =
+let[@inline] burn t n =
   t.fuel <- t.fuel - n;
   if t.fuel < 0 then raise Out_of_fuel
 

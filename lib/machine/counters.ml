@@ -27,6 +27,26 @@ let check_kinds =
   [ Nomap_lir.Lir.Bounds; Nomap_lir.Lir.Overflow; Nomap_lir.Lir.Type; Nomap_lir.Lir.Property;
     Nomap_lir.Lir.Hole; Nomap_lir.Lir.Path ]
 
+(* Abort reasons are counted in a fixed array: the check kinds first, in
+   [check_index] order, then the other reasons.  The match is exhaustive,
+   so a new reason cannot go uncounted; [abort_reason_table] is its
+   inverse and supplies the names at render time. *)
+let abort_index : Nomap_htm.Htm.abort_reason -> int = function
+  | Check_failed k -> check_index k
+  | Deopt_in_tx -> 6
+  | Capacity_write -> 7
+  | Capacity_read -> 8
+  | Sof_overflow -> 9
+  | Irrevocable -> 10
+  | Watchdog -> 11
+  | Conflict -> 12
+
+let abort_reason_table : Nomap_htm.Htm.abort_reason array =
+  Array.of_list
+    (List.map (fun k -> Nomap_htm.Htm.Check_failed k) check_kinds
+    @ [ Deopt_in_tx; Capacity_write; Capacity_read; Sof_overflow; Irrevocable; Watchdog;
+        Conflict ])
+
 (* All-float record: OCaml gives it the flat float representation, so the
    per-instruction accumulation in [add_cycles] is an unboxed store.  Kept
    in a mixed record these fields would be boxed and every update would
@@ -53,7 +73,7 @@ type t = {
   mutable dfg_calls : int;
   mutable tx_commits : int;
   mutable tx_aborts : int;
-  abort_reasons : (string, int) Hashtbl.t;
+  abort_reasons : int array;  (** per [abort_index] *)
   mutable tx_assoc_max : int;
   mutable tx_samples : int;
   (* Hybrid RTM+STM fallback activity (DESIGN.md §15).  A fallen-back
@@ -91,7 +111,7 @@ let create () =
     dfg_calls = 0;
     tx_commits = 0;
     tx_aborts = 0;
-    abort_reasons = Hashtbl.create 8;
+    abort_reasons = Array.make (Array.length abort_reason_table) 0;
     tx_assoc_max = 0;
     tx_samples = 0;
     stm_commits = 0;
@@ -114,11 +134,9 @@ let tx_assoc_sum t = t.f.tx_assoc_sum
 let total_instrs t = Array.fold_left ( + ) 0 t.instrs
 let total_checks t = Array.fold_left ( + ) 0 t.checks
 
-let[@inline] add_instrs t cat n =
-  t.instrs.(category_index cat) <- t.instrs.(category_index cat) + n
-
-let[@inline] add_check t kind =
-  t.checks.(check_index kind) <- t.checks.(check_index kind) + 1
+let[@inline] bump_instrs t ix n = t.instrs.(ix) <- t.instrs.(ix) + n
+let[@inline] bump_check t ci = t.checks.(ci) <- t.checks.(ci) + 1
+let add_instrs t cat n = bump_instrs t (category_index cat) n
 
 let[@inline] add_cycles t ~in_tx c =
   let f = t.f in
@@ -127,9 +145,17 @@ let[@inline] add_cycles t ~in_tx c =
 
 let record_abort t reason =
   t.tx_aborts <- t.tx_aborts + 1;
-  let name = Nomap_htm.Htm.abort_reason_name reason in
-  Hashtbl.replace t.abort_reasons name
-    (1 + try Hashtbl.find t.abort_reasons name with Not_found -> 0)
+  let i = abort_index reason in
+  t.abort_reasons.(i) <- t.abort_reasons.(i) + 1
+
+let abort_count t reason = t.abort_reasons.(abort_index reason)
+
+let abort_breakdown t =
+  Array.to_list abort_reason_table
+  |> List.filter_map (fun r ->
+         let n = abort_count t r in
+         if n = 0 then None else Some (Nomap_htm.Htm.abort_reason_name r, n))
+  |> List.sort compare
 
 let record_commit t ~write_kb ~assoc =
   t.tx_commits <- t.tx_commits + 1;
@@ -163,7 +189,7 @@ let copy_f f =
 
 let copy t =
   { t with instrs = Array.copy t.instrs; checks = Array.copy t.checks; f = copy_f t.f;
-    abort_reasons = Hashtbl.copy t.abort_reasons }
+    abort_reasons = Array.copy t.abort_reasons }
 
 (** Open a measurement window: returns a snapshot for [diff ~before] and
     resets the running maxima, so the maxima reported by a later [diff] come
@@ -189,10 +215,8 @@ let diff ~now ~before =
   t.dfg_calls <- now.dfg_calls - before.dfg_calls;
   t.tx_commits <- now.tx_commits - before.tx_commits;
   t.tx_aborts <- now.tx_aborts - before.tx_aborts;
-  Hashtbl.iter
-    (fun reason n ->
-      let earlier = try Hashtbl.find before.abort_reasons reason with Not_found -> 0 in
-      if n - earlier > 0 then Hashtbl.replace t.abort_reasons reason (n - earlier))
+  Array.iteri
+    (fun i x -> t.abort_reasons.(i) <- x - before.abort_reasons.(i))
     now.abort_reasons;
   t.f.tx_write_kb_sum <- now.f.tx_write_kb_sum -. before.f.tx_write_kb_sum;
   t.f.tx_write_kb_max <- now.f.tx_write_kb_max;
@@ -217,8 +241,7 @@ let diff ~now ~before =
 let to_canonical_string (c : t) =
   let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
   let reasons =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) c.abort_reasons []
-    |> List.sort compare
+    abort_breakdown c
     |> List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v)
     |> String.concat ","
   in

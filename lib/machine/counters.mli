@@ -40,7 +40,8 @@ type t = {
   mutable dfg_calls : int;
   mutable tx_commits : int;
   mutable tx_aborts : int;
-  abort_reasons : (string, int) Hashtbl.t;
+  abort_reasons : int array;
+      (** aborts per reason; read through [abort_count]/[abort_breakdown] *)
   mutable tx_assoc_max : int;
   mutable tx_samples : int;
   (* Hybrid RTM+STM fallback activity (DESIGN.md §15).  A fallen-back
@@ -71,9 +72,20 @@ val tx_assoc_sum : t -> float
 val total_instrs : t -> int
 val total_checks : t -> int
 val add_instrs : t -> category -> int -> unit
-val add_check : t -> Nomap_lir.Lir.check_kind -> unit
+
+(** The engines' per-instruction bumps: [add_instrs] by a precomputed
+    [category_index], and one executed check by its [check_index]. *)
+val bump_instrs : t -> int -> int -> unit
+
+val bump_check : t -> int -> unit
 val add_cycles : t -> in_tx:bool -> float -> unit
 val record_abort : t -> Nomap_htm.Htm.abort_reason -> unit
+
+(** Aborts recorded for one reason. *)
+val abort_count : t -> Nomap_htm.Htm.abort_reason -> int
+
+(** The non-zero per-reason abort counts, by reason name (sorted). *)
+val abort_breakdown : t -> (string * int) list
 
 (** Record a committed transaction's write-set characterization (Table IV). *)
 val record_commit : t -> write_kb:float -> assoc:int -> unit

@@ -28,109 +28,7 @@ module Htm = Nomap_htm.Htm
 module Specialize = Nomap_tiers.Specialize
 module Hot = Nomap_util.Hot
 open Machine
-
-(* Same-module copies of the float-touching hot helpers.  The dev build
-   profile compiles with -opaque, which disables cross-module inlining —
-   there, a cross-module call taking or returning a float boxes it on
-   every invocation (once per executed comparison / cycle charge).
-   Defining these locally keeps the hot path allocation-free under every
-   build profile.  Semantics must stay identical to [Machine.as_num] /
-   [number] / [Hot.fget]; the fuzzer's engine axis guards the
-   equivalence. *)
-let[@inline] int_ i =
-  if i >= Value.small_int_min && i <= Value.small_int_max then
-    Array.unsafe_get Value.small_ints (i - Value.small_int_min)
-  else Value.Int i
-
-let[@inline] bool_ b = if b then Value.true_ else Value.false_
-
-let[@inline] as_int = function Value.Int i -> i | v -> Value.to_int32 v
-
-let[@inline] as_num = function
-  | Value.Int i -> float_of_int i
-  | Value.Num f -> f
-  | v -> Value.to_number v
-
-let[@inline] number f =
-  if Float.is_integer f && Float.abs f <= 2147483647.0 && not (f = 0.0 && 1.0 /. f < 0.0)
-  then int_ (int_of_float f)
-  else Value.Num f
-
-(* Likewise for the register-file accessors: under -opaque every operand
-   read/write would otherwise be an outlined call (several per executed
-   instruction).  Inlined here, each site specializes to a direct load or
-   store at the concrete array type. *)
-let[@inline] get a i = if Hot.checked then Array.get a i else Array.unsafe_get a i
-let[@inline] set a i v = if Hot.checked then Array.set a i v else Array.unsafe_set a i v
-
-(* And for the check counters: each interpreter arm knows its kind
-   statically, so a hit is one array bump instead of a
-   [Counters.add_check] call per executed check. *)
-let ci_bounds = Counters.check_index L.Bounds
-let ci_overflow = Counters.check_index L.Overflow
-let ci_type = Counters.check_index L.Type
-let ci_property = Counters.check_index L.Property
-let ci_hole = Counters.check_index L.Hole
-let ci_path = Counters.check_index L.Path
-
-let[@inline] bump_check cnt ci =
-  let a = cnt.Counters.checks in
-  a.(ci) <- a.(ci) + 1
-
-(* The rest of the per-instruction protocol, also same-module so it
-   inlines: fuel, the transaction watchdog tick, the region predicate,
-   int32-overflow materialization, and the instruction/cycle charge.
-   [category_ix] fuses [Machine.category] with [Counters.category_index];
-   the index constants come from Counters, so the mapping cannot drift.
-   [charge] is [Machine.charge_ftl] with the CPI resolved once per
-   activation — the multiply is the same IEEE operation on the same
-   values in the same order, so the counter stream is bit-identical. *)
-let[@inline] burn inst n =
-  inst.Instance.fuel <- inst.Instance.fuel - n;
-  if inst.Instance.fuel < 0 then raise Instance.Out_of_fuel
-
-let[@inline] tx_tick env =
-  match env.tx with
-  | Some tx ->
-    tx.Htm.instr_count <- tx.Htm.instr_count + 1;
-    if tx.Htm.instr_count > env.tx_watchdog then raise (Htm.Abort Htm.Watchdog)
-  | None -> ()
-
-let[@inline] in_region env =
-  match env.tx with Some _ -> true | None -> env.ghost_depth > 0
-
-let[@inline] int_result env (overflowed : bool array) id raw =
-  if raw >= Value.int32_min && raw <= Value.int32_max then int_ raw
-  else begin
-    set overflowed id true;
-    (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
-    int_ (wrap_int32 raw)
-  end
-
-let ix_no_tm = Counters.category_index Counters.No_tm
-let ix_tm_opt = Counters.category_index Counters.Tm_opt
-let ix_tm_unopt = Counters.category_index Counters.Tm_unopt
-
-let[@inline] category_ix env frame =
-  match env.tx with
-  | Some tx -> if frame = tx.Htm.owner_frame then ix_tm_opt else ix_tm_unopt
-  | None ->
-    if env.ghost_depth > 0 then
-      if frame = env.ghost_owner then ix_tm_opt else ix_tm_unopt
-    else ix_no_tm
-
-let[@inline] bump_instrs cnt ix n =
-  let a = cnt.Counters.instrs in
-  a.(ix) <- a.(ix) + n
-
-let[@inline] charge env ~frame ~cpi n =
-  if n > 0 then begin
-    bump_instrs env.counters (category_ix env frame) n;
-    let c = float_of_int n *. cpi in
-    let f = env.counters.Counters.f in
-    f.Counters.cycles <- f.Counters.cycles +. c;
-    if in_region env then f.Counters.tx_cycles <- f.Counters.tx_cycles +. c
-  end
+open Hot (* get/set/fget: the audited unchecked register-file accessors *)
 
 let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
   let d = decoded c in
@@ -185,9 +83,9 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
              checks the NoMap_BC limit study elided (they keep their guard
              semantics below but model zero hardware instructions, so no
              transaction tick and no cycle charge). *)
-          burn inst 1
+          Instance.burn inst 1
         else begin
-          burn inst 1;
+          Instance.burn inst 1;
           tx_tick env;
           charge env ~frame ~cpi di.D.cost
         end;
@@ -207,10 +105,10 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
             (int_result env overflowed v (as_int (get values a) - as_int (get values b)))
         | L.Iadd_wrap (a, b) ->
           set values v
-            (int_ (wrap_int32 (as_int (get values a) + as_int (get values b))))
+            (Value.int_ (wrap_int32 (as_int (get values a) + as_int (get values b))))
         | L.Isub_wrap (a, b) ->
           set values v
-            (int_ (wrap_int32 (as_int (get values a) - as_int (get values b))))
+            (Value.int_ (wrap_int32 (as_int (get values a) - as_int (get values b))))
         | L.Imul (a, b) ->
           set values v
             (int_result env overflowed v (as_int (get values a) * as_int (get values b)))
@@ -222,37 +120,38 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
             (match env.tx with
             | Some tx when env.sof_enabled -> tx.Htm.sof <- true
             | _ -> ());
-            set values v (int_ (wrap_int32 (-x)))
+            set values v (Value.int_ (wrap_int32 (-x)))
           end
-          else set values v (int_ (-x))
+          else set values v (Value.int_ (-x))
         | L.Fadd (a, b) ->
-          set values v (number (as_num (get values a) +. as_num (get values b)))
+          set values v (Value.number (as_num (get values a) +. as_num (get values b)))
         | L.Fsub (a, b) ->
-          set values v (number (as_num (get values a) -. as_num (get values b)))
+          set values v (Value.number (as_num (get values a) -. as_num (get values b)))
         | L.Fmul (a, b) ->
-          set values v (number (as_num (get values a) *. as_num (get values b)))
+          set values v (Value.number (as_num (get values a) *. as_num (get values b)))
         | L.Fdiv (a, b) ->
-          set values v (number (as_num (get values a) /. as_num (get values b)))
+          set values v (Value.number (as_num (get values a) /. as_num (get values b)))
         | L.Fmod (a, b) ->
           set values v
-            (number (Float.rem (as_num (get values a)) (as_num (get values b))))
-        | L.Fneg a -> set values v (number (-.as_num (get values a)))
+            (Value.number (Float.rem (as_num (get values a)) (as_num (get values b))))
+        | L.Fneg a -> set values v (Value.number (-.as_num (get values a)))
         | L.Band (a, b) ->
           set values v
-            (int_ (wrap_int32 (as_int (get values a) land as_int (get values b))))
+            (Value.int_ (wrap_int32 (as_int (get values a) land as_int (get values b))))
         | L.Bor (a, b) ->
           set values v
-            (int_ (wrap_int32 (as_int (get values a) lor as_int (get values b))))
+            (Value.int_ (wrap_int32 (as_int (get values a) lor as_int (get values b))))
         | L.Bxor (a, b) ->
           set values v
-            (int_ (wrap_int32 (as_int (get values a) lxor as_int (get values b))))
-        | L.Bnot a -> set values v (int_ (wrap_int32 (lnot (as_int (get values a)))))
+            (Value.int_ (wrap_int32 (as_int (get values a) lxor as_int (get values b))))
+        | L.Bnot a -> set values v (Value.int_ (wrap_int32 (lnot (as_int (get values a)))))
         | L.Shl (a, b) ->
           set values v
-            (int_ (wrap_int32 (as_int (get values a) lsl (as_int (get values b) land 31))))
+            (Value.int_
+               (wrap_int32 (as_int (get values a) lsl (as_int (get values b) land 31))))
         | L.Shr (a, b) ->
           set values v
-            (int_ (as_int (get values a) asr (as_int (get values b) land 31)))
+            (Value.int_ (as_int (get values a) asr (as_int (get values b) land 31)))
         | L.Ushr (a, b) -> set values v (Ops.js_ushr (get values a) (get values b))
         | L.Cmp (c, a, b) ->
           let x = as_num (get values a) and y = as_num (get values b) in
@@ -265,8 +164,8 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
             | L.Cgt -> x > y
             | L.Cge -> x >= y
           in
-          set values v (bool_ r)
-        | L.Not a -> set values v (bool_ (not (Value.truthy (get values a))))
+          set values v (Value.bool_ r)
+        | L.Not a -> set values v (Value.bool_ (not (Value.truthy (get values a))))
         | L.Load_slot (o, slot) -> (
           match get values o with
           | Value.Obj obj when slot < Array.length obj.Value.slots ->
@@ -301,16 +200,16 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
           match get values a with
           | Value.Arr arr ->
             Heap.note_load heap arr.Value.aaddr 8;
-            set values v (int_ arr.Value.alen)
+            set values v (Value.int_ arr.Value.alen)
           | _ -> set values v (Value.Int 0))
         | L.Str_length a -> (
           match get values a with
-          | Value.Str s -> set values v (int_ (String.length s.Value.sdata))
+          | Value.Str s -> set values v (Value.int_ (String.length s.Value.sdata))
           | _ -> set values v (Value.Int 0))
         | L.Load_char_code (s, i') -> (
           match get values s with
           | Value.Str str ->
-            set values v (int_ (Ops.string_char_code heap str (as_int (get values i'))))
+            set values v (Value.int_ (Ops.string_char_code heap str (as_int (get values i'))))
           | _ -> set values v (Value.Int 0))
         | L.Load_global g -> set values v inst.Instance.globals.(g)
         | L.Store_global (g, x) -> inst.Instance.globals.(g) <- get values x
@@ -320,25 +219,25 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
         | L.Check_int (a, e) -> (
           match get values a with
           | Value.Int _ ->
-            if not di.D.elided then bump_check env.counters ci_type;
+            if not di.D.elided then Counters.bump_check env.counters ci_type;
             set values v (get values a)
           | _ -> check_fail env values e L.Type)
         | L.Check_number (a, e) -> (
           match get values a with
           | Value.Int _ | Value.Num _ ->
-            if not di.D.elided then bump_check env.counters ci_type;
+            if not di.D.elided then Counters.bump_check env.counters ci_type;
             set values v (get values a)
           | _ -> check_fail env values e L.Type)
         | L.Check_string (a, e) -> (
           match get values a with
           | Value.Str _ ->
-            if not di.D.elided then bump_check env.counters ci_type;
+            if not di.D.elided then Counters.bump_check env.counters ci_type;
             set values v (get values a)
           | _ -> check_fail env values e L.Type)
         | L.Check_array (a, e) -> (
           match get values a with
           | Value.Arr _ ->
-            if not di.D.elided then bump_check env.counters ci_type;
+            if not di.D.elided then Counters.bump_check env.counters ci_type;
             set values v (get values a)
           | _ -> check_fail env values e L.Type)
         | L.Check_shape (a, shape_id, e) -> (
@@ -346,14 +245,14 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
           | Value.Obj o when o.Value.shape.Shape.id = shape_id ->
             if not di.D.elided then begin
               Heap.note_load heap o.Value.oaddr 8;
-              bump_check env.counters ci_property
+              Counters.bump_check env.counters ci_property
             end;
             set values v (get values a)
           | _ -> check_fail env values e L.Property)
         | L.Check_fun_eq (a, fid, e) -> (
           match get values a with
           | Value.Fun f when f = fid ->
-            if not di.D.elided then bump_check env.counters ci_path;
+            if not di.D.elided then Counters.bump_check env.counters ci_path;
             set values v (get values a)
           | _ -> check_fail env values e L.Path)
         | L.Check_bounds (a, i', e) -> (
@@ -362,16 +261,16 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
           | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
             if not di.D.elided then begin
               Heap.note_load heap arr.Value.aaddr 8;
-              bump_check env.counters ci_bounds
+              Counters.bump_check env.counters ci_bounds
             end;
-            set values v (int_ idx)
+            set values v (Value.int_ idx)
           | _ -> check_fail env values e L.Bounds)
         | L.Check_str_bounds (s, i', e) -> (
           let idx = as_int (get values i') in
           match get values s with
           | Value.Str str when idx >= 0 && idx < String.length str.Value.sdata ->
-            if not di.D.elided then bump_check env.counters ci_bounds;
-            set values v (int_ idx)
+            if not di.D.elided then Counters.bump_check env.counters ci_bounds;
+            set values v (Value.int_ idx)
           | _ -> check_fail env values e L.Bounds)
         | L.Check_not_hole (a, i', e) -> (
           let idx = as_int (get values i') in
@@ -380,18 +279,18 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
             when idx >= 0
                  && idx < Array.length arr.Value.elems
                  && Heap.load_elem heap arr idx <> Value.Hole ->
-            if not di.D.elided then bump_check env.counters ci_hole;
-            set values v (int_ idx)
+            if not di.D.elided then Counters.bump_check env.counters ci_hole;
+            set values v (Value.int_ idx)
           | _ -> check_fail env values e L.Hole)
         | L.Check_overflow (a, e) ->
           if get overflowed a then check_fail env values e L.Overflow
           else begin
-            if not di.D.elided then bump_check env.counters ci_overflow;
+            if not di.D.elided then Counters.bump_check env.counters ci_overflow;
             set values v (get values a)
           end
         | L.Check_cond (a, expected, e) ->
           if Value.truthy (get values a) = expected then begin
-            if not di.D.elided then bump_check env.counters ci_path;
+            if not di.D.elided then Counters.bump_check env.counters ci_path;
             set values v (get values a)
           end
           else check_fail env values e L.Path

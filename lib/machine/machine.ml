@@ -95,41 +95,82 @@ let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
     on_abort = (fun ~fid:_ _ -> ());
   }
 
+(* ------------------------------------------------------------------ *)
+(* The per-instruction protocol.  Both engines run these once or more per
+   executed LIR instruction, so each helper here and in its home module
+   ([Value.int_]/[bool_]/[number], [Hot.get]/[set]/[fget],
+   [Instance.burn], [Counters.bump_check]/[bump_instrs]/[add_cycles]) is
+   [@inline]: without -opaque (the default release build) every call site
+   compiles to direct loads and stores, and float arguments stay unboxed. *)
+
 (* [match] rather than [<> None]: the generic structural compare is a C
-   call, and this runs once per charged instruction. *)
+   call. *)
 let[@inline] in_region env =
   match env.tx with Some _ -> true | None -> env.ghost_depth > 0
 
-let category env frame =
+let[@inline] tx_tick env =
   match env.tx with
   | Some tx ->
-    if frame = tx.Htm.owner_frame then Counters.Tm_opt else Counters.Tm_unopt
+    tx.Htm.instr_count <- tx.Htm.instr_count + 1;
+    if tx.Htm.instr_count > env.tx_watchdog then raise (Htm.Abort Htm.Watchdog)
+  | None -> ()
+
+(* [Counters] array indices, resolved once so a charge or an executed
+   check is one array bump; taken from [Counters] so the mapping cannot
+   drift. *)
+let ix_no_ftl = Counters.category_index Counters.No_ftl
+let ix_no_tm = Counters.category_index Counters.No_tm
+let ix_tm_opt = Counters.category_index Counters.Tm_opt
+let ix_tm_unopt = Counters.category_index Counters.Tm_unopt
+let ci_bounds = Counters.check_index L.Bounds
+let ci_overflow = Counters.check_index L.Overflow
+let ci_type = Counters.check_index L.Type
+let ci_property = Counters.check_index L.Property
+let ci_hole = Counters.check_index L.Hole
+let ci_path = Counters.check_index L.Path
+
+(** The category index of an instruction executed by [frame]: TMOpt inside
+    the frame's own region, TMUnopt inside someone else's, else NoTM. *)
+let[@inline] category_ix env frame =
+  match env.tx with
+  | Some tx -> if frame = tx.Htm.owner_frame then ix_tm_opt else ix_tm_unopt
   | None ->
     if env.ghost_depth > 0 then
-      if frame = env.ghost_owner then Counters.Tm_opt else Counters.Tm_unopt
-    else Counters.No_tm
+      if frame = env.ghost_owner then ix_tm_opt else ix_tm_unopt
+    else ix_no_tm
 
-(* The cycle charges below mutate [Counters.f] directly rather than going
-   through [Counters.add_cycles]: the cross-module call boxes its float
-   argument on every invocation, and these run once per charged
-   instruction.  The accumulation order and values are identical. *)
-let charge_ftl env ~frame ~tier n =
-  if n > 0 then begin
-    Counters.add_instrs env.counters (category env frame) n;
-    let cpi = match tier with Dfg -> Timing.cpi_dfg | Ftl -> Timing.cpi_ftl in
-    let c = float_of_int n *. cpi in
-    let f = env.counters.Counters.f in
-    f.Counters.cycles <- f.Counters.cycles +. c;
-    if in_region env then f.Counters.tx_cycles <- f.Counters.tx_cycles +. c
-  end
+(** Charge [n] instructions of category index [ix] costing [cycles]. *)
+let[@inline] charge_ix env ix n cycles =
+  Counters.bump_instrs env.counters ix n;
+  Counters.add_cycles env.counters ~in_tx:(in_region env) cycles
 
-let charge_runtime env n =
-  if n > 0 then begin
-    Counters.add_instrs env.counters Counters.No_ftl n;
-    let c = float_of_int n *. Timing.cpi_runtime in
-    let f = env.counters.Counters.f in
-    f.Counters.cycles <- f.Counters.cycles +. c;
-    if in_region env then f.Counters.tx_cycles <- f.Counters.tx_cycles +. c
+(** Charge [n] compiled-code instructions at the tier's [cpi]. *)
+let[@inline] charge env ~frame ~cpi n =
+  if n > 0 then charge_ix env (category_ix env frame) n (float_of_int n *. cpi)
+
+(** Charge [n] NoFTL runtime-helper instructions. *)
+let[@inline] charge_runtime env n =
+  if n > 0 then charge_ix env ix_no_ftl n (float_of_int n *. Timing.cpi_runtime)
+
+let wrap_int32 = Ops.wrap_int32
+
+(* Inlined, the common Int/Num cases feed a local int/float context
+   unboxed instead of boxing a float return per call. *)
+let[@inline] as_int = function Value.Int i -> i | v -> Value.to_int32 v
+
+let[@inline] as_num = function
+  | Value.Int i -> float_of_int i
+  | Value.Num f -> f
+  | v -> Value.to_number v
+
+(** An int32 arithmetic result; an overflow materializes the wrapped value,
+    marks [id] for its [Check_overflow] and sets the transaction's SOF. *)
+let[@inline] int_result env (overflowed : bool array) id raw =
+  if Value.fits_int32 raw then Value.int_ raw
+  else begin
+    Hot.set overflowed id true;
+    (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
+    Value.int_ (wrap_int32 raw)
   end
 
 (** RTM transactional reads are ~20% slower (paper §VI-B).  The HTM load
@@ -225,18 +266,6 @@ let intrinsic_cost = function
 
 (* ------------------------------------------------------------------ *)
 
-let wrap_int32 = Ops.wrap_int32
-
-(* [@inline] matters: both are called with the result feeding a local
-   int/float context, so inlining lets the compiler keep the common Int/Num
-   cases unboxed instead of boxing a float return per call. *)
-let[@inline] as_int = function Value.Int i -> i | v -> Value.to_int32 v
-
-let[@inline] as_num = function
-  | Value.Int i -> float_of_int i
-  | Value.Num f -> f
-  | v -> Value.to_number v
-
 (* Robust coercions: after NoMap removes checks inside a doomed transaction,
    garbage values may flow; hardware would compute garbage and abort later,
    so we coerce benignly instead of crashing the simulator. *)
@@ -259,21 +288,6 @@ let check_fail env (values : Value.t array) (e : L.exit) kind =
   match env.tx with
   | Some _ -> raise (Htm.Abort (Htm.Check_failed kind))
   | None -> raise (Deopt_exit (e.L.smp.L.resume_pc, materialize values e.L.smp.L.live))
-
-let tx_tick env =
-  match env.tx with
-  | Some tx ->
-    tx.Htm.instr_count <- tx.Htm.instr_count + 1;
-    if tx.Htm.instr_count > env.tx_watchdog then raise (Htm.Abort Htm.Watchdog)
-  | None -> ()
-
-let int_result env (overflowed : bool array) id raw =
-  if Value.fits_int32 raw then Value.int_ raw
-  else begin
-    Hot.set overflowed id true;
-    (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
-    Value.int_ (wrap_int32 raw)
-  end
 
 (** Build a call's argument list from pre-resolved value ids. *)
 let arg_values (values : Value.t array) (ids : int array) =

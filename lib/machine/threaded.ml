@@ -16,8 +16,8 @@
       reference engine).
     - The semantics then run back to back as a chain of closures,
       exactly as the decoded engine's match arms execute them.
-    - The segment's [add_instrs]/[add_cycles] charges are applied once at
-      the end: a single [add_instrs] of the summed cost (integer adds
+    - The segment's [bump_instrs]/[add_cycles] charges are applied once at
+      the end: a single [bump_instrs] of the summed cost (integer adds
       commute exactly) and the per-instruction cycle deltas accumulated in
       original program order (the FP additions into [cycles] are the same
       operations on the same values in the same order, so the result is
@@ -76,101 +76,7 @@ module Htm = Nomap_htm.Htm
 module Specialize = Nomap_tiers.Specialize
 module Hot = Nomap_util.Hot
 open Machine
-
-(* Same-module copies of the float-touching hot helpers.  The dev build
-   profile compiles with -opaque, which disables cross-module inlining —
-   there, a cross-module call taking or returning a float boxes it on
-   every invocation (once per executed comparison / cycle charge).
-   Defining these locally keeps the hot path allocation-free under every
-   build profile.  Semantics must stay identical to [Machine.as_num] /
-   [number] / [Hot.fget]; the fuzzer's engine axis guards the
-   equivalence. *)
-let[@inline] int_ i =
-  if i >= Value.small_int_min && i <= Value.small_int_max then
-    Array.unsafe_get Value.small_ints (i - Value.small_int_min)
-  else Value.Int i
-
-let[@inline] bool_ b = if b then Value.true_ else Value.false_
-
-let[@inline] as_int = function Value.Int i -> i | v -> Value.to_int32 v
-
-let[@inline] as_num = function
-  | Value.Int i -> float_of_int i
-  | Value.Num f -> f
-  | v -> Value.to_number v
-
-let[@inline] number f =
-  if Float.is_integer f && Float.abs f <= 2147483647.0 && not (f = 0.0 && 1.0 /. f < 0.0)
-  then int_ (int_of_float f)
-  else Value.Num f
-
-let[@inline] fget (a : float array) i =
-  if Hot.checked then Array.get a i else Array.unsafe_get a i
-
-(* Likewise for the register-file accessors: under -opaque every operand
-   read/write would otherwise be an outlined call (several per executed
-   instruction).  Inlined here, each site specializes to a direct load or
-   store at the concrete array type. *)
-let[@inline] get a i = if Hot.checked then Array.get a i else Array.unsafe_get a i
-let[@inline] set a i v = if Hot.checked then Array.set a i v else Array.unsafe_set a i v
-
-(* And for the check counters: the kind index is fixed at closure-compile
-   time, so a hit is one array bump instead of a [Counters.add_check]
-   call per executed check. *)
-let ci_bounds = Counters.check_index L.Bounds
-let ci_overflow = Counters.check_index L.Overflow
-let ci_type = Counters.check_index L.Type
-let ci_property = Counters.check_index L.Property
-let ci_hole = Counters.check_index L.Hole
-let ci_path = Counters.check_index L.Path
-
-let[@inline] bump_check cnt ci =
-  let a = cnt.Counters.checks in
-  a.(ci) <- a.(ci) + 1
-
-(* The rest of the reference engine's per-instruction protocol, also
-   same-module so it inlines: fuel, the transaction watchdog tick, the
-   region predicate, int32-overflow materialization, and the instruction
-   counter.  [category_ix] fuses [Machine.category] with
-   [Counters.category_index]; the index constants come from Counters, so
-   the mapping cannot drift. *)
-let[@inline] burn inst n =
-  inst.Instance.fuel <- inst.Instance.fuel - n;
-  if inst.Instance.fuel < 0 then raise Instance.Out_of_fuel
-
-let[@inline] tx_tick env =
-  match env.tx with
-  | Some tx ->
-    tx.Htm.instr_count <- tx.Htm.instr_count + 1;
-    if tx.Htm.instr_count > env.tx_watchdog then raise (Htm.Abort Htm.Watchdog)
-  | None -> ()
-
-let[@inline] in_region env =
-  match env.tx with Some _ -> true | None -> env.ghost_depth > 0
-
-let[@inline] int_result env (overflowed : bool array) id raw =
-  if raw >= Value.int32_min && raw <= Value.int32_max then int_ raw
-  else begin
-    set overflowed id true;
-    (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
-    int_ (wrap_int32 raw)
-  end
-
-let ix_no_tm = Counters.category_index Counters.No_tm
-let ix_tm_opt = Counters.category_index Counters.Tm_opt
-let ix_tm_unopt = Counters.category_index Counters.Tm_unopt
-
-let[@inline] category_ix env frame =
-  match env.tx with
-  | Some tx -> if frame = tx.Htm.owner_frame then ix_tm_opt else ix_tm_unopt
-  | None ->
-    if env.ghost_depth > 0 then
-      if frame = env.ghost_owner then ix_tm_opt else ix_tm_unopt
-    else ix_no_tm
-
-let[@inline] bump_instrs cnt ix n =
-  let a = cnt.Counters.instrs in
-  a.(ix) <- a.(ix) + n
+open Hot (* get/set/fget: the audited unchecked register-file accessors *)
 
 (** Per-activation state threaded through every closure.  [next_block] is
     the driver's program counter; -1 means the function returned. *)
@@ -212,7 +118,6 @@ let compile_func env ~tier (d : D.t) : tfunc =
   let inst = env.instance in
   let heap = inst.Instance.heap in
   let cnt = env.counters in
-  let fcnt = cnt.Counters.f in
   (* The semantics of one instruction, exactly as the decoded engine's
      match arms execute them, continuation-passing into [next].  No
      accounting here — the caller bakes the charging protocol around it. *)
@@ -250,12 +155,12 @@ let compile_func env ~tier (d : D.t) : tfunc =
     | L.Iadd_wrap (a, b) ->
       fun st ->
         set st.values v
-          (int_ (wrap_int32 (as_int (get st.values a) + as_int (get st.values b))));
+          (Value.int_ (wrap_int32 (as_int (get st.values a) + as_int (get st.values b))));
         next st
     | L.Isub_wrap (a, b) ->
       fun st ->
         set st.values v
-          (int_ (wrap_int32 (as_int (get st.values a) - as_int (get st.values b))));
+          (Value.int_ (wrap_int32 (as_int (get st.values a) - as_int (get st.values b))));
         next st
     | L.Imul (a, b) ->
       fun st ->
@@ -272,53 +177,53 @@ let compile_func env ~tier (d : D.t) : tfunc =
           (match env.tx with
           | Some tx when env.sof_enabled -> tx.Htm.sof <- true
           | _ -> ());
-          set st.values v (int_ (wrap_int32 (-x)))
+          set st.values v (Value.int_ (wrap_int32 (-x)))
         end
-        else set st.values v (int_ (-x));
+        else set st.values v (Value.int_ (-x));
         next st
     | L.Fadd (a, b) ->
       fun st ->
         set st.values v
-          (number (as_num (get st.values a) +. as_num (get st.values b)));
+          (Value.number (as_num (get st.values a) +. as_num (get st.values b)));
         next st
     | L.Fsub (a, b) ->
       fun st ->
         set st.values v
-          (number (as_num (get st.values a) -. as_num (get st.values b)));
+          (Value.number (as_num (get st.values a) -. as_num (get st.values b)));
         next st
     | L.Fmul (a, b) ->
       fun st ->
         set st.values v
-          (number (as_num (get st.values a) *. as_num (get st.values b)));
+          (Value.number (as_num (get st.values a) *. as_num (get st.values b)));
         next st
     | L.Fdiv (a, b) ->
       fun st ->
         set st.values v
-          (number (as_num (get st.values a) /. as_num (get st.values b)));
+          (Value.number (as_num (get st.values a) /. as_num (get st.values b)));
         next st
     | L.Fmod (a, b) ->
       fun st ->
         set st.values v
-          (number (Float.rem (as_num (get st.values a)) (as_num (get st.values b))));
+          (Value.number (Float.rem (as_num (get st.values a)) (as_num (get st.values b))));
         next st
     | L.Fneg a ->
       fun st ->
-        set st.values v (number (-.as_num (get st.values a)));
+        set st.values v (Value.number (-.as_num (get st.values a)));
         next st
     | L.Band (a, b) ->
       fun st ->
         set st.values v
-          (int_ (wrap_int32 (as_int (get st.values a) land as_int (get st.values b))));
+          (Value.int_ (wrap_int32 (as_int (get st.values a) land as_int (get st.values b))));
         next st
     | L.Bor (a, b) ->
       fun st ->
         set st.values v
-          (int_ (wrap_int32 (as_int (get st.values a) lor as_int (get st.values b))));
+          (Value.int_ (wrap_int32 (as_int (get st.values a) lor as_int (get st.values b))));
         next st
     | L.Bxor (a, b) ->
       fun st ->
         set st.values v
-          (int_ (wrap_int32 (as_int (get st.values a) lxor as_int (get st.values b))));
+          (Value.int_ (wrap_int32 (as_int (get st.values a) lxor as_int (get st.values b))));
         next st
     | L.Bnot a ->
       fun st ->
@@ -327,13 +232,13 @@ let compile_func env ~tier (d : D.t) : tfunc =
     | L.Shl (a, b) ->
       fun st ->
         set st.values v
-          (int_
+          (Value.int_
              (wrap_int32 (as_int (get st.values a) lsl (as_int (get st.values b) land 31))));
         next st
     | L.Shr (a, b) ->
       fun st ->
         set st.values v
-          (int_ (as_int (get st.values a) asr (as_int (get st.values b) land 31)));
+          (Value.int_ (as_int (get st.values a) asr (as_int (get st.values b) land 31)));
         next st
     | L.Ushr (a, b) ->
       fun st ->
@@ -344,37 +249,37 @@ let compile_func env ~tier (d : D.t) : tfunc =
     | L.Cmp (L.Ceq, a, b) ->
       fun st ->
         set st.values v
-          (bool_ (as_num (get st.values a) = as_num (get st.values b)));
+          (Value.bool_ (as_num (get st.values a) = as_num (get st.values b)));
         next st
     | L.Cmp (L.Cne, a, b) ->
       (* JS: NaN != anything is true *)
       fun st ->
         set st.values v
-          (bool_ (as_num (get st.values a) <> as_num (get st.values b)));
+          (Value.bool_ (as_num (get st.values a) <> as_num (get st.values b)));
         next st
     | L.Cmp (L.Clt, a, b) ->
       fun st ->
         set st.values v
-          (bool_ (as_num (get st.values a) < as_num (get st.values b)));
+          (Value.bool_ (as_num (get st.values a) < as_num (get st.values b)));
         next st
     | L.Cmp (L.Cle, a, b) ->
       fun st ->
         set st.values v
-          (bool_ (as_num (get st.values a) <= as_num (get st.values b)));
+          (Value.bool_ (as_num (get st.values a) <= as_num (get st.values b)));
         next st
     | L.Cmp (L.Cgt, a, b) ->
       fun st ->
         set st.values v
-          (bool_ (as_num (get st.values a) > as_num (get st.values b)));
+          (Value.bool_ (as_num (get st.values a) > as_num (get st.values b)));
         next st
     | L.Cmp (L.Cge, a, b) ->
       fun st ->
         set st.values v
-          (bool_ (as_num (get st.values a) >= as_num (get st.values b)));
+          (Value.bool_ (as_num (get st.values a) >= as_num (get st.values b)));
         next st
     | L.Not a ->
       fun st ->
-        set st.values v (bool_ (not (Value.truthy (get st.values a))));
+        set st.values v (Value.bool_ (not (Value.truthy (get st.values a))));
         next st
     | L.Load_slot (o, slot) ->
       fun st ->
@@ -423,13 +328,13 @@ let compile_func env ~tier (d : D.t) : tfunc =
         (match get st.values a with
         | Value.Arr arr ->
           Heap.note_load heap arr.Value.aaddr 8;
-          set st.values v (int_ arr.Value.alen)
+          set st.values v (Value.int_ arr.Value.alen)
         | _ -> set st.values v (Value.Int 0));
         next st
     | L.Str_length a ->
       fun st ->
         (match get st.values a with
-        | Value.Str s -> set st.values v (int_ (String.length s.Value.sdata))
+        | Value.Str s -> set st.values v (Value.int_ (String.length s.Value.sdata))
         | _ -> set st.values v (Value.Int 0));
         next st
     | L.Load_char_code (s, i') ->
@@ -437,7 +342,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
         (match get st.values s with
         | Value.Str str ->
           set st.values v
-            (int_ (Ops.string_char_code heap str (as_int (get st.values i'))))
+            (Value.int_ (Ops.string_char_code heap str (as_int (get st.values i'))))
         | _ -> set st.values v (Value.Int 0));
         next st
     | L.Load_global g ->
@@ -455,7 +360,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       fun st ->
         (match get st.values a with
         | Value.Int _ ->
-          if not el then bump_check cnt ci_type;
+          if not el then Counters.bump_check cnt ci_type;
           set st.values v (get st.values a)
         | _ -> check_fail env st.values e L.Type);
         next st
@@ -463,7 +368,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       fun st ->
         (match get st.values a with
         | Value.Int _ | Value.Num _ ->
-          if not el then bump_check cnt ci_type;
+          if not el then Counters.bump_check cnt ci_type;
           set st.values v (get st.values a)
         | _ -> check_fail env st.values e L.Type);
         next st
@@ -471,7 +376,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       fun st ->
         (match get st.values a with
         | Value.Str _ ->
-          if not el then bump_check cnt ci_type;
+          if not el then Counters.bump_check cnt ci_type;
           set st.values v (get st.values a)
         | _ -> check_fail env st.values e L.Type);
         next st
@@ -479,7 +384,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       fun st ->
         (match get st.values a with
         | Value.Arr _ ->
-          if not el then bump_check cnt ci_type;
+          if not el then Counters.bump_check cnt ci_type;
           set st.values v (get st.values a)
         | _ -> check_fail env st.values e L.Type);
         next st
@@ -489,7 +394,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
         | Value.Obj o when o.Value.shape.Shape.id = shape_id ->
           if not el then begin
             Heap.note_load heap o.Value.oaddr 8;
-            bump_check cnt ci_property
+            Counters.bump_check cnt ci_property
           end;
           set st.values v (get st.values a)
         | _ -> check_fail env st.values e L.Property);
@@ -498,7 +403,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       fun st ->
         (match get st.values a with
         | Value.Fun f when f = fid ->
-          if not el then bump_check cnt ci_path;
+          if not el then Counters.bump_check cnt ci_path;
           set st.values v (get st.values a)
         | _ -> check_fail env st.values e L.Path);
         next st
@@ -509,9 +414,9 @@ let compile_func env ~tier (d : D.t) : tfunc =
          | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
            if not el then begin
              Heap.note_load heap arr.Value.aaddr 8;
-             bump_check cnt ci_bounds
+             Counters.bump_check cnt ci_bounds
            end;
-           set st.values v (int_ idx)
+           set st.values v (Value.int_ idx)
          | _ -> check_fail env st.values e L.Bounds);
         next st
     | L.Check_str_bounds (s, i', e) ->
@@ -519,8 +424,8 @@ let compile_func env ~tier (d : D.t) : tfunc =
         (let idx = as_int (get st.values i') in
          match get st.values s with
          | Value.Str str when idx >= 0 && idx < String.length str.Value.sdata ->
-           if not el then bump_check cnt ci_bounds;
-           set st.values v (int_ idx)
+           if not el then Counters.bump_check cnt ci_bounds;
+           set st.values v (Value.int_ idx)
          | _ -> check_fail env st.values e L.Bounds);
         next st
     | L.Check_not_hole (a, i', e) ->
@@ -531,22 +436,22 @@ let compile_func env ~tier (d : D.t) : tfunc =
            when idx >= 0
                 && idx < Array.length arr.Value.elems
                 && Heap.load_elem heap arr idx <> Value.Hole ->
-           if not el then bump_check cnt ci_hole;
-           set st.values v (int_ idx)
+           if not el then Counters.bump_check cnt ci_hole;
+           set st.values v (Value.int_ idx)
          | _ -> check_fail env st.values e L.Hole);
         next st
     | L.Check_overflow (a, e) ->
       fun st ->
         if get st.overflowed a then check_fail env st.values e L.Overflow
         else begin
-          if not el then bump_check cnt ci_overflow;
+          if not el then Counters.bump_check cnt ci_overflow;
           set st.values v (get st.values a)
         end;
         next st
     | L.Check_cond (a, expected, e) ->
       fun st ->
         if Value.truthy (get st.values a) = expected then begin
-          if not el then bump_check cnt ci_path;
+          if not el then Counters.bump_check cnt ci_path;
           set st.values v (get st.values a)
         end
         else check_fail env st.values e L.Path;
@@ -580,7 +485,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       let ftl_c, rt_c = intrinsic_cost intr in
       fun st ->
         if not el then begin
-          charge_ftl env ~frame:st.frame ~tier ftl_c;
+          charge env ~frame:st.frame ~cpi ftl_c;
           charge_runtime env rt_c
         end;
         set st.values v (eval_intrinsic heap intr Value.Undef args st.values);
@@ -618,20 +523,18 @@ let compile_func env ~tier (d : D.t) : tfunc =
     let sem = sem_only di next in
     if free then
       fun st ->
-        burn inst 1;
+        Instance.burn inst 1;
         sem st
     else if cost = 0 then
       fun st ->
-        burn inst 1;
+        Instance.burn inst 1;
         tx_tick env;
         sem st
     else
       fun st ->
-        burn inst 1;
+        Instance.burn inst 1;
         tx_tick env;
-        bump_instrs cnt (category_ix env st.frame) cost;
-        fcnt.Counters.cycles <- fcnt.Counters.cycles +. delta;
-        if in_region env then fcnt.Counters.tx_cycles <- fcnt.Counters.tx_cycles +. delta;
+        charge_ix env (category_ix env st.frame) cost delta;
         sem st
   in
   (* Segment membership: everything except the instructions that change
@@ -669,8 +572,8 @@ let compile_func env ~tier (d : D.t) : tfunc =
               (match get st.values a with
               | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
                 Heap.note_load heap arr.Value.aaddr 8;
-                bump_check cnt ci_bounds;
-                set st.values vc (int_ idx);
+                Counters.bump_check cnt ci_bounds;
+                set st.values vc (Value.int_ idx);
                 st.due <- due2;
                 set st.values vu (Heap.load_elem heap arr idx)
               | _ -> check_fail env st.values e L.Bounds);
@@ -684,8 +587,8 @@ let compile_func env ~tier (d : D.t) : tfunc =
               (match get st.values a with
               | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
                 Heap.note_load heap arr.Value.aaddr 8;
-                bump_check cnt ci_bounds;
-                set st.values vc (int_ idx);
+                Counters.bump_check cnt ci_bounds;
+                set st.values vc (Value.int_ idx);
                 st.due <- due2;
                 Heap.store_elem heap arr idx (get st.values x)
               | _ -> check_fail env st.values e L.Bounds);
@@ -698,10 +601,10 @@ let compile_func env ~tier (d : D.t) : tfunc =
               let idx = as_int (get st.values i') in
               (match get st.values s with
               | Value.Str str when idx >= 0 && idx < String.length str.Value.sdata ->
-                bump_check cnt ci_bounds;
-                set st.values vc (int_ idx);
+                Counters.bump_check cnt ci_bounds;
+                set st.values vc (Value.int_ idx);
                 st.due <- due2;
-                set st.values vu (int_ (Ops.string_char_code heap str idx))
+                set st.values vu (Value.int_ (Ops.string_char_code heap str idx))
               | _ -> check_fail env st.values e L.Bounds);
               next_sems st)
         | _ -> None
@@ -714,7 +617,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
      the transaction watchdog.
 
      A segment that runs to the end of the block additionally absorbs the
-     terminator's 1-instruction charge into its batched apply ([fold_term]):
+     terminator's 1-instruction charge into its batched [settle] ([fold_term]):
      terminators charge but never burn fuel or tick the transaction, the
      category/in-tx flag cannot change between the segment's last
      instruction and the terminator (no calls or tx markers in between),
@@ -795,55 +698,35 @@ let compile_func env ~tier (d : D.t) : tfunc =
       in
       let sems = build 0 in
       let slow = Array.fold_right solo run slow_next in
-      let apply st =
-        if total_cost > 0 then begin
-          bump_instrs cnt (category_ix env st.frame) total_cost;
-          if in_region env then
-            for x = 0 to n_deltas - 1 do
-              let c = fget deltas x in
-              fcnt.Counters.cycles <- fcnt.Counters.cycles +. c;
-              fcnt.Counters.tx_cycles <- fcnt.Counters.tx_cycles +. c
-            done
-          else
-            for x = 0 to n_deltas - 1 do
-              fcnt.Counters.cycles <- fcnt.Counters.cycles +. fget deltas x
-            done
+      (* Charge the first [dk] cycle deltas, in order, and their summed
+         [cost]: the whole segment on completion, the due prefix when an
+         instruction raises ([reconcile]). *)
+      let settle st cost dk =
+        if cost > 0 then begin
+          Counters.bump_instrs cnt (category_ix env st.frame) cost;
+          let in_tx = in_region env in
+          for x = 0 to dk - 1 do
+            Counters.add_cycles cnt ~in_tx (fget deltas x)
+          done
         end
       in
-      let reconcile st =
-        let due = st.due in
-        let c = get cost_prefix due in
-        if c > 0 then begin
-          bump_instrs cnt (category_ix env st.frame) c;
-          let dk = get dcount_prefix due in
-          if in_region env then
-            for x = 0 to dk - 1 do
-              let cd = fget deltas x in
-              fcnt.Counters.cycles <- fcnt.Counters.cycles +. cd;
-              fcnt.Counters.tx_cycles <- fcnt.Counters.tx_cycles +. cd
-            done
-          else
-            for x = 0 to dk - 1 do
-              fcnt.Counters.cycles <- fcnt.Counters.cycles +. fget deltas x
-            done
-        end
-      in
+      let reconcile st = settle st (get cost_prefix st.due) (get dcount_prefix st.due) in
       if not any_raiser then
         fun st ->
           match env.tx with
           | Some tx when n_tick > 0 ->
             if tx.Htm.instr_count + n_tick > env.tx_watchdog then slow st
             else begin
-              burn inst n;
+              Instance.burn inst n;
               tx.Htm.instr_count <- tx.Htm.instr_count + n_tick;
               sems st;
-              apply st;
+              settle st total_cost n_deltas;
               next st
             end
           | _ ->
-            burn inst n;
+            Instance.burn inst n;
             sems st;
-            apply st;
+            settle st total_cost n_deltas;
             next st
       else
         fun st ->
@@ -851,29 +734,29 @@ let compile_func env ~tier (d : D.t) : tfunc =
           | Some tx when n_tick > 0 ->
             if tx.Htm.instr_count + n_tick > env.tx_watchdog then slow st
             else begin
-              burn inst n;
+              Instance.burn inst n;
               tx.Htm.instr_count <- tx.Htm.instr_count + n_tick;
               st.due <- 0;
               (try sems st
                with e ->
                  reconcile st;
                  raise e);
-              apply st;
+              settle st total_cost n_deltas;
               next st
             end
           | _ ->
-            burn inst n;
+            Instance.burn inst n;
             st.due <- 0;
             (try sems st
              with e ->
                reconcile st;
                raise e);
-            apply st;
+            settle st total_cost n_deltas;
             next st
     end
   in
   (* Terminator effect only — the 1-instruction charge is folded into a
-     preceding segment's apply when possible, or wrapped on by the caller. *)
+     preceding segment's [settle] when possible, or wrapped on by the caller. *)
   let compile_term bid (t : L.terminator) : code =
     match t with
     | L.Jump tgt ->
@@ -926,7 +809,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       (fun bid (b : D.dblock) ->
         let term_free = compile_term bid b.D.dterm in
         let term st =
-          charge_ftl env ~frame:st.frame ~tier 1;
+          charge env ~frame:st.frame ~cpi 1;
           term_free st
         in
         let body = compile_seq b.D.body 0 ~term ~term_free in

@@ -57,7 +57,7 @@ let js_le a b = compare_values a b ~if_str:(fun c -> c <= 0) ~if_num:(fun x y ->
 let js_gt a b = compare_values a b ~if_str:(fun c -> c > 0) ~if_num:(fun x y -> x > y)
 let js_ge a b = compare_values a b ~if_str:(fun c -> c >= 0) ~if_num:(fun x y -> x >= y)
 
-let wrap_int32 i =
+let[@inline] wrap_int32 i =
   let m = i land 0xFFFF_FFFF in
   if m >= 0x8000_0000 then m - 0x1_0000_0000 else m
 

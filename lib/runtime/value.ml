@@ -42,7 +42,7 @@ and arr = {
 let int32_min = -0x8000_0000
 let int32_max = 0x7FFF_FFFF
 
-let fits_int32 i = i >= int32_min && i <= int32_max
+let[@inline] fits_int32 i = i >= int32_min && i <= int32_max
 
 (* Preallocated [Int] values for the indices, lengths, character codes and
    small arithmetic results that dominate hot loops: reusing the boxed
@@ -63,7 +63,7 @@ let[@inline] int_ i =
 
 (** Canonical number constructor: integral doubles in int32 range become
     [Int] (except -0.0, which must stay a double to preserve its sign). *)
-let number f =
+let[@inline] number f =
   if Float.is_integer f && Float.abs f <= 2147483647.0 && not (f = 0.0 && 1.0 /. f < 0.0)
   then int_ (int_of_float f)
   else Num f

@@ -22,7 +22,6 @@ module Engine = Nomap_machine.Engine
 module Decoded = Nomap_machine.Decoded
 module Threaded = Nomap_machine.Threaded
 module Counters = Nomap_machine.Counters
-module Timing = Nomap_machine.Timing
 module Config = Nomap_nomap.Config
 module Transform = Nomap_nomap.Transform
 module Txplace = Nomap_nomap.Txplace
@@ -105,12 +104,10 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
         counters.Counters.shared_fences <- counters.Counters.shared_fences + 1);
   let t_ref = ref None in
   let get_t () = Option.get !t_ref in
-  let charge_runtime n =
-    let t = get_t () in
-    Counters.add_instrs counters Counters.No_ftl n;
-    let in_tx = match t.env with Some e -> Machine.in_region e | None -> false in
-    Counters.add_cycles counters ~in_tx (float_of_int n *. Timing.cpi_runtime)
-  in
+  (* The interpreter tiers charge NoFTL instructions through the machine,
+     so an op run inside a transaction region counts toward TMTime.  The
+     machine env exists before any code runs (it is set below). *)
+  let charge_runtime n = Machine.charge_runtime (machine_env (get_t ())) n in
   let call ~fid ~this ~args = dispatch (get_t ()) ~fid ~this ~args in
   let deopt_resume ~fid ~resume_pc ~values =
     let t = get_t () in

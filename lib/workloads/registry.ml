@@ -61,7 +61,7 @@ let compile b =
          Nomap_bytecode.Compile.compile_source ~name:b.name b.source))
 
 (** Reference result: run [benchmark()] once under the plain interpreter. *)
-let reference_result b =
+let run_reference b =
   let prog = compile b in
   let inst = Nomap_interp.Instance.create ~fuel:500_000_000 prog in
   let rec env =
@@ -83,3 +83,13 @@ let reference_result b =
       (Nomap_interp.Interp.call_function env ~fid:f.Nomap_bytecode.Opcode.fid
          ~this:Nomap_runtime.Value.Undef ~args:[])
   | None -> invalid_arg (b.id ^ " has no benchmark() function")
+
+(** [run_reference], memoized per benchmark in an [Artifact_cache] like
+    [compile]: computed exactly once even when several domains ask at the
+    same time, and every caller gets the physically identical string. *)
+let reference_cache : (string, string) Nomap_server.Artifact_cache.t =
+  Nomap_server.Artifact_cache.create ~capacity:128 ()
+
+let reference_result b =
+  snd
+    (Nomap_server.Artifact_cache.find_or_add reference_cache b.id (fun () -> run_reference b))

@@ -95,13 +95,11 @@ let test_deopt_in_tx_aborts () =
   let expected = Helpers.run_result src in
   let t = run src in
   Alcotest.(check string) "correct after abort" expected (result_of t);
-  let aborts =
-    try Hashtbl.find (Vm.counters t).Counters.abort_reasons "deopt-in-tx" with Not_found -> 0
-  in
+  let aborts = Counters.abort_count (Vm.counters t) Htm.Deopt_in_tx in
   let check_aborts =
-    Hashtbl.fold
-      (fun k v acc -> if String.length k >= 5 && String.sub k 0 5 = "check" then acc + v else acc)
-      (Vm.counters t).Counters.abort_reasons 0
+    List.fold_left
+      (fun acc k -> acc + Counters.abort_count (Vm.counters t) (Htm.Check_failed k))
+      0 Counters.check_kinds
   in
   Alcotest.(check bool)
     (Printf.sprintf "an abort fired (deopt-in-tx=%d, check=%d)" aborts check_aborts)
@@ -121,7 +119,7 @@ let test_sof_only_at_commit () =
   let t = run src in
   Alcotest.(check string) "exact double result" expected (result_of t);
   Alcotest.(check bool) "sof abort recorded" true
-    (Hashtbl.mem (Vm.counters t).Counters.abort_reasons "sof-overflow")
+    (Counters.abort_count (Vm.counters t) Htm.Sof_overflow > 0)
 
 let test_print_in_tx_is_irrevocable () =
   (* A print reached inside a transaction must abort it first (paper V-A),
@@ -136,8 +134,8 @@ let test_print_in_tx_is_irrevocable () =
   let t = run src in
   Alcotest.(check string) "correct with io" expected (result_of t);
   Alcotest.(check bool) "irrevocable abort recorded" true
-    (Hashtbl.mem (Vm.counters t).Counters.abort_reasons "irrevocable-io"
-    || Hashtbl.length (Vm.counters t).Counters.abort_reasons > 0)
+    (Counters.abort_count (Vm.counters t) Htm.Irrevocable > 0
+    || Counters.abort_breakdown (Vm.counters t) <> [])
 
 let test_math_random_rolls_back () =
   (* Math.random's PRNG state is journaled: a rollback replays the same

@@ -21,10 +21,33 @@ let test_diff_abort_reasons () =
   Counters.record_abort c Htm.Watchdog;
   let w = Counters.diff ~now:c ~before in
   Alcotest.(check int) "window aborts" 2 w.Counters.tx_aborts;
-  let reason name = try Hashtbl.find w.Counters.abort_reasons name with Not_found -> 0 in
-  Alcotest.(check int) "capacity-write in window" 1 (reason "capacity-write");
-  Alcotest.(check int) "watchdog in window" 1 (reason "watchdog");
-  Alcotest.(check int) "warmup-only reason absent" 0 (reason "check:Type")
+  let reason = Counters.abort_count w in
+  Alcotest.(check int) "capacity-write in window" 1 (reason Htm.Capacity_write);
+  Alcotest.(check int) "watchdog in window" 1 (reason Htm.Watchdog);
+  Alcotest.(check int) "warmup-only reason absent" 0
+    (reason (Htm.Check_failed Nomap_lir.Lir.Type));
+  Alcotest.(check (list (pair string int)))
+    "named only when rendered" [ ("capacity-write", 1); ("watchdog", 1) ]
+    (Counters.abort_breakdown w)
+
+let test_abort_reasons_indexed () =
+  (* Every reason has its own slot: recording reason i (i+1) times reads
+     back i+1 for it alone, and each renders under its own name. *)
+  let c = Counters.create () in
+  let reasons =
+    List.map (fun k -> Htm.Check_failed k) Counters.check_kinds
+    @ Htm.[ Deopt_in_tx; Capacity_write; Capacity_read; Sof_overflow; Irrevocable; Watchdog;
+            Conflict ]
+  in
+  List.iteri (fun i r -> for _ = 0 to i do Counters.record_abort c r done) reasons;
+  List.iteri
+    (fun i r ->
+      Alcotest.(check int) (Htm.abort_reason_name r) (i + 1) (Counters.abort_count c r))
+    reasons;
+  Alcotest.(check (list string))
+    "one named entry per reason"
+    (List.sort compare (List.map Htm.abort_reason_name reasons))
+    (List.map fst (Counters.abort_breakdown c))
 
 let test_diff_window_maxima () =
   let c = Counters.create () in
@@ -81,6 +104,7 @@ let test_memo_distinguishes_protocols () =
 let tests =
   [
     Alcotest.test_case "diff keeps per-reason abort breakdown" `Quick test_diff_abort_reasons;
+    Alcotest.test_case "abort reasons counted separately" `Quick test_abort_reasons_indexed;
     Alcotest.test_case "diff reports window-local maxima" `Quick test_diff_window_maxima;
     Alcotest.test_case "runner memo key includes warmup/measure" `Quick
       test_memo_distinguishes_protocols;

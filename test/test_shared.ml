@@ -148,8 +148,7 @@ let test_two_agents_ftl_conflicts () =
   let aborts_of i =
     match r.Agents.outcomes.(i).Agents.vm with
     | Some vm ->
-      (try Hashtbl.find (Vm.counters vm).Counters.abort_reasons "conflict"
-       with Not_found -> 0)
+      Counters.abort_count (Vm.counters vm) Nomap_htm.Htm.Conflict
     | None -> 0
   in
   Alcotest.(check bool)

@@ -30,9 +30,21 @@ let test_all_reference_results () =
     (fun b ->
       let r = Registry.reference_result b in
       Alcotest.(check bool) (b.Registry.id ^ " nonempty result") true (String.length r > 0);
-      (* Deterministic. *)
-      Alcotest.(check string) (b.Registry.id ^ " deterministic") r (Registry.reference_result b))
+      (* Deterministic: a fresh run agrees with the memoized one. *)
+      Alcotest.(check string) (b.Registry.id ^ " deterministic") r (Registry.run_reference b))
     Registry.all
+
+let test_reference_result_memoized () =
+  (* Four domains ask for one kernel at once: it is computed once and all
+     of them get the physically same string. *)
+  let b = Option.get (Registry.by_id "S05") in
+  let rs =
+    List.init 4 (fun _ -> Domain.spawn (fun () -> Registry.reference_result b))
+    |> List.map Domain.join
+  in
+  let r0 = List.hd rs in
+  List.iter (fun r -> Alcotest.(check bool) "physically the same string" true (r == r0)) rs;
+  Alcotest.(check bool) "later lookups too" true (Registry.reference_result b == r0)
 
 let run_and_check b arch =
   let prog = Registry.compile b in
@@ -85,6 +97,8 @@ let tests =
   [
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
     Alcotest.test_case "ids unique" `Quick test_ids_unique;
+    Alcotest.test_case "reference result memoized across domains" `Quick
+      test_reference_result_memoized;
     Alcotest.test_case "all reference results" `Quick test_all_reference_results;
     Alcotest.test_case "representative x all archs" `Quick test_representative_all_archs;
     Alcotest.test_case "ast interp agrees" `Quick test_ast_interp_agrees;
