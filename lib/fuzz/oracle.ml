@@ -55,12 +55,16 @@ let reference =
   { tier = Vm.Cap_interp; arch = Config.Base; engine = Engine.Decoded; host_ic = true }
 
 (** Full differential matrix: each tier below DFG once (the engine and
-    architecture only change compiled code), then the optimizing tiers
+    architecture only change compiled code) with host ICs on and off (the
+    Interpreter's ic-on run is the reference), then the optimizing tiers
     under both engines — DFG on Base, FTL under every architecture the
     paper evaluates (Base, the NoMap/ROT ladder, RTM). *)
 let default_cfgs =
-  { tier = Vm.Cap_baseline; arch = Config.Base; engine = Engine.Decoded; host_ic = true }
-  :: List.concat_map
+  { reference with host_ic = false }
+  :: List.map
+       (fun host_ic -> { tier = Vm.Cap_baseline; arch = Config.Base; engine = Engine.Decoded; host_ic })
+       [ true; false ]
+  @ List.concat_map
        (fun engine ->
          { tier = Vm.Cap_dfg; arch = Config.Base; engine; host_ic = true }
          :: List.map
@@ -219,7 +223,8 @@ let check ?(cfgs = default_cfgs) ?(fuel_boost = 1) ?ftl_mutate
     in
     (* IC axis: an ic-off configuration must match its ic-on partner at the
        same (tier, arch, engine) on the full observation — host inline
-       caches are invisible to every counter. *)
+       caches are invisible to every counter.  The reference run is the
+       Interpreter's ic-on partner. *)
     let ic_divs =
       List.filter_map
         (fun (c, got) ->
@@ -230,7 +235,7 @@ let check ?(cfgs = default_cfgs) ?(fuel_boost = 1) ?ftl_mutate
                 (fun (c', _) ->
                   c'.host_ic && c'.tier = c.tier && c'.arch = c.arch
                   && c'.engine = c.engine)
-                obs
+                ((reference, expected) :: obs)
             with
             | Some (_, (Outcome _ as expected')) when got <> expected' ->
               Some { cfg = c; expected = expected'; got }

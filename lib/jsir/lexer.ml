@@ -10,10 +10,6 @@ type token =
 
 exception Error of string * Ast.pos
 
-let keywords =
-  [ "var"; "function"; "if"; "else"; "while"; "do"; "for"; "return"; "break";
-    "continue"; "true"; "false"; "null"; "undefined"; "new"; "this" ]
-
 type t = {
   src : string;
   mutable pos : int;
@@ -27,17 +23,25 @@ let current_pos t : Ast.pos = { line = t.line; col = t.pos - t.bol + 1 }
 
 let error t msg = raise (Error (msg, current_pos t))
 
-let peek_char t = if t.pos < String.length t.src then Some t.src.[t.pos] else None
+(* Characters are read without an option per character: [at_end] is the
+   end test, and [peek]/[peek2]/[peek3] return '\000' past the end.  No
+   test below accepts '\000', so past-the-end behaves like a character
+   that matches nothing, and a literal NUL in the source still reaches
+   the "unexpected character" error. *)
 
-let peek_char2 t =
-  if t.pos + 1 < String.length t.src then Some t.src.[t.pos + 1] else None
+let[@inline] at_end t = t.pos >= String.length t.src
+
+let[@inline] char_at t i = if i < String.length t.src then String.unsafe_get t.src i else '\000'
+
+let[@inline] peek t = char_at t t.pos
+let[@inline] peek2 t = char_at t (t.pos + 1)
+let[@inline] peek3 t = char_at t (t.pos + 2)
 
 let advance t =
-  (match peek_char t with
-  | Some '\n' ->
+  if peek t = '\n' then begin
     t.line <- t.line + 1;
     t.bol <- t.pos + 1
-  | _ -> ());
+  end;
   t.pos <- t.pos + 1
 
 let is_digit c = c >= '0' && c <= '9'
@@ -46,42 +50,45 @@ let is_ident_char c = is_ident_start c || is_digit c
 let is_hex_digit c = is_digit c || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
 
 let rec skip_trivia t =
-  match peek_char t with
-  | Some (' ' | '\t' | '\r' | '\n') ->
+  match peek t with
+  | ' ' | '\t' | '\r' | '\n' ->
     advance t;
     skip_trivia t
-  | Some '/' when peek_char2 t = Some '/' ->
-    while peek_char t <> None && peek_char t <> Some '\n' do
+  | '/' when peek2 t = '/' ->
+    while (not (at_end t)) && peek t <> '\n' do
       advance t
     done;
     skip_trivia t
-  | Some '/' when peek_char2 t = Some '*' ->
+  | '/' when peek2 t = '*' ->
     advance t;
     advance t;
     let rec loop () =
-      match (peek_char t, peek_char2 t) with
-      | Some '*', Some '/' ->
+      if at_end t then error t "unterminated block comment"
+      else if peek t = '*' && peek2 t = '/' then begin
         advance t;
         advance t
-      | Some _, _ ->
+      end
+      else begin
         advance t;
         loop ()
-      | None, _ -> error t "unterminated block comment"
+      end
     in
     loop ();
     skip_trivia t
   | _ -> ()
 
+let skip_digits t =
+  while is_digit (peek t) do
+    advance t
+  done
+
 let lex_number t =
   let start = t.pos in
-  if
-    peek_char t = Some '0'
-    && (peek_char2 t = Some 'x' || peek_char2 t = Some 'X')
-  then begin
+  if peek t = '0' && (peek2 t = 'x' || peek2 t = 'X') then begin
     advance t;
     advance t;
     let hstart = t.pos in
-    while (match peek_char t with Some c -> is_hex_digit c | None -> false) do
+    while is_hex_digit (peek t) do
       advance t
     done;
     if t.pos = hstart then error t "bad hex literal";
@@ -89,26 +96,19 @@ let lex_number t =
     NUMBER (float_of_string ("0x" ^ digits))
   end
   else begin
-    while (match peek_char t with Some c -> is_digit c | None -> false) do
-      advance t
-    done;
+    skip_digits t;
     (* Fraction: only when the dot is followed by a digit (so `1.foo` lexes
        as NUMBER DOT IDENT, which MiniJS does not need but keeps errors sane). *)
-    (match (peek_char t, peek_char2 t) with
-    | Some '.', Some c when is_digit c ->
+    if peek t = '.' && is_digit (peek2 t) then begin
       advance t;
-      while (match peek_char t with Some c -> is_digit c | None -> false) do
-        advance t
-      done
-    | _ -> ());
-    (match peek_char t with
-    | Some ('e' | 'E') ->
+      skip_digits t
+    end;
+    (match peek t with
+    | 'e' | 'E' ->
       advance t;
-      (match peek_char t with Some ('+' | '-') -> advance t | _ -> ());
+      (match peek t with '+' | '-' -> advance t | _ -> ());
       let estart = t.pos in
-      while (match peek_char t with Some c -> is_digit c | None -> false) do
-        advance t
-      done;
+      skip_digits t;
       if t.pos = estart then error t "bad exponent"
     | _ -> ());
     NUMBER (float_of_string (String.sub t.src start (t.pos - start)))
@@ -118,29 +118,28 @@ let lex_string t quote =
   advance t;
   let buf = Buffer.create 16 in
   let rec loop () =
-    match peek_char t with
-    | None -> error t "unterminated string literal"
-    | Some c when c = quote -> advance t
-    | Some '\\' -> (
+    if at_end t then error t "unterminated string literal";
+    match peek t with
+    | c when c = quote -> advance t
+    | '\\' ->
       advance t;
-      match peek_char t with
-      | None -> error t "unterminated escape"
-      | Some c ->
-        advance t;
-        let decoded =
-          match c with
-          | 'n' -> '\n'
-          | 't' -> '\t'
-          | 'r' -> '\r'
-          | '0' -> '\000'
-          | '\\' -> '\\'
-          | '\'' -> '\''
-          | '"' -> '"'
-          | c -> c
-        in
-        Buffer.add_char buf decoded;
-        loop ())
-    | Some c ->
+      if at_end t then error t "unterminated escape";
+      let c = peek t in
+      advance t;
+      let decoded =
+        match c with
+        | 'n' -> '\n'
+        | 't' -> '\t'
+        | 'r' -> '\r'
+        | '0' -> '\000'
+        | '\\' -> '\\'
+        | '\'' -> '\''
+        | '"' -> '"'
+        | c -> c
+      in
+      Buffer.add_char buf decoded;
+      loop ()
+    | c ->
       advance t;
       Buffer.add_char buf c;
       loop ()
@@ -148,55 +147,74 @@ let lex_string t quote =
   loop ();
   STRING (Buffer.contents buf)
 
+let keyword_or_ident = function
+  | "var" | "function" | "if" | "else" | "while" | "do" | "for" | "return" | "break"
+  | "continue" | "true" | "false" | "null" | "undefined" | "new" | "this" as s ->
+    KEYWORD s
+  | s -> IDENT s
+
 let lex_ident t =
   let start = t.pos in
-  while (match peek_char t with Some c -> is_ident_char c | None -> false) do
+  while is_ident_char (peek t) do
     advance t
   done;
-  let s = String.sub t.src start (t.pos - start) in
-  if List.mem s keywords then KEYWORD s else IDENT s
+  keyword_or_ident (String.sub t.src start (t.pos - start))
 
-(* Longest-match punctuation. Order within a length class does not matter. *)
-let puncts3 = [ "==="; "!=="; ">>>"; "<<="; ">>=" ]
-let puncts2 =
-  [ "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>"; "++"; "--"; "+="; "-=";
-    "*="; "/="; "%="; "&="; "|="; "^=" ]
-let puncts1 =
-  [ "+"; "-"; "*"; "/"; "%"; "<"; ">"; "="; "!"; "~"; "&"; "|"; "^"; "?"; ":";
-    ";"; ","; "."; "("; ")"; "["; "]"; "{"; "}" ]
-
-let try_punct t =
-  let try_at n candidates =
-    if t.pos + n <= String.length t.src then begin
-      let s = String.sub t.src t.pos n in
-      if List.mem s candidates then Some s else None
-    end
-    else None
-  in
-  (* >>>= would be 4 chars; MiniJS does not support it. *)
-  match try_at 3 puncts3 with
-  | Some s -> Some s
-  | None -> (
-    match try_at 2 puncts2 with
-    | Some s -> Some s
-    | None -> try_at 1 puncts1)
+(* Longest-match punctuation by character dispatch; "" when the next
+   character starts no punctuator.  >>>= would be 4 chars; MiniJS does
+   not support it. *)
+let punct t =
+  let c2 = peek2 t in
+  match peek t with
+  | '=' -> if c2 = '=' then if peek3 t = '=' then "===" else "==" else "="
+  | '!' -> if c2 = '=' then if peek3 t = '=' then "!==" else "!=" else "!"
+  | '>' ->
+    if c2 = '>' then
+      match peek3 t with '>' -> ">>>" | '=' -> ">>=" | _ -> ">>"
+    else if c2 = '=' then ">="
+    else ">"
+  | '<' ->
+    if c2 = '<' then if peek3 t = '=' then "<<=" else "<<"
+    else if c2 = '=' then "<="
+    else "<"
+  | '&' -> if c2 = '&' then "&&" else if c2 = '=' then "&=" else "&"
+  | '|' -> if c2 = '|' then "||" else if c2 = '=' then "|=" else "|"
+  | '+' -> if c2 = '+' then "++" else if c2 = '=' then "+=" else "+"
+  | '-' -> if c2 = '-' then "--" else if c2 = '=' then "-=" else "-"
+  | '*' -> if c2 = '=' then "*=" else "*"
+  | '/' -> if c2 = '=' then "/=" else "/"
+  | '%' -> if c2 = '=' then "%=" else "%"
+  | '^' -> if c2 = '=' then "^=" else "^"
+  | '~' -> "~"
+  | '?' -> "?"
+  | ':' -> ":"
+  | ';' -> ";"
+  | ',' -> ","
+  | '.' -> "."
+  | '(' -> "("
+  | ')' -> ")"
+  | '[' -> "["
+  | ']' -> "]"
+  | '{' -> "{"
+  | '}' -> "}"
+  | _ -> ""
 
 let next t : token * Ast.pos =
   skip_trivia t;
   let pos = current_pos t in
-  match peek_char t with
-  | None -> (EOF, pos)
-  | Some c when is_digit c -> (lex_number t, pos)
-  | Some (('"' | '\'') as q) -> (lex_string t q, pos)
-  | Some c when is_ident_start c -> (lex_ident t, pos)
-  | Some c -> (
-    match try_punct t with
-    | Some s ->
-      for _ = 1 to String.length s do
-        advance t
-      done;
-      (PUNCT s, pos)
-    | None -> error t (Printf.sprintf "unexpected character %C" c))
+  if at_end t then (EOF, pos)
+  else
+    match peek t with
+    | c when is_digit c -> (lex_number t, pos)
+    | ('"' | '\'') as q -> (lex_string t q, pos)
+    | c when is_ident_start c -> (lex_ident t, pos)
+    | c -> (
+      match punct t with
+      | "" -> error t (Printf.sprintf "unexpected character %C" c)
+      | s ->
+        (* No punctuator spans a newline. *)
+        t.pos <- t.pos + String.length s;
+        (PUNCT s, pos))
 
 (** Lex an entire source string to a token list (with positions). *)
 let tokenize src =

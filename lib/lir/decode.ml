@@ -25,32 +25,7 @@
     a fresh [Lir.func]. *)
 
 module Value = Nomap_runtime.Value
-module Shape = Nomap_runtime.Shape
-module Intrinsics = Nomap_runtime.Intrinsics
-
-(** Per-site host inline cache, attached to the decoded instruction of a
-    named property access, transition, or dynamic method call.
-
-    This is pure host-side memoization: a hit skips re-hashing the property
-    name and re-walking the shape's slot table, but the executing machine
-    still fires the identical [note_load]/[note_store] hooks and charges the
-    identical cost, so no modeled counter can move (DESIGN.md §14).  The
-    cache keys on the simulated shape id, which is deterministic; caches die
-    with the decoded artifact when the tier pipeline recompiles, exactly
-    like [Specialize.compiled] versions.
-
-    [ic_str_meth]/[ic_arr_meth] are resolved at decode time — method tables
-    for string/array receivers are pure in the method name — so a dynamic
-    method call on a non-object receiver needs no lookup at all. *)
-type ic = {
-  mutable ic_sym : int;  (** interned symbol of the site's name; -1 = not yet *)
-  mutable ic_shape : int;  (** shape id the entry is valid for; -1 = empty *)
-  mutable ic_slot : int;  (** slot index for [ic_shape] *)
-  mutable ic_target : Shape.t option;
-      (** transition target for [ic_shape] (set-miss / Store_transition) *)
-  ic_str_meth : Intrinsics.t option;  (** decode-time method for Str receivers *)
-  ic_arr_meth : Intrinsics.t option;  (** decode-time method for Arr receivers *)
-}
+module Ic = Nomap_runtime.Ic
 
 type phi_edge = {
   pred : int;  (** incoming block id this edge handles *)
@@ -74,7 +49,9 @@ type dinstr = {
           raise nor observe/alter transaction state, so an engine may batch
           its accounting with its straight-line neighbours'. *)
   args : int array;  (** pre-resolved call/intrinsic argument value ids *)
-  ic : ic option;  (** host inline cache for property/method sites *)
+  ic : Ic.t option;
+      (** host inline cache for property/method sites (DESIGN.md §14);
+          caches die with the decoded artifact on recompilation *)
 }
 
 type dblock = {
@@ -187,27 +164,12 @@ let pure_kind = function
 
 let no_args = [||]
 
-let fresh_ic ?(str_meth = None) ?(arr_meth = None) () =
-  Some
-    {
-      ic_sym = -1;
-      ic_shape = -1;
-      ic_slot = -1;
-      ic_target = None;
-      ic_str_meth = str_meth;
-      ic_arr_meth = arr_meth;
-    }
-
 (** Sites that get a host inline cache. *)
 let ic_of = function
   | Lir.Call_runtime ((Lir.Rt_get_prop _ | Lir.Rt_set_prop _ | Lir.Rt_get_length), _, _)
   | Lir.Store_transition _ ->
-    fresh_ic ()
-  | Lir.Call_runtime (Lir.Rt_method name, _, _) ->
-    fresh_ic
-      ~str_meth:(Intrinsics.str_method_lookup name)
-      ~arr_meth:(Intrinsics.arr_method_lookup name)
-      ()
+    Some (Ic.create ())
+  | Lir.Call_runtime (Lir.Rt_method name, _, _) -> Some (Ic.for_method name)
   | _ -> None
 
 let args_of = function

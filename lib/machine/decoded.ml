@@ -181,7 +181,7 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
           | Value.Obj obj ->
             (* The guarding shape check ran just before; resolve the
                (memoized, site-cached) transition and install shape + value. *)
-            let new_shape = ic_transition env heap di.D.ic obj name in
+            let new_shape = Ic.transition heap (site_ic env di.D.ic) obj name in
             if new_shape.Shape.prop_count - 1 = slot then
               Heap.transition_store heap obj new_shape slot (get values x)
             else

@@ -28,8 +28,8 @@
 module Value = Nomap_runtime.Value
 module Heap = Nomap_runtime.Heap
 module Ops = Nomap_runtime.Ops
-module Shape = Nomap_runtime.Shape
 module Intrinsics = Nomap_runtime.Intrinsics
+module Ic = Nomap_runtime.Ic
 module Instance = Nomap_interp.Instance
 module L = Nomap_lir.Lir
 module D = Nomap_lir.Decode
@@ -311,105 +311,10 @@ let eval_intrinsic heap intr (recv : Value.t) (ids : int array) (values : Value.
     | _ -> Intrinsics.eval heap intr recv (arg_values values ids)
   with Intrinsics.Type_error m -> raise (Nomap_interp.Interp.Runtime_error m)
 
-(* --- host inline-cache probes (see Decode.ic / DESIGN.md §14) ---------- *)
-
-(** The site's interned symbol.  Get-sites must not cache a miss: a name can
-    be interned later (by the first store), at which point -1 would be
-    stale.  [intern_on_miss] distinguishes set-sites (which intern, exactly
-    as the generic path does) from get-sites (which only look up). *)
-let ic_sym heap (c : D.ic) name ~intern_on_miss =
-  if c.D.ic_sym >= 0 then c.D.ic_sym
-  else begin
-    let s =
-      if intern_on_miss then Shape.intern heap.Heap.shapes name
-      else Shape.find_sym heap.Heap.shapes name
-    in
-    if s >= 0 then c.D.ic_sym <- s;
-    s
-  end
-
-(** Resolve a property slot through the cache: hit = one int compare.  On a
-    miss, consult the shape's slot table and refill (monomorphic,
-    last-shape-wins).  Caching a -1 slot is sound: shapes are immutable, so
-    a given shape id lacks the symbol forever. *)
-let ic_slot (c : D.ic) (o : Value.obj) sym =
-  if sym >= 0 && c.D.ic_shape = o.Value.shape.Shape.id then c.D.ic_slot
-  else begin
-    let slot = Shape.slot_of o.Value.shape sym in
-    if sym >= 0 then begin
-      c.D.ic_shape <- o.Value.shape.Shape.id;
-      c.D.ic_slot <- slot
-    end;
-    slot
-  end
-
-(** Cached property read: identical hooks to [Heap.get_prop] (one shape-word
-    load, then the slot load on presence), minus the host-side hashing. *)
-let ic_get_prop env heap (c : D.ic option) (o : Value.obj) name =
-  match c with
-  | Some c when env.host_ic ->
-    Heap.get_prop_slot heap o (ic_slot c o (ic_sym heap c name ~intern_on_miss:false))
-  | _ -> Heap.get_prop heap o name
-
-(** Cached property write.  Three cases, each replicating the generic
-    sequence bit-for-bit:
-    - slot hit: shape-word load + slot store ([Heap.set_prop_sym]'s
-      existing-property path);
-    - transition hit ([ic_target] caches the child shape the source shape
-      transitions to — sound because shape transitions are cached and
-      deterministic): shape-word load + [Heap.transition_store];
-    - miss: the generic path, then refill keyed on the *pre-store* shape. *)
-let ic_set_prop env heap (c : D.ic option) (o : Value.obj) name v =
-  match c with
-  | Some c when env.host_ic -> (
-    let sym = ic_sym heap c name ~intern_on_miss:true in
-    let sid = o.Value.shape.Shape.id in
-    if c.D.ic_shape = sid then begin
-      if c.D.ic_slot >= 0 then begin
-        Heap.note_load heap o.Value.oaddr Heap.word_bytes;
-        Heap.store_slot heap o c.D.ic_slot v
-      end
-      else
-        match c.D.ic_target with
-        | Some tgt ->
-          Heap.note_load heap o.Value.oaddr Heap.word_bytes;
-          Heap.transition_store heap o tgt (tgt.Shape.prop_count - 1) v
-        | None -> Heap.set_prop_sym heap o sym v
-    end
-    else begin
-      let slot = Shape.slot_of o.Value.shape sym in
-      Heap.set_prop_sym heap o sym v;
-      c.D.ic_shape <- sid;
-      if slot >= 0 then begin
-        c.D.ic_slot <- slot;
-        c.D.ic_target <- None
-      end
-      else begin
-        c.D.ic_slot <- -1;
-        c.D.ic_target <- Some o.Value.shape
-      end
-    end)
-  | _ -> Heap.set_prop heap o name v
-
-(** Cached transition resolution for [Store_transition] sites: a hit skips
-    re-interning the name and the transition-table probe.  The cached target
-    is exactly what [Shape.transition] would return for that source shape
-    (transitions are memoized per shape), so the resulting shape tree and id
-    sequence are identical either way. *)
-let ic_transition env heap (c : D.ic option) (obj : Value.obj) name =
-  match c with
-  | Some c when env.host_ic ->
-    if c.D.ic_shape = obj.Value.shape.Shape.id then (
-      match c.D.ic_target with
-      | Some t -> t
-      | None -> Shape.transition heap.Heap.shapes obj.Value.shape name)
-    else begin
-      let t = Shape.transition heap.Heap.shapes obj.Value.shape name in
-      c.D.ic_shape <- obj.Value.shape.Shape.id;
-      c.D.ic_target <- Some t;
-      t
-    end
-  | _ -> Shape.transition heap.Heap.shapes obj.Value.shape name
+(** A site's host inline cache, or [None] (the generic helpers) when the
+    VM runs with host ICs off.  The probes and their rules live in
+    [Nomap_runtime.Ic] (DESIGN.md §14). *)
+let[@inline] site_ic env (ic : Ic.t option) = if env.host_ic then ic else None
 
 (* --- NOMAP_PROF slots (one per runtime-helper family) ------------------ *)
 
@@ -441,9 +346,10 @@ let prof_slot_of = function
     operands straight out of the value array — no [List.nth].  [ic] is the
     call site's host inline cache (property/method sites only); it changes
     no hook sequence and no charge. *)
-let exec_runtime_uninstrumented env ~(ic : D.ic option) rt (recv : Value.t)
+let exec_runtime_uninstrumented env ~(ic : Ic.t option) rt (recv : Value.t)
     (ids : int array) (values : Value.t array) : Value.t =
   let heap = env.instance.Instance.heap in
+  let ic = site_ic env ic in
   let arg i = Hot.get values (Hot.get ids i) in
   match rt with
   | L.Rt_binop op ->
@@ -455,13 +361,13 @@ let exec_runtime_uninstrumented env ~(ic : D.ic option) rt (recv : Value.t)
   | L.Rt_get_prop name -> (
     charge_runtime env 35;
     match as_obj recv with
-    | Some o -> ic_get_prop env heap ic o name
+    | Some o -> Ic.get_prop heap ic o name
     | None -> Value.Undef)
   | L.Rt_set_prop name -> (
     charge_runtime env 40;
     match as_obj recv with
     | Some o ->
-      ic_set_prop env heap ic o name (arg 0);
+      Ic.set_prop heap ic o name (arg 0);
       Value.Undef
     | None -> raise (Nomap_interp.Interp.Runtime_error "set property on non-object"))
   | L.Rt_get_elem -> (
@@ -494,34 +400,19 @@ let exec_runtime_uninstrumented env ~(ic : D.ic option) rt (recv : Value.t)
     | Some v -> v
     | None -> (
       match as_obj recv with
-      | Some o -> ic_get_prop env heap ic o "length"
+      | Some o -> Ic.get_prop heap ic o "length"
       | None ->
         raise (Nomap_interp.Interp.Runtime_error ("no length on " ^ Value.type_name recv))))
   | L.Rt_method name -> (
     charge_runtime env 44;
-    let meth =
-      match (recv, ic) with
-      (* Str/Arr method tables are pure in the name: resolved at decode. *)
-      | Value.Str _, Some c when env.host_ic -> c.D.ic_str_meth
-      | Value.Arr _, Some c when env.host_ic -> c.D.ic_arr_meth
-      | _ -> Intrinsics.method_lookup recv name
-    in
-    match meth with
+    match Ic.method_of ic recv name with
     | Some intr -> eval_intrinsic heap intr recv ids values
     | None -> (
       match as_obj recv with
-      | Some o -> (
+      | Some o ->
         (* NB: like the generic path, no shape-word load here — method
            dispatch reads only the slot. *)
-        let slot =
-          match ic with
-          | Some c when env.host_ic ->
-            ic_slot c o (ic_sym heap c name ~intern_on_miss:false)
-          | _ -> (
-            match Shape.lookup heap.Heap.shapes o.Value.shape name with
-            | Some s -> s
-            | None -> -1)
-        in
+        let slot = Ic.find_slot heap ic o name in
         if slot >= 0 then
           match Heap.load_slot heap o slot with
           | Value.Fun fid -> env.call ~fid ~this:recv ~args:(arg_values values ids)
@@ -529,7 +420,7 @@ let exec_runtime_uninstrumented env ~(ic : D.ic option) rt (recv : Value.t)
             raise
               (Nomap_interp.Interp.Runtime_error
                  (Printf.sprintf "%s is not a function (%s)" name (Value.type_name v)))
-        else raise (Nomap_interp.Interp.Runtime_error ("no method " ^ name)))
+        else raise (Nomap_interp.Interp.Runtime_error ("no method " ^ name))
       | None ->
         raise
           (Nomap_interp.Interp.Runtime_error

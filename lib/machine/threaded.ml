@@ -296,12 +296,13 @@ let compile_func env ~tier (d : D.t) : tfunc =
         | _ -> ());
         next st
     | L.Store_transition (o, name, slot, x) ->
+      let ic = site_ic env di.D.ic in
       fun st ->
         (match get st.values o with
         | Value.Obj obj ->
           (* The guarding shape check ran just before; resolve the
              (memoized, site-cached) transition and install shape + value. *)
-          let new_shape = ic_transition env heap di.D.ic obj name in
+          let new_shape = Ic.transition heap ic obj name in
           if new_shape.Shape.prop_count - 1 = slot then
             Heap.transition_store heap obj new_shape slot (get st.values x)
           else

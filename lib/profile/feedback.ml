@@ -6,6 +6,8 @@
     calls [record_*] at profiled sites (one site per bytecode index), and
     the optimizing tiers query the accumulated [site] data. *)
 
+module Hot = Nomap_util.Hot
+
 type value_class =
   | Cls_int
   | Cls_num  (** non-int32 double *)
@@ -67,16 +69,22 @@ type func_profile = {
   sites : site array;
   mutable call_count : int;
   mutable ftl_call_count : int;  (** calls executed in optimized code *)
-  (* loop header pc -> (times entered, total iterations) *)
-  loop_stats : (int, int ref * int ref) Hashtbl.t;
+  loop_entries : int array;
+      (** per pc: times the loop headed there was entered; -1 at a pc that
+          heads no loop *)
+  loop_iters : int array;  (** per pc: back edges taken to the loop headed there *)
 }
 
 let create_func_profile (f : Nomap_bytecode.Opcode.func) =
+  let n = Array.length f.code in
+  let loop_entries = Array.make n (-1) in
+  List.iter (fun pc -> if pc >= 0 && pc < n then loop_entries.(pc) <- 0) f.loop_headers;
   {
-    sites = Array.init (Array.length f.code) (fun _ -> fresh_site ());
+    sites = Array.init n (fun _ -> fresh_site ());
     call_count = 0;
     ftl_call_count = 0;
-    loop_stats = Hashtbl.create 4;
+    loop_entries;
+    loop_iters = Array.make n 0;
   }
 
 type t = { profiles : func_profile array }
@@ -87,55 +95,75 @@ let create (prog : Nomap_bytecode.Opcode.program) =
 let func_profile t fid = t.profiles.(fid)
 let site t fid pc = t.profiles.(fid).sites.(pc)
 
-let add_capped lst x ~cap =
-  if List.mem x lst then lst
-  else if List.length lst >= cap then lst
-  else x :: lst
+(* Monomorphic membership tests: the record functions run on every
+   profiled op, and the polymorphic [List.mem] is a C call per element. *)
+let rec mem_class (c : value_class) = function [] -> false | x :: l -> x == c || mem_class c l
+let rec mem_int (i : int) = function [] -> false | x :: l -> x = i || mem_int i l
+
+let rec mem_shape (id : int) = function
+  | [] -> false
+  | (x, _) :: l -> x = id || mem_shape id l
 
 let record_class site v =
   site.count <- site.count + 1;
   let c = class_of_value v in
-  if not (List.mem c site.classes) then
-    site.classes <- add_capped site.classes c ~cap:max_poly
+  if (not (mem_class c site.classes)) && List.length site.classes < max_poly then
+    site.classes <- c :: site.classes
 
 let record_result site v =
   let c = class_of_value v in
-  if not (List.mem c site.result_classes) then
-    site.result_classes <- add_capped site.result_classes c ~cap:max_poly
+  if (not (mem_class c site.result_classes)) && List.length site.result_classes < max_poly
+  then site.result_classes <- c :: site.result_classes
 
-let record_shape site shape_id action =
+(* Counts the visit; true when [shape_id] is new to the site and still
+   fits under the cap (past it the site goes megamorphic).  The callers
+   build the [prop_action] only then. *)
+let shape_is_new site shape_id =
   site.count <- site.count + 1;
-  if not (List.mem_assoc shape_id site.shapes) then begin
-    if List.length site.shapes >= max_poly then site.megamorphic <- true
-    else site.shapes <- (shape_id, action) :: site.shapes
+  if mem_shape shape_id site.shapes then false
+  else if List.length site.shapes >= max_poly then begin
+    site.megamorphic <- true;
+    false
   end
+  else true
+
+let record_load_slot site shape_id slot =
+  if shape_is_new site shape_id then site.shapes <- (shape_id, Load_slot slot) :: site.shapes
+
+let record_store_slot site shape_id slot =
+  if shape_is_new site shape_id then site.shapes <- (shape_id, Store_slot slot) :: site.shapes
+
+let record_transition site shape_id ~target slot =
+  if shape_is_new site shape_id then
+    site.shapes <- (shape_id, Transition (target, slot)) :: site.shapes
 
 let record_callee site fid =
-  if not (List.mem fid site.callees) then
-    site.callees <- add_capped site.callees fid ~cap:max_poly
+  if (not (mem_int fid site.callees)) && List.length site.callees < max_poly then
+    site.callees <- fid :: site.callees
 
 let record_overflow site = site.overflowed <- true
 let record_hole site = site.saw_hole <- true
 let record_oob site = site.saw_oob <- true
 let record_elongation site = site.saw_elongation <- true
 
-let record_loop_iteration fp header =
-  match Hashtbl.find_opt fp.loop_stats header with
-  | Some (_, iters) -> incr iters
-  | None -> Hashtbl.add fp.loop_stats header (ref 0, ref 1)
-
-let record_loop_entry fp header =
-  match Hashtbl.find_opt fp.loop_stats header with
-  | Some (entries, _) -> incr entries
-  | None -> Hashtbl.add fp.loop_stats header (ref 1, ref 0)
+(** Count control reaching [target] from [from] ([from] = -1: function
+    entry): a back edge ([from >= target]) is one more iteration of the
+    loop headed at [target], any other edge one more entry.  Edges to a
+    pc that heads no loop are ignored. *)
+let[@inline] record_edge fp ~from ~target =
+  let entries = Hot.iget fp.loop_entries target in
+  if entries >= 0 then
+    if from >= target then Hot.iset fp.loop_iters target (Hot.iget fp.loop_iters target + 1)
+    else Hot.iset fp.loop_entries target (entries + 1)
 
 (** Average iterations per entry for the loop headed at [header]; the NoMap
     transaction-placement pass uses this for footprint estimation. *)
 let avg_trip_count fp header =
-  match Hashtbl.find_opt fp.loop_stats header with
-  | Some (entries, iters) when !entries > 0 -> float_of_int !iters /. float_of_int !entries
-  | Some (_, iters) -> float_of_int !iters
-  | None -> 0.0
+  if header < 0 || header >= Array.length fp.loop_entries then 0.0
+  else
+    let entries = fp.loop_entries.(header) and iters = fp.loop_iters.(header) in
+    if entries > 0 then float_of_int iters /. float_of_int entries
+    else float_of_int iters
 
 (** Did this site only ever see int32 values (and never overflow)? *)
 let int_only site = site.classes = [ Cls_int ] && not site.overflowed

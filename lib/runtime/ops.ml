@@ -52,10 +52,27 @@ let compare_values a b ~if_str ~if_num =
     let x = to_number a and y = to_number b in
     if Float.is_nan x || Float.is_nan y then false else if_num x y
 
-let js_lt a b = compare_values a b ~if_str:(fun c -> c < 0) ~if_num:(fun x y -> x < y)
-let js_le a b = compare_values a b ~if_str:(fun c -> c <= 0) ~if_num:(fun x y -> x <= y)
-let js_gt a b = compare_values a b ~if_str:(fun c -> c > 0) ~if_num:(fun x y -> x > y)
-let js_ge a b = compare_values a b ~if_str:(fun c -> c >= 0) ~if_num:(fun x y -> x >= y)
+(* Int x Int first: the int32 compare equals the double compare it
+   stands for, without boxing two floats. *)
+let js_lt a b =
+  match (a, b) with
+  | Int x, Int y -> x < y
+  | _ -> compare_values a b ~if_str:(fun c -> c < 0) ~if_num:(fun x y -> x < y)
+
+let js_le a b =
+  match (a, b) with
+  | Int x, Int y -> x <= y
+  | _ -> compare_values a b ~if_str:(fun c -> c <= 0) ~if_num:(fun x y -> x <= y)
+
+let js_gt a b =
+  match (a, b) with
+  | Int x, Int y -> x > y
+  | _ -> compare_values a b ~if_str:(fun c -> c > 0) ~if_num:(fun x y -> x > y)
+
+let js_ge a b =
+  match (a, b) with
+  | Int x, Int y -> x >= y
+  | _ -> compare_values a b ~if_str:(fun c -> c >= 0) ~if_num:(fun x y -> x >= y)
 
 let[@inline] wrap_int32 i =
   let m = i land 0xFFFF_FFFF in

@@ -24,3 +24,9 @@ val set : 'a array -> int -> 'a -> unit
 val fget : float array -> int -> float
 
 val fset : float array -> int -> float -> unit
+
+(** Monomorphic int-array accessors: no float-tag test and no write
+    barrier.  Same audit contract as [get]/[set]. *)
+val iget : int array -> int -> int
+
+val iset : int array -> int -> int -> unit

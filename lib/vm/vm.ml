@@ -66,15 +66,13 @@ type t = {
   opt_knobs : Nomap_opt.Pipeline.knobs;
   opt_stats : Nomap_opt.Pipeline.stats;
   nomap_stats : Transform.stats;
-  mutable env : Machine.env option;
+  env : Machine.env;
   interp_env : Interp.env;
   baseline_env : Interp.env;
   agent : Agent.t;  (** this VM's view of its shared segment (solo default) *)
   mutable deopt_invalidations : int;
   mutable tx_demotions : int;
 }
-
-let machine_env t = Option.get t.env
 
 let fresh_version () =
   { dfg = None; ftl = None; deopt_count = 0; placement = Txplace.Auto; dirty = false }
@@ -83,7 +81,7 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
     ?(verify_lir = false) ?(paranoid = false) ?ftl_mutate
     ?(opt_knobs = Nomap_opt.Pipeline.all_on) ?(engine = Engine.default)
     ?(host_ic = true) ?shared ~config ~tier_cap (prog : Opcode.program) =
-  let instance = Instance.create ~seed ~fuel prog in
+  let instance = Instance.create ~seed ~fuel ~host_ic prog in
   let profile = Feedback.create prog in
   let counters = Counters.create () in
   (* Every VM has an agent: a private solo one by default, so the
@@ -104,10 +102,6 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
         counters.Counters.shared_fences <- counters.Counters.shared_fences + 1);
   let t_ref = ref None in
   let get_t () = Option.get !t_ref in
-  (* The interpreter tiers charge NoFTL instructions through the machine,
-     so an op run inside a transaction region counts toward TMTime.  The
-     machine env exists before any code runs (it is set below). *)
-  let charge_runtime n = Machine.charge_runtime (machine_env (get_t ())) n in
   let call ~fid ~this ~args = dispatch (get_t ()) ~fid ~this ~args in
   let deopt_resume ~fid ~resume_pc ~values =
     let t = get_t () in
@@ -126,6 +120,15 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
     List.iter (fun (r, value) -> if r < Array.length regs then regs.(r) <- value) values;
     Interp.run_from t.baseline_env ~fid ~entry_pc:resume_pc ~regs
   in
+  let env =
+    Machine.create_env ~instance ~counters ~htm_mode:(Config.htm_mode config)
+      ~sof_enabled:(Config.sof_enabled config) ~capacity_scale:Config.capacity_scale
+      ~host_ic ~stm_fallback:(Config.stm_fallback config)
+      ~stm_factor:config.Config.stm_factor ~call ~deopt_resume ()
+  in
+  (* The interpreter tiers charge NoFTL instructions through the machine,
+     so an op run inside a transaction region counts toward TMTime. *)
+  let charge_runtime n = Machine.charge_runtime env n in
   let interp_env =
     { Interp.instance; mode = Interp.Interp_tier; profile = None; charge = charge_runtime; call }
   in
@@ -154,7 +157,7 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
       opt_knobs;
       opt_stats = Nomap_opt.Pipeline.empty_stats ();
       nomap_stats = Transform.empty_stats ();
-      env = None;
+      env;
       interp_env;
       baseline_env;
       agent;
@@ -163,12 +166,6 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
     }
   in
   t_ref := Some t;
-  let env =
-    Machine.create_env ~instance ~counters ~htm_mode:(Config.htm_mode config)
-      ~sof_enabled:(Config.sof_enabled config) ~capacity_scale:Config.capacity_scale
-      ~host_ic ~stm_fallback:(Config.stm_fallback config)
-      ~stm_factor:config.Config.stm_factor ~call ~deopt_resume ()
-  in
   env.Machine.on_abort <-
     (fun ~fid reason ->
       match reason with
@@ -189,7 +186,6 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
            aborts are transient, not capacity-driven). *)
         ());
   env.Machine.shared_agent <- Some agent;
-  t.env <- Some env;
   t
 
 and ensure_dfg t fid =
@@ -234,8 +230,8 @@ and ensure_ftl t fid =
 
 and exec t c ~tier ~this ~args =
   match t.engine with
-  | Engine.Decoded -> Decoded.exec_func (machine_env t) c ~tier ~this ~args
-  | Engine.Threaded -> Threaded.exec_func (machine_env t) c ~tier ~this ~args
+  | Engine.Decoded -> Decoded.exec_func t.env c ~tier ~this ~args
+  | Engine.Threaded -> Threaded.exec_func t.env c ~tier ~this ~args
 
 and dispatch t ~fid ~this ~args =
   let fp = Feedback.func_profile t.profile fid in

@@ -33,6 +33,86 @@ let test_lex_error () =
     (Lexer.Error ("unexpected character '#'", { Ast.line = 1; col = 1 }))
     (fun () -> ignore (Lexer.tokenize "#"))
 
+let lex_outcome src =
+  match Lexer.tokenize src with
+  | toks -> Printf.sprintf "ok %d" (List.length toks)
+  | exception Lexer.Error (m, p) -> Printf.sprintf "%s %d:%d" m p.Ast.line p.Ast.col
+
+(* Messages and positions as the lexer reported them before it was made
+   allocation-free (one option per character, list-membership matching). *)
+let test_lex_errors_pinned () =
+  List.iter
+    (fun (src, expected) -> Alcotest.(check string) (String.escaped src) expected (lex_outcome src))
+    [
+      ("x = \"abc", "unterminated string literal 1:9");
+      ("'a\\", "unterminated escape 1:4");
+      ("a /* b\n c", "unterminated block comment 2:3");
+      ("0x", "bad hex literal 1:3");
+      ("1e+", "bad exponent 1:4");
+      ("a\000b", "unexpected character '\\000' 1:2");
+      ("a\n  @", "unexpected character '@' 2:3");
+      ("x >>>= 1", "ok 5");
+      ("a.b!==c<<=d", "ok 8");
+      ("1.e3", "ok 4");
+      ("// only", "ok 1");
+    ]
+
+(* Token count and FNV-64 of every token's [token_to_string], line and
+   column, per registry source, as recorded from the lexer before it was
+   made allocation-free: the rewrite must produce the same token stream. *)
+let registry_token_digests =
+  [
+    ("S01", 535, "e6c9dcddb7841ab7"); ("S02", 78, "0e4579ee714922a6");
+    ("S03", 361, "16023f57cdd4275c"); ("S04", 212, "19f9f94875051488");
+    ("S05", 343, "d83e093e54d0d3fd"); ("S06", 405, "71fbe97d7c76f7d3");
+    ("S07", 156, "fc469805c92882cd"); ("S08", 111, "458a251ac19ebc3b");
+    ("S09", 76, "f83455ee76bf0719"); ("S10", 45, "4475fa351ca44a3e");
+    ("S11", 176, "4da212b317693cca"); ("S12", 215, "db7c7a15bdbae8cd");
+    ("S13", 448, "d4d9bc62bac085c5"); ("S14", 205, "a6416aaba7bef6b3");
+    ("S15", 279, "6e630a3cbd03c2ab"); ("S16", 238, "cc076c739b4ba291");
+    ("S17", 248, "86c68f226ea9f5ad"); ("S18", 281, "cb7ffa264cec4433");
+    ("S19", 206, "cb954f7f184cd0ce"); ("S20", 384, "a47b1fb26aeb03d5");
+    ("S21", 197, "ede185406287fa34"); ("S22", 219, "e8726ddded32fdaf");
+    ("S23", 135, "6c17c968b7829c49"); ("S24", 168, "cf8d97b178d7a50b");
+    ("S25", 168, "a088874a9629e18d"); ("S26", 220, "bb6336efed50c907");
+    ("K01", 450, "dc5d12c08ce562ad"); ("K02", 122, "ba125fcf094ef397");
+    ("K03", 226, "204cbd34ba5ae6ce"); ("K04", 343, "0044bd4a873dcc67");
+    ("K05", 137, "7bbdfeb8bcd6ec64"); ("K06", 194, "c5f7c2443ffa0350");
+    ("K07", 174, "3d0ebb4ae70b413a"); ("K08", 337, "af0eb93adb0a6175");
+    ("K09", 181, "3b16e4ad63117d42"); ("K10", 135, "ed10496b4b9303e7");
+    ("K11", 418, "832e29836a924a9a"); ("K12", 161, "c927a9df3b7f6009");
+    ("K13", 107, "4cd2eb389b07faee"); ("K14", 330, "a256621a53a86972");
+    ("SH01", 119, "34e6b6ec45171133"); ("SH02", 142, "74df6fcce1e7a7a6");
+    ("SH03", 476, "487518fd030a6353"); ("SH04", 46, "ab1a7e42f77b6780");
+    ("SH05", 44, "7c994b5dd48c0cfe"); ("SH06", 177, "5023a6244eda59a5");
+    ("SH07", 297, "05d008f4431276b6"); ("SH08", 278, "e7b8b03130b47661");
+    ("SH09", 369, "4dd6cce1b2b6559b"); ("SH10", 80, "1f835b4928a3da1a");
+    ("SH11", 121, "b6ec10295091db75"); ("SH12", 83, "8a0e0ea1eff425fd");
+  ]
+
+let token_digest src =
+  let toks = Lexer.tokenize src in
+  let h =
+    List.fold_left
+      (fun h (tok, (p : Ast.pos)) ->
+        Nomap_util.Fnv.string h
+          (Printf.sprintf "%s@%d:%d\n" (Lexer.token_to_string tok) p.line p.col))
+      Nomap_util.Fnv.basis toks
+  in
+  (List.length toks, Nomap_util.Fnv.to_hex h)
+
+let test_lex_registry_pinned () =
+  let module Registry = Nomap_workloads.Registry in
+  Alcotest.(check int) "every registry source pinned" (List.length Registry.all)
+    (List.length registry_token_digests);
+  List.iter
+    (fun (id, count, digest) ->
+      match Registry.by_id id with
+      | None -> Alcotest.failf "no benchmark %s" id
+      | Some b ->
+        Alcotest.(check (pair int string)) id (count, digest) (token_digest b.Registry.source))
+    registry_token_digests
+
 let parse src = Parser.parse_program_exn src
 
 let test_parse_precedence () =
@@ -132,6 +212,8 @@ let tests =
     Alcotest.test_case "lex comments" `Quick test_lex_comments;
     Alcotest.test_case "lex keywords" `Quick test_lex_keywords;
     Alcotest.test_case "lex error position" `Quick test_lex_error;
+    Alcotest.test_case "lex errors pinned" `Quick test_lex_errors_pinned;
+    Alcotest.test_case "lex registry tokens pinned" `Quick test_lex_registry_pinned;
     Alcotest.test_case "parse precedence" `Quick test_parse_precedence;
     Alcotest.test_case "parse associativity" `Quick test_parse_assoc;
     Alcotest.test_case "parse nested ternary" `Quick test_parse_ternary_nested;

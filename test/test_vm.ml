@@ -270,18 +270,80 @@ let test_host_ic_counters_identical () =
        == 0) { o.k0 = i; } else { o.k1 = i; } a.push(i); } return o.x + o.k0 + o.k1; }"
   in
   let prog = Helpers.compile src in
-  let run host_ic =
-    let t =
-      Vm.create ~fuel:200_000_000 ~verify_lir:true ~host_ic ~engine:Nomap_machine.Engine.Threaded
-        ~config:(Config.create Config.NoMap_full) ~tier_cap:Vm.Cap_ftl prog
-    in
-    ignore (Vm.run_main t);
-    (result_of t, Counters.to_canonical_string (Vm.counters t))
-  in
-  let r_on, c_on = run true in
-  let r_off, c_off = run false in
-  Alcotest.(check string) "same result" r_off r_on;
-  Alcotest.(check string) "same counter table" c_off c_on
+  List.iter
+    (fun tier_cap ->
+      let run host_ic =
+        let t =
+          Vm.create ~fuel:200_000_000 ~verify_lir:true ~host_ic
+            ~engine:Nomap_machine.Engine.Threaded ~config:(Config.create Config.NoMap_full)
+            ~tier_cap prog
+        in
+        ignore (Vm.run_main t);
+        (result_of t, Counters.to_canonical_string (Vm.counters t))
+      in
+      let r_on, c_on = run true in
+      let r_off, c_off = run false in
+      let name = Vm.cap_name tier_cap in
+      Alcotest.(check string) (name ^ ": same result") r_off r_on;
+      Alcotest.(check string) (name ^ ": same counter table") c_off c_on)
+    [ Vm.Cap_interp; Vm.Cap_baseline; Vm.Cap_ftl ]
+
+(* The cache rules (DESIGN.md §14), each at the Interpreter and Baseline
+   tiers: an ic-on run must match its ic-off run in result, heap and the
+   full counter table. *)
+let ic_rule_cases =
+  [
+    (* (a) The get-site in [get] first reads [q] before any code has stored
+       it, so the name is not interned yet; [setq] then interns it, and the
+       same site reads an object that has it.  A cache that remembered the
+       failed lookup would keep answering undefined. *)
+    ( "get-site before intern",
+      "function get(o) { return o.q; } function setq(o) { o.q = 5; return 0; } function \
+       bench() { var a = {}; var s = 0; var r = get(a); if (r == undefined) { s = s + 1; \
+       } var b = {}; setq(b); s = s + get(b); if (get(a) == undefined) { s = s + 2; } return s; \
+       } var i; result = 0; for (i = 0; i < 6; i++) { result = result * 10 + bench(); }" );
+    (* (b) One set-site alternates between storing an existing slot and
+       adding the property (a shape transition), with back-to-back hits
+       of each kind and transitions from two source shapes. *)
+    ( "set-site slot and transition",
+      "function put(o, v) { o.x = v; return 0; } function bench() { var s = 0; var i; for \
+       (i = 0; i < 8; i++) { var o = {}; put(o, i); var q = {}; put(q, i + 2); put(o, i + \
+       1); var p = { x: 1 }; put(p, i); var r = { y: 1 }; put(r, i); s = s + o.x + p.x + q.x \
+       + r.x + r.y; } return s; } var k; result = 0; for (k = 0; k < 6; k++) { result = \
+       result + bench(); }" );
+    (* (c) One Call_method site sees a string, an object and finally an
+       array receiver.  Strings and arrays share no method name, so the
+       array call is the "no method" error, which must match too. *)
+    ( "method site, three receivers",
+      "function m(c) { return 7; } function call(r) { return r.indexOf(\"b\"); } function \
+       bench() { var s = \"abc\"; var o = { indexOf: m }; var t = 0; var i; for (i = 0; i < \
+       3; i++) { t = t + call(s) + call(o); } return t; } var k; result = 0; for (k = 0; k < \
+       4; k++) { result = result + bench(); } result = call([1, 2, 3]);" );
+  ]
+
+let test_ic_rules () =
+  List.iter
+    (fun (name, src) ->
+      let prog = Helpers.compile src in
+      List.iter
+        (fun tier_cap ->
+          let run host_ic =
+            let t =
+              Vm.create ~fuel:50_000_000 ~host_ic ~config:(Config.create Config.Base) ~tier_cap
+                prog
+            in
+            let outcome = try ignore (Vm.run_main t); "ok" with e -> Printexc.to_string e in
+            ( outcome ^ " " ^ result_of t,
+              Nomap_vm.Heap_checksum.checksum (Vm.instance t),
+              Counters.to_canonical_string (Vm.counters t) )
+          in
+          let label = Printf.sprintf "%s, %s" name (Vm.cap_name tier_cap) in
+          let r_on, h_on, c_on = run true and r_off, h_off, c_off = run false in
+          Alcotest.(check string) (label ^ ": result") r_off r_on;
+          Alcotest.(check string) (label ^ ": heap") h_off h_on;
+          Alcotest.(check string) (label ^ ": counters") c_off c_on)
+        [ Vm.Cap_interp; Vm.Cap_baseline ])
+    ic_rule_cases
 
 let tests =
   [
@@ -308,4 +370,5 @@ let tests =
     Alcotest.test_case "rare deopts in steady state" `Quick test_rare_deopts_in_steady_state;
     Alcotest.test_case "shape universe determinism" `Quick test_shape_universe_determinism;
     Alcotest.test_case "host ICs move no counter" `Quick test_host_ic_counters_identical;
+    Alcotest.test_case "host IC rules, bytecode tiers" `Quick test_ic_rules;
   ]
