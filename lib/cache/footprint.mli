@@ -5,14 +5,19 @@
     transaction aborts when any set would need more ways than the cache
     has.  This records the distinct lines touched, bucketed by set, and
     answers the two questions Table IV and the RTM capacity model need:
-    total footprint and the maximum associativity any set requires. *)
+    total footprint and the maximum associativity any set requires.  The
+    state is flat arrays (per-set counts, an open-addressed line set), so
+    recording a line allocates nothing and hashes nothing polymorphic. *)
 
-type t = {
+type t = private {
   sets : int;
   ways : int;
   line_bytes : int;
-  per_set : (int, (int, unit) Hashtbl.t) Hashtbl.t;
+  counts : int array;
+  mutable table : int array;
   mutable lines : int;
+  mutable max_ways : int;
+  mutable last_line : int;
   mutable overflowed : bool;
 }
 
@@ -27,7 +32,9 @@ val l2 : ?scale:int -> unit -> t
 
 val clear : t -> unit
 
-(** Record an access; [false] once any set exceeds its ways (sticky). *)
+(** Record an access to [addr >= 0]; [false] once any set exceeds its ways
+    (sticky).  Lines keep being recorded after an overflow, so [bytes] and
+    [max_ways] stay exact for a transaction that carries on in software. *)
 val touch : t -> addr:int -> bytes:int -> bool
 
 (** Distinct bytes touched (whole lines). *)

@@ -31,6 +31,11 @@ type phi_edge = {
   pred : int;  (** incoming block id this edge handles *)
   dsts : int array;  (** phi value ids assigned when entering via [pred] *)
   srcs : int array;  (** source value ids, parallel to [dsts] *)
+  staged : bool;
+      (** some destination is read by a later source of the group, so the
+          copies must stage through [scratch] (read phase, then write
+          phase).  Otherwise copying pair by pair, in order, already gives
+          the parallel assignment's result. *)
 }
 
 type dinstr = {
@@ -69,6 +74,15 @@ type t = {
           share across (re-entrant) activations: the read and write phases
           of a parallel copy complete without any intervening call. *)
 }
+
+(** Whether an edge's copies must go through the staging buffer: the
+    in-order copy clobbers a source before it is read exactly when some
+    [dsts.(i)] equals a [srcs.(j)] with [j > i]. *)
+let needs_staging dsts srcs =
+  let n = Array.length dsts in
+  let rec clash i j = j < n && (dsts.(i) = srcs.(j) || clash i (j + 1)) in
+  let rec any i = i < n && (clash i (i + 1) || any (i + 1)) in
+  any 0
 
 (** Which values execute for free.  The BC limit study used to *delete*
     its checks (rewiring uses to the checked operand) and let DCE sweep up
@@ -218,11 +232,9 @@ let decode ~(cost : Lir.kind -> int) (f : Lir.func) : t =
                        | None -> None)
                      phis
                  in
-                 {
-                   pred;
-                   dsts = Array.of_list (List.map fst copies);
-                   srcs = Array.of_list (List.map snd copies);
-                 })
+                 let dsts = Array.of_list (List.map fst copies)
+                 and srcs = Array.of_list (List.map snd copies) in
+                 { pred; dsts; srcs; staged = needs_staging dsts srcs })
                preds)
         in
         let body =

@@ -79,6 +79,12 @@ val bump_instrs : t -> int -> int -> unit
 
 val bump_check : t -> int -> unit
 val add_cycles : t -> in_tx:bool -> float -> unit
+
+(** [add_cycle_run t ~in_tx deltas n] is [add_cycles t ~in_tx] of
+    [deltas.(0)], ..., [deltas.(n-1)] in that order: the same IEEE
+    additions in the same order, so the result is bit-identical, but the
+    running sums stay in registers and are stored once. *)
+val add_cycle_run : t -> in_tx:bool -> float array -> int -> unit
 val record_abort : t -> Nomap_htm.Htm.abort_reason -> unit
 
 (** Aborts recorded for one reason. *)

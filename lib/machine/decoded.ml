@@ -28,7 +28,7 @@ module Htm = Nomap_htm.Htm
 module Specialize = Nomap_tiers.Specialize
 module Hot = Nomap_util.Hot
 open Machine
-open Hot (* get/set/fget: the audited unchecked register-file accessors *)
+open Hot (* get/set: the audited unchecked register-file accessors *)
 
 let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
   let d = decoded c in
@@ -117,10 +117,7 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
           (* -0 and -int32_min are not int32-representable results. *)
           if x = 0 || x = Value.int32_min then begin
             set overflowed v true;
-            (match env.tx with
-            | Some tx when env.sof_enabled -> tx.Htm.sof <- true
-            | _ -> ());
-            set values v (Value.int_ (wrap_int32 (-x)))
+            set values v (overflow_value env (-x))
           end
           else set values v (Value.int_ (-x))
         | L.Fadd (a, b) ->

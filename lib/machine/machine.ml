@@ -163,14 +163,21 @@ let[@inline] as_num = function
   | Value.Num f -> f
   | v -> Value.to_number v
 
-(** An int32 arithmetic result; an overflow materializes the wrapped value,
-    marks [id] for its [Check_overflow] and sets the transaction's SOF. *)
+(** The engine-independent half of an int32 overflow (arithmetic or
+    [Ineg]): sets the transaction's SOF and materializes the wrapped value.
+    The engine also marks the result's overflow flag for its
+    [Check_overflow]. *)
+let overflow_value env raw =
+  (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
+  Value.int_ (wrap_int32 raw)
+
+(** An int32 arithmetic result; an overflow marks [id] for its
+    [Check_overflow] and goes through [overflow_value]. *)
 let[@inline] int_result env (overflowed : bool array) id raw =
   if Value.fits_int32 raw then Value.int_ raw
   else begin
     Hot.set overflowed id true;
-    (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
-    Value.int_ (wrap_int32 raw)
+    overflow_value env raw
   end
 
 (** RTM transactional reads are ~20% slower (paper §VI-B).  The HTM load

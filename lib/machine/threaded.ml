@@ -19,9 +19,9 @@
     - The segment's [bump_instrs]/[add_cycles] charges are applied once at
       the end: a single [bump_instrs] of the summed cost (integer adds
       commute exactly) and the per-instruction cycle deltas accumulated in
-      original program order (the FP additions into [cycles] are the same
-      operations on the same values in the same order, so the result is
-      bit-identical).  Category and in-region flag are invariant across
+      original program order, in registers, by [Counters.add_cycle_run]
+      (the FP additions into [cycles] are the same operations on the same
+      values in the same order, so the result is bit-identical).  Category and in-region flag are invariant across
       the segment — it contains no calls and no tx markers — so computing
       them once is exact.
     - Deferral is safe because no instruction inside a segment *observes*
@@ -76,17 +76,21 @@ module Htm = Nomap_htm.Htm
 module Specialize = Nomap_tiers.Specialize
 module Hot = Nomap_util.Hot
 open Machine
-open Hot (* get/set/fget: the audited unchecked register-file accessors *)
+open Hot (* get/set: the audited unchecked register-file accessors *)
 
 (** Per-activation state threaded through every closure.  [next_block] is
-    the driver's program counter; -1 means the function returned. *)
+    the driver's program counter; -1 means the function returned.  Each
+    activation allocates its own state, so it lives in the minor heap and
+    register stores take the write barrier's young fast path. *)
 type state = {
   values : Value.t array;
-  overflowed : bool array;
-  mutable this : Value.t;
-  mutable argv : Value.t array;
-  mutable nargs : int;
-  mutable frame : int;
+  mutable overflowed : bool array;
+      (** per-value overflow flags, allocated on the activation's first
+          overflow; empty means "no value overflowed" *)
+  this : Value.t;
+  argv : Value.t array;
+  nargs : int;
+  frame : int;
   mutable prev_block : int;
   mutable next_block : int;
   mutable result : Value.t;
@@ -103,15 +107,24 @@ type tfunc = {
   t_blocks : code array;  (** per-block entry closure (phis + body + term) *)
   t_nvalues : int;
   t_tier : tier;
-  mutable t_pool : state list;
-      (** activation-frame free list: a normal return scrubs its frame
-          (values/overflowed reset to the fresh-frame state) and parks it
-          here; frames abandoned by a deopt/abort/error are simply dropped.
-          Recursion is safe — a frame in use is never simultaneously in the
-          pool. *)
 }
 
 type Specialize.artifact += Threaded_code of tfunc
+
+(* Most activations never overflow, so the flags cost nothing until the
+   first overflow allocates them. *)
+let mark_overflow st id =
+  if Array.length st.overflowed = 0 then
+    st.overflowed <- Array.make (Array.length st.values) false;
+  set st.overflowed id true
+
+let[@inline never] overflow_result env st id raw =
+  mark_overflow st id;
+  overflow_value env raw
+
+(** [Machine.int_result] over the activation's lazily allocated flags. *)
+let[@inline] frame_int_result env st id raw =
+  if Value.fits_int32 raw then Value.int_ raw else overflow_result env st id raw
 
 let compile_func env ~tier (d : D.t) : tfunc =
   let cpi = cpi_of tier in
@@ -143,14 +156,12 @@ let compile_func env ~tier (d : D.t) : tfunc =
     | L.Iadd (a, b) ->
       fun st ->
         set st.values v
-          (int_result env st.overflowed v
-             (as_int (get st.values a) + as_int (get st.values b)));
+          (frame_int_result env st v (as_int (get st.values a) + as_int (get st.values b)));
         next st
     | L.Isub (a, b) ->
       fun st ->
         set st.values v
-          (int_result env st.overflowed v
-             (as_int (get st.values a) - as_int (get st.values b)));
+          (frame_int_result env st v (as_int (get st.values a) - as_int (get st.values b)));
         next st
     | L.Iadd_wrap (a, b) ->
       fun st ->
@@ -165,19 +176,15 @@ let compile_func env ~tier (d : D.t) : tfunc =
     | L.Imul (a, b) ->
       fun st ->
         set st.values v
-          (int_result env st.overflowed v
-             (as_int (get st.values a) * as_int (get st.values b)));
+          (frame_int_result env st v (as_int (get st.values a) * as_int (get st.values b)));
         next st
     | L.Ineg a ->
       fun st ->
         let x = as_int (get st.values a) in
         (* -0 and -int32_min are not int32-representable results. *)
         if x = 0 || x = Value.int32_min then begin
-          set st.overflowed v true;
-          (match env.tx with
-          | Some tx when env.sof_enabled -> tx.Htm.sof <- true
-          | _ -> ());
-          set st.values v (Value.int_ (wrap_int32 (-x)))
+          mark_overflow st v;
+          set st.values v (overflow_value env (-x))
         end
         else set st.values v (Value.int_ (-x));
         next st
@@ -443,7 +450,8 @@ let compile_func env ~tier (d : D.t) : tfunc =
         next st
     | L.Check_overflow (a, e) ->
       fun st ->
-        if get st.overflowed a then check_fail env st.values e L.Overflow
+        let flags = st.overflowed in
+        if Array.length flags > 0 && get flags a then check_fail env st.values e L.Overflow
         else begin
           if not el then Counters.bump_check cnt ci_overflow;
           set st.values v (get st.values a)
@@ -705,10 +713,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       let settle st cost dk =
         if cost > 0 then begin
           Counters.bump_instrs cnt (category_ix env st.frame) cost;
-          let in_tx = in_region env in
-          for x = 0 to dk - 1 do
-            Counters.add_cycles cnt ~in_tx (fget deltas x)
-          done
+          Counters.add_cycle_run cnt ~in_tx:(in_region env) deltas dk
         end
       in
       let reconcile st = settle st (get cost_prefix st.due) (get dcount_prefix st.due) in
@@ -777,8 +782,11 @@ let compile_func env ~tier (d : D.t) : tfunc =
       fun _ -> raise (Nomap_interp.Interp.Runtime_error "reached unreachable block")
   in
   (* Phis: the pre-resolved copy table for the incoming edge, applied as a
-     parallel assignment (read phase, then write phase) before the body —
-     same scratch-buffer discipline as the decoded engine. *)
+     parallel assignment before the body.  An edge whose in-order copy is
+     already exact ([D.staged] false, decided at decode time) copies pair
+     by pair.  The rest stage through the scratch buffer as the decoded
+     engine does; the buffer lives in the major heap, so staging costs two
+     slow-path write barriers per input. *)
   let with_phis (edges : D.phi_edge array) (body : code) : code =
     let scratch = d.D.scratch in
     let n_edges = Array.length edges in
@@ -794,14 +802,20 @@ let compile_func env ~tier (d : D.t) : tfunc =
       let ei = !ei in
       if ei >= 0 then begin
         let e = get edges ei in
-        let dsts = e.D.dsts and srcs = e.D.srcs in
+        let dsts = e.D.dsts and srcs = e.D.srcs and values = st.values in
         let np = Array.length dsts in
-        for i = 0 to np - 1 do
-          set scratch i (get st.values (get srcs i))
-        done;
-        for i = 0 to np - 1 do
-          set st.values (get dsts i) (get scratch i)
-        done
+        if e.D.staged then begin
+          for i = 0 to np - 1 do
+            set scratch i (get values (get srcs i))
+          done;
+          for i = 0 to np - 1 do
+            set values (get dsts i) (get scratch i)
+          done
+        end
+        else
+          for i = 0 to np - 1 do
+            set values (get dsts i) (get values (get srcs i))
+          done
       end;
       body st
   in
@@ -817,7 +831,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
         if Array.length b.D.phi_edges = 0 then body else with_phis b.D.phi_edges body)
       d.D.dblocks
   in
-  { t_entry = d.D.entry; t_blocks; t_nvalues = d.D.nvalues; t_tier = tier; t_pool = [] }
+  { t_entry = d.D.entry; t_blocks; t_nvalues = d.D.nvalues; t_tier = tier }
 
 (** The threaded code for [c], compiled on first execution and cached on
     the compiled record. *)
@@ -834,49 +848,24 @@ let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
   let frame = enter_call env ~tier in
   let argv = Array.of_list args in
   let st =
-    match tf.t_pool with
-    | st :: rest ->
-      (* Pooled frames were scrubbed on release, so this is exactly the
-         fresh-frame state (values Undef, overflowed false). *)
-      tf.t_pool <- rest;
-      st.this <- this;
-      st.argv <- argv;
-      st.nargs <- Array.length argv;
-      st.frame <- frame;
-      st.prev_block <- -1;
-      st.next_block <- tf.t_entry;
-      st.result <- Value.Undef;
-      st.due <- 0;
-      st
-    | [] ->
-      let n = max 1 tf.t_nvalues in
-      {
-        values = Array.make n Value.Undef;
-        overflowed = Array.make n false;
-        this;
-        argv;
-        nargs = Array.length argv;
-        frame;
-        prev_block = -1;
-        next_block = tf.t_entry;
-        result = Value.Undef;
-        due = 0;
-      }
+    {
+      values = Array.make (max 1 tf.t_nvalues) Value.Undef;
+      overflowed = [||];
+      this;
+      argv;
+      nargs = Array.length argv;
+      frame;
+      prev_block = -1;
+      next_block = tf.t_entry;
+      result = Value.Undef;
+      due = 0;
+    }
   in
   let blocks = tf.t_blocks in
   let run () =
     while st.next_block >= 0 do
       (get blocks st.next_block) st
     done;
-    let r = st.result in
-    (* Normal return: scrub and park the frame.  A raise (deopt, abort,
-       runtime error, out-of-fuel) skips this and the frame is dropped. *)
-    Array.fill st.values 0 (Array.length st.values) Value.Undef;
-    Array.fill st.overflowed 0 (Array.length st.overflowed) false;
-    st.this <- Value.Undef;
-    st.argv <- [||];
-    st.result <- Value.Undef;
-    tf.t_pool <- st :: tf.t_pool;
-    r
+    st.result
   in
   run_with_exits env ~fid:c.Specialize.lir.L.fid ~frame run

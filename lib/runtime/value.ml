@@ -61,11 +61,16 @@ let[@inline] int_ i =
     Array.unsafe_get small_ints (i - small_int_min)
   else Int i
 
-(** Canonical number constructor: integral doubles in int32 range become
-    [Int] (except -0.0, which must stay a double to preserve its sign). *)
+(** Canonical number constructor: integral doubles with magnitude at most
+    2^31-1 become [Int] (except -0.0, which must stay a double to preserve
+    its sign).  The range test rejects NaN and the infinities, so the
+    truncating round trip is defined and tests integrality without
+    [Float.is_integer]'s C call. *)
 let[@inline] number f =
-  if Float.is_integer f && Float.abs f <= 2147483647.0 && not (f = 0.0 && 1.0 /. f < 0.0)
-  then int_ (int_of_float f)
+  if f >= -2147483647.0 && f <= 2147483647.0 then begin
+    let i = int_of_float f in
+    if float_of_int i = f && (i <> 0 || 1.0 /. f > 0.0) then int_ i else Num f
+  end
   else Num f
 
 let of_int i = if fits_int32 i then int_ i else Num (float_of_int i)

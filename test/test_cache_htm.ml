@@ -200,6 +200,34 @@ let qcheck_footprint_line_count =
       let distinct = List.sort_uniq compare (List.map (fun a -> a / 64) addrs) in
       Footprint.bytes fp = 64 * List.length distinct)
 
+(* A deliberately naive model of [Footprint]: the list of distinct lines
+   touched so far and a sticky overflow flag.  The geometry is tiny (4 sets
+   x 2 ways) so most streams overflow, and up to 130-byte accesses straddle
+   line boundaries; every observable is compared after every touch,
+   including the touches after the first overflow (the hybrid STM fallback
+   keeps recording past it). *)
+let qcheck_footprint_matches_model =
+  QCheck2.Test.make ~name:"footprint matches a list model" ~count:300
+    QCheck2.Gen.(list_size (int_range 1 80) (pair (int_range 0 8191) (int_range 1 130)))
+    (fun accesses ->
+      let sets = 4 and ways = 2 and line_bytes = 64 in
+      let fp = Footprint.create ~sets ~ways ~line_bytes in
+      let lines = ref [] and overflowed = ref false in
+      List.for_all
+        (fun (addr, bytes) ->
+          let fits = Footprint.touch fp ~addr ~bytes in
+          for line = addr / line_bytes to (addr + bytes - 1) / line_bytes do
+            if not (List.mem line !lines) then lines := line :: !lines
+          done;
+          let ways_of set = List.length (List.filter (fun l -> l mod sets = set) !lines) in
+          let max_ways = List.fold_left max 0 (List.init sets ways_of) in
+          if max_ways > ways then overflowed := true;
+          fits = (not !overflowed)
+          && Footprint.fits fp = (not !overflowed)
+          && Footprint.bytes fp = line_bytes * List.length !lines
+          && Footprint.max_ways fp = max_ways)
+        accesses)
+
 let qcheck_rollback_is_identity =
   QCheck2.Test.make ~name:"tx rollback restores arbitrary write sequences" ~count:100
     QCheck2.Gen.(list_size (int_range 1 30) (pair (int_range 0 19) (int_range (-100) 100)))
@@ -276,5 +304,6 @@ let tests =
     Alcotest.test_case "htm stm rollback restores" `Quick test_htm_stm_rollback_restores;
     Alcotest.test_case "slot growth under tx" `Quick test_slot_growth_under_tx;
     QCheck_alcotest.to_alcotest qcheck_footprint_line_count;
+    QCheck_alcotest.to_alcotest qcheck_footprint_matches_model;
     QCheck_alcotest.to_alcotest qcheck_rollback_is_identity;
   ]

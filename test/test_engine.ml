@@ -7,8 +7,11 @@
       tier × architecture matrix (plus the sub-DFG tiers, where the engine
       choice must be inert);
     - hand-built edge-case kernels hitting the paths where the threaded
-      engine's deferred accounting must reconcile exactly: phi-heavy loops,
-      mid-segment deopts, SOF overflow aborts, chunked transactions;
+      engine's deferred accounting must reconcile exactly, or where it
+      departs from the reference's data layout: phi-heavy loops (a swap, a
+      cyclic rotation through the staging buffer, an in-order shift chain
+      without it), mid-segment deopts, SOF overflow aborts, an overflow
+      followed by a clean activation, chunked transactions;
     - a hand-built LIR function whose body is one elided run, proving the
       fused superinstruction charges exactly zero simulated cost (the
       terminator's single instruction is all that may appear). *)
@@ -22,6 +25,7 @@ module Timing = Nomap_machine.Timing
 module Specialize = Nomap_tiers.Specialize
 module L = Nomap_lir.Lir
 module Htm = Nomap_htm.Htm
+module D = Nomap_lir.Decode
 module Value = Nomap_runtime.Value
 module Instance = Nomap_interp.Instance
 
@@ -130,7 +134,71 @@ let chunked_kernel =
    i; } return a[3999]; } var it; var result = 0; for (it = 0; it < 20; it++) { result = \
    benchmark(); }"
 
+(* Three-way rotation: the back edge copies a <- b, b <- c, c <- a, a
+   cycle no copy order gets right, so the threaded engine stages it
+   through the scratch buffer. *)
+let rotate_kernel =
+  "function benchmark() { var a = 1; var b = 2; var c = 3; var s = 0; for (var i = 0; i < \
+   40; i++) { var t = a; a = b; b = c; c = t; s = (s * 3 + a - c) & 0xFFFFF; } return s; } \
+   var it; var result = 0; for (it = 0; it < 20; it++) { result = benchmark(); }"
+
+(* Shift chain: a = b; b = c; c = next.  Acyclic, and exact when copied in
+   group order (b is read before it is overwritten), so the threaded
+   engine copies it without the buffer; the reverse order would not be. *)
+let shift_kernel =
+  "function benchmark() { var a = 1; var b = 2; var c = 3; var s = 0; for (var i = 0; i < \
+   40; i++) { a = b; b = c; c = (i * 7 + s) & 0xFFFF; s = (s + a - b + c) & 0xFFFFF; } \
+   return s; } var it; var result = 0; for (it = 0; it < 20; it++) { result = \
+   benchmark(); }"
+
+(* One FTL activation of bench overflows (deopt, or an abort inside a
+   transaction); the next call runs the same code in a fresh activation,
+   which must not see the previous activation's overflow flags. *)
+let overflow_once_kernel =
+  "function bench(start) { var x = start; for (var i = 0; i < 30; i++) { x = x + 7; } \
+   return x; } var it; var result = 0; for (it = 0; it < 40; it++) { result = bench(it); \
+   } result = bench(2147483640); result = bench(5) + bench(9);"
+
 let test_phi_loop () = check_matrix ~name:"phi loop" phi_kernel
+
+(* The phi edges of [benchmark]'s FTL code under Base, so a kernel can
+   show which copy path it exercises. *)
+let benchmark_phi_edges src =
+  let prog = Nomap_bytecode.Compile.compile_source src in
+  let vm =
+    Vm.create ~fuel:500_000_000 ~thresholds ~config:(Config.create Config.Base)
+      ~tier_cap:Vm.Cap_ftl prog
+  in
+  ignore (Vm.run_main vm);
+  match Nomap_bytecode.Opcode.func_by_name prog "benchmark" with
+  | None -> []
+  | Some f -> (
+    match Vm.ftl_code vm f.Nomap_bytecode.Opcode.fid with
+    | None -> []
+    | Some c ->
+      Array.to_list (Machine.decoded c).D.dblocks
+      |> List.concat_map (fun b -> Array.to_list b.D.phi_edges))
+
+(* An edge where some copy reads a value a later copy of the group
+   overwrites: copying in group order is exact, the reverse is not. *)
+let order_sensitive (e : D.phi_edge) =
+  let n = Array.length e.D.dsts in
+  List.exists
+    (fun j -> List.exists (fun i -> e.D.srcs.(i) = e.D.dsts.(j)) (List.init j Fun.id))
+    (List.init n Fun.id)
+
+let test_phi_rotation () =
+  Alcotest.(check bool) "rotation takes the staged path" true
+    (List.exists (fun e -> e.D.staged) (benchmark_phi_edges rotate_kernel));
+  check_matrix ~name:"phi rotation" rotate_kernel
+
+let test_phi_shift_chain () =
+  let edges = benchmark_phi_edges shift_kernel in
+  Alcotest.(check bool) "shift chain copies in order, unstaged" true
+    (List.exists (fun e -> (not e.D.staged) && order_sensitive e) edges);
+  check_matrix ~name:"phi shift chain" shift_kernel
+
+let test_overflow_once () = check_matrix ~name:"overflow once" overflow_once_kernel
 
 let edge_archs =
   [ Config.Base; Config.NoMap_full; Config.NoMap_BC; Config.NoMap_RTM; Config.NoMap_RTM_STM ]
@@ -293,6 +361,9 @@ let tests =
   [
     Alcotest.test_case "corpus equivalence (both engines)" `Quick test_corpus_equivalence;
     Alcotest.test_case "phi loop equivalence" `Quick test_phi_loop;
+    Alcotest.test_case "phi rotation equivalence" `Quick test_phi_rotation;
+    Alcotest.test_case "phi shift chain equivalence" `Quick test_phi_shift_chain;
+    Alcotest.test_case "overflow once equivalence" `Quick test_overflow_once;
     Alcotest.test_case "deopt mid-segment equivalence" `Quick test_deopt_mid_segment;
     Alcotest.test_case "sof abort equivalence" `Quick test_sof_abort;
     Alcotest.test_case "chunked tx equivalence" `Quick test_chunked_tx;

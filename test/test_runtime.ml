@@ -218,9 +218,43 @@ let qcheck_shape_lookup_after_set =
           | None -> true)
         pairs)
 
+(* The canonical-number rule as [Value.number] first wrote it, kept as the
+   oracle for the C-call-free version. *)
+let number_oracle f =
+  if Float.is_integer f && Float.abs f <= 2147483647.0 && not (f = 0.0 && 1.0 /. f < 0.0)
+  then Value.Int (int_of_float f)
+  else Value.Num f
+
+(* Same constructor and same payload bits (so the sign of zero counts). *)
+let same_number a b =
+  match (a, b) with
+  | Value.Int x, Value.Int y -> x = y
+  | Value.Num x, Value.Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | _ -> false
+
+let test_number_edges () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Printf.sprintf "number %h" f)
+        true
+        (same_number (number_oracle f) (Value.number f)))
+    [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 2147483647.0;
+      -2147483647.0; 2147483648.0; -2147483648.0; 9007199254740992.0; 0.5; -0.5 ]
+
+let qcheck_number_matches_oracle =
+  QCheck2.Test.make ~name:"number matches the is_integer oracle" ~count:2000
+    QCheck2.Gen.(
+      oneof
+        [ float;
+          map float_of_int (int_range (-3_000_000_000) 3_000_000_000);
+          map (fun i -> float_of_int i +. 0.5) (int_range (-100) 100) ])
+    (fun f -> same_number (number_oracle f) (Value.number f))
+
 let tests =
   [
     Alcotest.test_case "number canonicalization" `Quick test_number_canonicalization;
+    Alcotest.test_case "number edge values" `Quick test_number_edges;
     Alcotest.test_case "to_int32 wrap" `Quick test_to_int32_wrap;
     Alcotest.test_case "truthiness" `Quick test_truthiness;
     Alcotest.test_case "js add" `Quick test_js_add_semantics;
@@ -236,6 +270,7 @@ let tests =
     Alcotest.test_case "string intrinsics" `Quick test_intrinsics_string;
     Alcotest.test_case "parse intrinsics" `Quick test_intrinsics_parse;
     Alcotest.test_case "addresses distinct" `Quick test_addresses_distinct;
+    QCheck_alcotest.to_alcotest qcheck_number_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_to_int32_idempotent;
     QCheck_alcotest.to_alcotest qcheck_add_commutes_numeric;
     QCheck_alcotest.to_alcotest qcheck_shape_lookup_after_set;
