@@ -1,40 +1,35 @@
-(** Benchmark harness: regenerates every table and figure of the paper, then
-    wall-times each experiment driver with Bechamel (one [Test.make] per
-    table/figure).
+(** Benchmark harness: regenerates every table and figure of the paper,
+    then times warm VM execution per engine.
 
-    Phase 1 runs every experiment cold and serially, printing the
-    paper-style tables — this is the artifact-evaluation output recorded in
-    EXPERIMENTS.md — and records per-experiment wall times plus the serial
-    sweep total.  Phase 2 resets the scheduler store and re-runs the whole
-    sweep through the domain-parallel scheduler ([-j N], default: the
-    machine's recommended domain count), recording the parallel sweep wall
-    time for comparison; with [-j 1] the re-sweep would time the identical
-    serial execution, so it is skipped and the report carries [null].
-    Phase 3 re-times each driver on the warm store — the timed quantity is
-    table *regeneration* (what a user iterating on the data pays), which is
-    why the report field is [warm_render_ns_per_run]; schema v2 called this
-    [warm_ns_per_run], misleadingly suggesting execution time.  Phase 4
-    measures genuine warm VM *execution* per engine and per host-helper
-    setting: one steady-state call of every suite benchmark under the
-    decoded and the threaded engine, each with the host fast paths (per-site
-    inline caches, DESIGN.md §14) on and off, reported per suite with the
-    threaded-over-decoded and helpers-on-over-off speedups.  The simulated
-    counters are identical across all four cells — only wall-clock moves.
+    Phase 1 runs every experiment of the catalogue ([Experiments.experiments])
+    cold and serially, printing the paper-style tables — this is the
+    artifact-evaluation output recorded in EXPERIMENTS.md — and records
+    per-experiment wall times plus the serial sweep total.  Phase 2 resets
+    the scheduler store and re-runs the whole sweep through the
+    domain-parallel scheduler ([-j N], default: the machine's recommended
+    domain count), recording the parallel sweep wall time for comparison;
+    with [-j 1] the re-sweep would time the identical serial execution, so
+    it is skipped and the report carries [null].  Phase 3 measures warm VM
+    *execution* per engine and per host-helper setting: steady-state calls
+    of every suite benchmark under the decoded and the threaded engine,
+    each with the host fast paths (per-site inline caches, DESIGN.md §14)
+    on and off.  It prints one row per kernel and reports per-suite sums
+    with the threaded-over-decoded and helpers-on-over-off speedups.  The
+    simulated counters are identical across all four cells — only
+    wall-clock moves.
 
-    All wall times use the monotonic clock (same stub Bechamel samples), so
-    NTP adjustments can't skew the report.
+    All wall times read the monotonic [Nomap_util.Clock], so NTP
+    adjustments can't skew the report.
 
-    [--engine decoded|threaded] pins the engine used by phases 1-3 (the
+    [--engine decoded|threaded] pins the engine used by phases 1-2 (the
     simulated metrics are engine-invariant; only wall-clock moves).
     [--json <path>] additionally writes the measurements to [path] as one
-    machine-readable report (schema [nomap-bench-v6] — v6 adds the
-    [contention_shared_agents] experiment and its [shared_agents] section:
-    multi-agent conflict-abort rates per kernel and agent count, DESIGN.md
-    §16; v5 added the [hybrid_fallback_cold] experiment and the
-    NoMap_RTM_STM column to the architecture sweeps; see DESIGN.md §9), so
-    wall-clock regressions of the simulator itself can be tracked across
-    commits; the report records the host context (OCaml version, word size,
-    recommended domain count) the numbers were taken on. *)
+    machine-readable report (schema [nomap-bench-v7], keyed by the
+    catalogue's experiment names; see DESIGN.md §9), so wall-clock
+    regressions of the simulator itself can be tracked across commits; the
+    report records the host context (OCaml version, word size, recommended
+    domain count) the numbers were taken on.  Any other argument is a usage
+    error (exit 2). *)
 
 module E = Nomap_harness.Experiments
 module Runner = Nomap_harness.Runner
@@ -43,38 +38,10 @@ module Registry = Nomap_workloads.Registry
 module Vm = Nomap_vm.Vm
 module Config = Nomap_nomap.Config
 module Engine = Nomap_machine.Engine
+module Clock = Nomap_util.Clock
 
-(* Bound before the opens: Bechamel's [Toolkit] shadows [Monotonic_clock]
-   with its measure witness, which has no [now]. *)
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
-open Bechamel
-open Toolkit
-
-let experiments : (string * (unit -> string)) list =
-  [
-    ("fig1_shootout_languages", E.fig1);
-    ("table1_tier_speedups", E.table1);
-    ("fig3a_checks_sunspider", fun () -> E.fig3 Registry.Sunspider);
-    ("fig3b_checks_kraken", fun () -> E.fig3 Registry.Kraken);
-    (* Default iterations (300), matching the experiments.exe catalogue, so
-       the serial phase-1 sweep and the parallel phase-2 re-sweep execute
-       the identical key universe. *)
-    ("deopt_frequency", fun () -> E.deopt_freq ());
-    ("fig8_instructions_sunspider", fun () -> E.fig8_9 Registry.Sunspider);
-    ("fig9_instructions_kraken", fun () -> E.fig8_9 Registry.Kraken);
-    ("fig10_time_sunspider", fun () -> E.fig10_11 Registry.Sunspider);
-    ("fig11_time_kraken", fun () -> E.fig10_11 Registry.Kraken);
-    ("table4_tx_footprints", E.table4);
-    ("appendix_htm_validation", E.validate_htm);
-    ("hybrid_fallback_cold", E.hybrid_fallback);
-    ("contention_shared_agents", E.contention);
-    ("ablation_passes", E.ablation);
-    ("headline_reductions", E.headline);
-  ]
-
-(* Swallow stdout while running [f] (the drivers print their tables; during
-   timing loops that would flood the terminal). *)
+(* Swallow stdout while running [f] (the drivers print their tables; the
+   parallel re-sweep would print them all a second time). *)
 let quietly f =
   let saved = Unix.dup Unix.stdout in
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -104,19 +71,20 @@ let json_escape s =
     s;
   Buffer.contents b
 
+(* One kernel's (or, summed, one suite pass's) warm execution time in ns,
+   in each engine x host-inline-cache cell. *)
+type cells = { dec : float; thr : float; dec_off : float; thr_off : float }
+
 type engine_exec_row = {
   ee_name : string;  (** experiment the suite backs (fig8/fig9) *)
-  ee_decoded_ns : float;  (** one warm pass over the suite, decoded engine *)
-  ee_threaded_ns : float;  (** same pass, threaded engine *)
-  ee_decoded_noic_ns : float;  (** decoded pass with host inline caches off *)
-  ee_threaded_noic_ns : float;  (** threaded pass with host inline caches off *)
+  ee_pass : cells;  (** one warm pass over the suite *)
 }
 
 let write_json path ~serial_wall_s ~parallel_wall_s ~jobs ~engine
-    ~(rows : (string * float * float option) list) ~(engine_exec : engine_exec_row list) =
+    ~(rows : (string * float) list) ~(engine_exec : engine_exec_row list) =
   let oc = open_out path in
   output_string oc "{\n";
-  output_string oc "  \"schema\": \"nomap-bench-v6\",\n";
+  output_string oc "  \"schema\": \"nomap-bench-v7\",\n";
   Printf.fprintf oc "  \"engine\": \"%s\",\n" (Engine.name engine);
   Printf.fprintf oc
     "  \"host\": {\"ocaml_version\": \"%s\", \"word_size\": %d, \
@@ -130,28 +98,24 @@ let write_json path ~serial_wall_s ~parallel_wall_s ~jobs ~engine
   Printf.fprintf oc "  \"parallel_jobs\": %d,\n" jobs;
   output_string oc "  \"experiments\": [\n";
   List.iteri
-    (fun i (name, wall_s, warm_ns) ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"wall_s\": %.6f, \"warm_render_ns_per_run\": %s}%s\n"
-        (json_escape name) wall_s
-        (match warm_ns with Some ns -> Printf.sprintf "%.1f" ns | None -> "null")
+    (fun i (name, wall_s) ->
+      Printf.fprintf oc "    {\"name\": \"%s\", \"wall_s\": %.6f}%s\n" (json_escape name)
+        wall_s
         (if i < List.length rows - 1 then "," else ""))
     rows;
   output_string oc "  ],\n";
   output_string oc "  \"engine_exec\": [\n";
   List.iteri
     (fun i r ->
+      let c = r.ee_pass in
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"engines\": [{\"engine\": \"decoded\", \
          \"warm_ns_per_run\": %.1f, \"warm_ns_per_run_helpers_off\": %.1f, \
          \"helper_speedup\": %.3f}, {\"engine\": \"threaded\", \"warm_ns_per_run\": \
          %.1f, \"warm_ns_per_run_helpers_off\": %.1f, \"helper_speedup\": %.3f}], \
          \"speedup_threaded_over_decoded\": %.3f}%s\n"
-        (json_escape r.ee_name) r.ee_decoded_ns r.ee_decoded_noic_ns
-        (r.ee_decoded_noic_ns /. r.ee_decoded_ns)
-        r.ee_threaded_ns r.ee_threaded_noic_ns
-        (r.ee_threaded_noic_ns /. r.ee_threaded_ns)
-        (r.ee_decoded_ns /. r.ee_threaded_ns)
+        (json_escape r.ee_name) c.dec c.dec_off (c.dec_off /. c.dec) c.thr c.thr_off
+        (c.thr_off /. c.thr) (c.dec /. c.thr)
         (if i < List.length engine_exec - 1 then "," else ""))
     engine_exec;
   output_string oc "  ],\n";
@@ -174,13 +138,13 @@ let write_json path ~serial_wall_s ~parallel_wall_s ~jobs ~engine
   Printf.printf "wrote %s (%d experiments)\n" path (List.length rows)
 
 (* ------------------------------------------------------------------ *)
-(* Phase 4: genuine warm execution per engine.  One steady-state VM per
-   (benchmark, engine) — run main, warm up past the FTL threshold, then
-   time [exec_measure] calls of benchmark().  The per-suite number is one
-   warm pass over the suite (sum of per-benchmark ns per call), comparable
-   across engines because both run the identical call sequence.  The two
-   engines are measured back-to-back per benchmark (not one full pass per
-   engine) so slow machine drift hits both sides equally; the timed count
+(* Phase 3: genuine warm execution per engine.  One steady-state VM per
+   (benchmark, cell) — run main, warm up past the FTL threshold, then
+   time [exec_measure] calls of benchmark().  A suite's number is one warm
+   pass over the suite (sum of per-benchmark ns per call), comparable
+   across engines because both run the identical call sequence.  The four
+   cells are measured back-to-back per benchmark (not one full pass per
+   cell) so slow machine drift hits every side equally; the timed count
    is higher than the harness default because the per-call times are tens
    of microseconds and a 1-core container schedules noisily. *)
 
@@ -196,69 +160,69 @@ let warm_exec_ns ~engine ~host_ic bench =
   for _ = 1 to Runner.default_warmup do
     ignore (Vm.call_function vm "benchmark" [])
   done;
-  let t0 = now_s () in
+  let t0 = Clock.now_s () in
   for _ = 1 to exec_measure do
     ignore (Vm.call_function vm "benchmark" [])
   done;
-  (now_s () -. t0) /. float_of_int exec_measure *. 1e9
+  (Clock.now_s () -. t0) /. float_of_int exec_measure *. 1e9
+
+let print_cells label c =
+  Printf.printf "  %-24s %12.0f %12.0f %12.0f %12.0f %7.2fx\n%!" label c.dec c.dec_off c.thr
+    c.thr_off (c.dec /. c.thr)
 
 let measure_engine_exec name suite =
-  let benches = Registry.of_suite suite in
-  (* All four cells back-to-back per benchmark so machine drift hits every
-     side equally. *)
-  let d, t, dn, tn =
+  Printf.printf "  %-24s %12s %12s %12s %12s %8s\n" (name ^ " (ns/call)") "decoded" "ic off"
+    "threaded" "ic off" "thr/dec";
+  let pass =
     List.fold_left
-      (fun (d, t, dn, tn) b ->
-        ( d +. warm_exec_ns ~engine:Engine.Decoded ~host_ic:true b,
-          t +. warm_exec_ns ~engine:Engine.Threaded ~host_ic:true b,
-          dn +. warm_exec_ns ~engine:Engine.Decoded ~host_ic:false b,
-          tn +. warm_exec_ns ~engine:Engine.Threaded ~host_ic:false b ))
-      (0.0, 0.0, 0.0, 0.0) benches
+      (fun acc b ->
+        let cell engine host_ic = warm_exec_ns ~engine ~host_ic b in
+        let dec = cell Engine.Decoded true in
+        let thr = cell Engine.Threaded true in
+        let dec_off = cell Engine.Decoded false in
+        let thr_off = cell Engine.Threaded false in
+        print_cells b.Registry.name { dec; thr; dec_off; thr_off };
+        {
+          dec = acc.dec +. dec;
+          thr = acc.thr +. thr;
+          dec_off = acc.dec_off +. dec_off;
+          thr_off = acc.thr_off +. thr_off;
+        })
+      { dec = 0.0; thr = 0.0; dec_off = 0.0; thr_off = 0.0 }
+      (Registry.of_suite suite)
   in
-  Printf.printf
-    "  %-28s decoded %12.0f ns/pass (ic off %12.0f, %.2fx)\n  %-28s threaded %11.0f \
-     ns/pass (ic off %12.0f, %.2fx)  threaded/decoded %.2fx\n%!"
-    name d dn (dn /. d) "" t tn (tn /. t) (d /. t);
-  {
-    ee_name = name;
-    ee_decoded_ns = d;
-    ee_threaded_ns = t;
-    ee_decoded_noic_ns = dn;
-    ee_threaded_noic_ns = tn;
-  }
+  print_cells "suite pass" pass;
+  Printf.printf "  helper speedup (ic off / on): decoded %.2fx, threaded %.2fx\n\n%!"
+    (pass.dec_off /. pass.dec) (pass.thr_off /. pass.thr);
+  { ee_name = name; ee_pass = pass }
 
 let json_path, jobs, engine =
   let json = ref None
   and jobs = ref (Scheduler.default_jobs ())
   and engine = ref Engine.default in
+  let usage msg =
+    prerr_endline ("error: " ^ msg);
+    prerr_endline "usage: main.exe [--json PATH] [-j N] [--engine decoded|threaded]";
+    exit 2
+  in
   let rec scan = function
-    | [ "--json" ] ->
-      prerr_endline "error: --json requires a path";
-      exit 2
-    | [ "-j" ] | [ "--jobs" ] ->
-      prerr_endline "error: -j requires a count";
-      exit 2
-    | [ "--engine" ] ->
-      prerr_endline "error: --engine requires a name (decoded|threaded)";
-      exit 2
+    | [ "--json" ] -> usage "--json requires a path"
+    | [ "-j" ] | [ "--jobs" ] -> usage "-j requires a count"
+    | [ "--engine" ] -> usage "--engine requires a name (decoded|threaded)"
     | "--json" :: path :: rest ->
       json := Some path;
       scan rest
     | "--engine" :: name :: rest ->
       (match Engine.of_string name with
       | Some e -> engine := e
-      | None ->
-        prerr_endline ("error: unknown engine " ^ name ^ " (decoded|threaded)");
-        exit 2);
+      | None -> usage ("unknown engine " ^ name ^ " (decoded|threaded)"));
       scan rest
     | ("-j" | "--jobs") :: n :: rest ->
       (match int_of_string_opt n with
       | Some n when n >= 1 -> jobs := n
-      | _ ->
-        prerr_endline ("error: bad job count: " ^ n);
-        exit 2);
+      | _ -> usage ("bad job count: " ^ n));
       scan rest
-    | _ :: rest -> scan rest
+    | arg :: _ -> usage ("unknown argument " ^ arg)
     | [] -> ()
   in
   scan (List.tl (Array.to_list Sys.argv));
@@ -270,18 +234,18 @@ let () =
   Printf.printf " NoMap reproduction: full experiment sweep (engine: %s)\n"
     (Engine.name engine);
   print_endline "==================================================================\n";
-  let t0 = now_s () in
+  let t0 = Clock.now_s () in
   let wall_times =
     List.map
-      (fun (name, f) ->
-        let start = now_s () in
-        ignore (f ());
-        let dt = now_s () -. start in
-        Printf.printf "[%s took %.1fs]\n\n" name dt;
-        (name, dt))
-      experiments
+      (fun (e : E.experiment) ->
+        let start = Clock.now_s () in
+        ignore (e.E.render ());
+        let dt = Clock.now_s () -. start in
+        Printf.printf "[%s took %.1fs]\n\n" e.E.name dt;
+        (e.E.name, dt))
+      E.experiments
   in
-  let serial_wall_s = now_s () -. t0 in
+  let serial_wall_s = Clock.now_s () -. t0 in
   Printf.printf "full sweep, serial: %.1fs\n\n" serial_wall_s;
   let parallel_wall_s =
     if jobs <= 1 then begin
@@ -297,52 +261,24 @@ let () =
       Printf.printf " Parallel re-sweep from cold (-j %d, scheduler fan-out)\n" jobs;
       print_endline "==================================================================";
       Scheduler.reset ();
-      let t1 = now_s () in
+      let t1 = Clock.now_s () in
       ignore (quietly (fun () -> E.run_all ~jobs ()));
-      let w = now_s () -. t1 in
+      let w = Clock.now_s () -. t1 in
       Printf.printf "full sweep, -j %d: %.1fs (serial was %.1fs)\n\n" jobs w serial_wall_s;
       Some w
     end
   in
   print_endline "==================================================================";
-  print_endline " Bechamel timings (warm regeneration of each table/figure)";
+  print_endline " Engine execution timings (warm call per kernel, per engine)";
   print_endline "==================================================================";
-  let tests =
-    List.map
-      (fun (name, f) ->
-        Test.make ~name (Staged.stage (fun () -> quietly (fun () -> ignore (f ())))))
-      experiments
-  in
-  let grouped = Test.make_grouped ~name:"nomap" ~fmt:"%s %s" tests in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  (* Bechamel names tests "nomap <name>" (the ~fmt above). *)
-  let warm_ns name =
-    match Hashtbl.find_opt results ("nomap " ^ name) with
-    | Some result -> (
-      match Analyze.OLS.estimates result with Some [ est ] -> Some est | _ -> None)
-    | None -> None
-  in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-45s %12.1f ns/run\n" name est
-      | _ -> Printf.printf "  %-45s (no estimate)\n" name)
-    results;
-  print_endline "\n==================================================================";
-  print_endline " Engine execution timings (warm pass over each suite, per engine)";
-  print_endline "==================================================================";
+  (* List.map applies left to right: the suites run in report order. *)
   let engine_exec =
-    [
-      measure_engine_exec "fig8_instructions_sunspider" Registry.Sunspider;
-      measure_engine_exec "fig9_instructions_kraken" Registry.Kraken;
-    ]
+    List.map
+      (fun (name, suite) -> measure_engine_exec name suite)
+      [ ("fig8", Registry.Sunspider); ("fig9", Registry.Kraken) ]
   in
   (match json_path with
   | Some path ->
-    write_json path ~serial_wall_s ~parallel_wall_s ~jobs ~engine ~engine_exec
-      ~rows:(List.map (fun (name, wall_s) -> (name, wall_s, warm_ns name)) wall_times)
+    write_json path ~serial_wall_s ~parallel_wall_s ~jobs ~engine ~engine_exec ~rows:wall_times
   | None -> ());
   print_endline "\ndone."

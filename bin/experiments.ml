@@ -1,18 +1,17 @@
 (** CLI for regenerating the paper's tables and figures.
 
-    Usage: experiments.exe [EXPERIMENT] [-j N] — where EXPERIMENT is one of
-    fig1, table1, fig3, deopt_freq, fig8, fig9, fig10, fig11, table4,
-    validate_htm, ablation, headline, all (default: all).  Measurements are
-    planned up front, deduplicated, and executed on N domains (default: the
-    machine's recommended domain count); tables render afterwards, in
-    order, and are bit-identical at any N. *)
+    Usage: experiments.exe [EXPERIMENT] [-j N] — where EXPERIMENT is a name
+    from the experiment catalogue ([Experiments.all_names], listed by
+    [--help]), [fig3] for both fig3a and fig3b, or [all] (the default).
+    Measurements are planned up front, deduplicated, and executed on N
+    domains (default: the machine's recommended domain count); tables
+    render afterwards, in order, and are bit-identical at any N. *)
 
 module E = Nomap_harness.Experiments
 module Scheduler = Nomap_harness.Scheduler
+module Clock = Nomap_util.Clock
 
 open Cmdliner
-
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 let run_experiment name jobs =
   let names =
@@ -26,14 +25,14 @@ let run_experiment name jobs =
     prerr_endline ("unknown experiment: " ^ missing);
     exit 1
   | [] ->
-    let t0 = now_s () in
+    let t0 = Clock.now_s () in
     ignore (E.run ~jobs names);
-    Printf.eprintf "[%s: %.1fs wall, -j %d]\n" name (now_s () -. t0) jobs
+    Printf.eprintf "[%s: %.1fs wall, -j %d]\n" name (Clock.now_s () -. t0) jobs
 
 let experiment =
   let doc =
-    "Experiment to run: fig1, table1, fig3, deopt_freq, fig8, fig9, fig10, fig11, table4, \
-     validate_htm, ablation, headline, or all."
+    Printf.sprintf "Experiment to run: %s, fig3 (fig3a and fig3b), or all."
+      (String.concat ", " E.all_names)
   in
   Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT" ~doc)
 

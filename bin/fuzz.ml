@@ -190,7 +190,7 @@ let main seed iters jobs shrink cfgs sabotage emit quiet max_skips agents =
     0
   | None ->
     let ftl_mutate = if sabotage then Some Fuzz.sabotage_swap_sub else None in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Nomap_util.Clock.now_s () in
     let on_case i outcome =
       if not quiet then
         match outcome with
@@ -199,7 +199,7 @@ let main seed iters jobs shrink cfgs sabotage emit quiet max_skips agents =
         | `Diverge f -> Printf.printf "case %d: %s\n%!" i (Fuzz.failure_to_string f)
     in
     let s = Fuzz.run ?cfgs ?ftl_mutate ~agents ~jobs ~shrink ~on_case ~seed ~iters () in
-    Printf.printf "%s [%.1fs]\n" (Fuzz.summary_to_string s) (Unix.gettimeofday () -. t0);
+    Printf.printf "%s [%.1fs]\n" (Fuzz.summary_to_string s) (Nomap_util.Clock.now_s () -. t0);
     let failures = List.length s.Fuzz.failures in
     if failures > 0 then min 125 failures
     else if s.Fuzz.skipped > max_skips then begin

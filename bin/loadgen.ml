@@ -36,12 +36,11 @@ module Protocol = Nomap_server.Protocol
 module Registry = Nomap_workloads.Registry
 module Stats = Nomap_util.Stats
 module Prng = Nomap_util.Prng
+module Clock = Nomap_util.Clock
 module Vm = Nomap_vm.Vm
 module Config = Nomap_nomap.Config
 module Value = Nomap_runtime.Value
 module Heap_checksum = Nomap_vm.Heap_checksum
-
-let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
 
 open Cmdliner
 
@@ -357,7 +356,7 @@ let run_open_step ~socket ~rctx ~conns ~poisson ~seed ~duration ~p99_limit rate 
     done;
   let records = Array.make n None in
   let next = Atomic.make 0 in
-  let start = now_s () +. 0.05 in
+  let start = Clock.now_s () +. 0.05 in
   let sender () =
     let conn = Client.connect ~retry_for_s:5.0 socket in
     Fun.protect
@@ -367,14 +366,14 @@ let run_open_step ~socket ~rctx ~conns ~poisson ~seed ~duration ~p99_limit rate 
           let i = Atomic.fetch_and_add next 1 in
           if i < n then begin
             let fire = start +. arrivals.(i) in
-            let d = fire -. now_s () in
+            let d = fire -. Clock.now_s () in
             if d > 0.0 then Unix.sleepf d;
             let bidx, req = rctx.mk_request i in
             let resp = Client.rpc conn req in
             (* Latency from the scheduled fire time: a sender that fell
                behind (every connection busy) is queueing delay the load
                really experienced. *)
-            let latency_s = now_s () -. fire in
+            let latency_s = Clock.now_s () -. fire in
             records.(i) <- Some { latency_s; outcome = rctx.classify bidx resp };
             go ()
           end
@@ -383,7 +382,7 @@ let run_open_step ~socket ~rctx ~conns ~poisson ~seed ~duration ~p99_limit rate 
   in
   let senders = List.init conns (fun _ -> Domain.spawn sender) in
   List.iter Domain.join senders;
-  let wall_s = Float.max (now_s () -. start) duration in
+  let wall_s = Float.max (Clock.now_s () -. start) duration in
   let t = tally records in
   let p50 = pct t.oks 50.0 and p95 = pct t.oks 95.0 and p99 = pct t.oks 99.0 in
   let achieved_rps = float_of_int (List.length t.oks) /. wall_s in
@@ -506,9 +505,9 @@ let closed_loop ~socket ~rctx ~requests ~clients ~keepalive ~check ~shutdown ~qu
   let next = Atomic.make 0 in
   let run_one conn i =
     let bidx, req = rctx.mk_request i in
-    let t0 = now_s () in
+    let t0 = Clock.now_s () in
     let resp = Client.rpc conn req in
-    let latency_s = now_s () -. t0 in
+    let latency_s = Clock.now_s () -. t0 in
     records.(i) <- Some { latency_s; outcome = rctx.classify bidx resp }
   in
   let client_loop () =
@@ -534,10 +533,10 @@ let closed_loop ~socket ~rctx ~requests ~clients ~keepalive ~check ~shutdown ~qu
       in
       go ()
   in
-  let wall0 = now_s () in
+  let wall0 = Clock.now_s () in
   let domains = List.init clients (fun _ -> Domain.spawn client_loop) in
   List.iter Domain.join domains;
-  let wall_s = now_s () -. wall0 in
+  let wall_s = Clock.now_s () -. wall0 in
   let t = tally records in
   if not quiet then
     List.iteri

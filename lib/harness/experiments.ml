@@ -610,7 +610,8 @@ let hybrid_fallback () =
    transactions drop their redo buffer; the retry re-applies exactly
    once).  Direct-run like [hybrid_fallback] — the multi-agent registry is
    its own execution world, not a scheduler key — and memoized, so the
-   bench harness's warm re-renders don't respawn domains. *)
+   bench harness's [write_json] reads the rows its sweep already computed
+   instead of respawning domains. *)
 
 module Agents = Nomap_agents.Agents
 module Interleave = Nomap_shared.Interleave

@@ -38,7 +38,6 @@ module Agent = Nomap_shared.Agent
 module Footprint = Nomap_cache.Footprint
 module Specialize = Nomap_tiers.Specialize
 module Hot = Nomap_util.Hot
-module Prof = Nomap_runtime.Prof
 
 type tier = Dfg | Ftl
 
@@ -323,29 +322,6 @@ let eval_intrinsic heap intr (recv : Value.t) (ids : int array) (values : Value.
     [Nomap_runtime.Ic] (DESIGN.md §14). *)
 let[@inline] site_ic env (ic : Ic.t option) = if env.host_ic then ic else None
 
-(* --- NOMAP_PROF slots (one per runtime-helper family) ------------------ *)
-
-let prof_binop = Prof.make "rt_binop"
-let prof_unop = Prof.make "rt_unop"
-let prof_get_prop = Prof.make "rt_get_prop"
-let prof_set_prop = Prof.make "rt_set_prop"
-let prof_get_elem = Prof.make "rt_get_elem"
-let prof_set_elem = Prof.make "rt_set_elem"
-let prof_get_length = Prof.make "rt_get_length"
-let prof_method = Prof.make "rt_method"
-let prof_intrinsic = Prof.make "rt_intrinsic"
-
-let prof_slot_of = function
-  | L.Rt_binop _ -> prof_binop
-  | L.Rt_unop _ -> prof_unop
-  | L.Rt_get_prop _ -> prof_get_prop
-  | L.Rt_set_prop _ -> prof_set_prop
-  | L.Rt_get_elem -> prof_get_elem
-  | L.Rt_set_elem -> prof_set_elem
-  | L.Rt_get_length -> prof_get_length
-  | L.Rt_method _ -> prof_method
-  | L.Rt_intrinsic _ -> prof_intrinsic
-
 (** Generic runtime calls (the NoFTL slow paths).  Each branch charges its
     runtime cost (same table as always: binop 30, unop 16, get_prop 35,
     set_prop 40, get_elem 30, set_elem 34, get_length 16, method 44,
@@ -353,7 +329,7 @@ let prof_slot_of = function
     operands straight out of the value array — no [List.nth].  [ic] is the
     call site's host inline cache (property/method sites only); it changes
     no hook sequence and no charge. *)
-let exec_runtime_uninstrumented env ~(ic : Ic.t option) rt (recv : Value.t)
+let exec_runtime env ~(ic : Ic.t option) rt (recv : Value.t)
     (ids : int array) (values : Value.t array) : Value.t =
   let heap = env.instance.Instance.heap in
   let ic = site_ic env ic in
@@ -437,16 +413,6 @@ let exec_runtime_uninstrumented env ~(ic : Ic.t option) rt (recv : Value.t)
       (6 + Intrinsics.cost intr
       + Intrinsics.dynamic_cost_argc intr recv ~argc:(Array.length ids));
     eval_intrinsic heap intr recv ids values
-
-let exec_runtime env ~ic rt (recv : Value.t) (ids : int array) (values : Value.t array) :
-    Value.t =
-  if Prof.enabled then begin
-    let t0 = Prof.now () in
-    let r = exec_runtime_uninstrumented env ~ic rt recv ids values in
-    Prof.record (prof_slot_of rt) t0;
-    r
-  end
-  else exec_runtime_uninstrumented env ~ic rt recv ids values
 
 (** The pre-decoded form of [c], built on first execution — after every
     transform/optimizer pass has run — and cached on the compiled record. *)

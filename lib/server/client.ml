@@ -4,13 +4,13 @@ let connect ?(retry_for_s = 0.0) path =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* Monotonic: a wall-clock step mid-retry must not stretch or collapse
      the retry window. *)
-  let deadline = Clock.now_s () +. retry_for_s in
+  let deadline = Nomap_util.Clock.now_s () +. retry_for_s in
   let rec go () =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     match Unix.connect fd (Unix.ADDR_UNIX path) with
     | () -> { fd }
     | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ENOENT), _, _)
-      when Clock.now_s () < deadline ->
+      when Nomap_util.Clock.now_s () < deadline ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Unix.sleepf 0.05;
       go ()

@@ -186,7 +186,7 @@ let poller_loop t =
               }));
       close_conn c
     | `Frame payload -> (
-      let arrival_s = Clock.now_s () in
+      let arrival_s = Nomap_util.Clock.now_s () in
       let verdict =
         Mutex.protect t.lock (fun () ->
             if t.stopping then `Drop
@@ -322,7 +322,7 @@ let worker_loop t =
     match job with
     | None -> continue := false
     | Some { jconn; payload; arrival_s } ->
-      let queue_wait_s = Clock.now_s () -. arrival_s in
+      let queue_wait_s = Nomap_util.Clock.now_s () -. arrival_s in
       let directive =
         try Session.handle_frame ctx ~queue_wait_s jconn.fd payload
         with e ->

@@ -25,7 +25,7 @@
     - request statistics: a separate stats mutex, taken per response.
 
     All latency and deadline arithmetic uses the monotonic clock
-    ([Clock.now_s]); wall time appears only in the human-facing
+    ([Nomap_util.Clock.now_s]); wall time appears only in the human-facing
     [uptime_s] STATS line.
 
     A worker that somehow throws past [Session.handle_frame]'s

@@ -1,9 +1,11 @@
 (** Scheduler tests: key dedup across experiment plans, golden-counter
-    equality of the parallel sweep against the committed serial table, and
+    equality of the parallel sweep against the committed serial table,
     worker-exception propagation (a [Checksum_mismatch] in a domain must
-    fail the caller, not hang or vanish). *)
+    fail the caller, not hang or vanish), and the experiment catalogue's
+    names. *)
 
 module Scheduler = Nomap_harness.Scheduler
+module Experiments = Nomap_harness.Experiments
 module Runner = Nomap_harness.Runner
 module Registry = Nomap_workloads.Registry
 module Config = Nomap_nomap.Config
@@ -70,6 +72,20 @@ let test_parallel_map_order () =
     "order preserved across domains" (List.map (fun x -> x * 3) xs)
     (Scheduler.parallel_map ~jobs:4 (fun x -> x * 3) xs)
 
+(* The catalogue's names key both BENCH_machine.json's experiment rows and
+   experiments.exe's argument, so a duplicate would collide in both. *)
+let test_catalogue_names () =
+  let names = List.map (fun e -> e.Experiments.name) Experiments.experiments in
+  Alcotest.(check int)
+    "names are unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun n ->
+      match Experiments.find n with
+      | Some e -> Alcotest.(check string) ("find " ^ n) n e.Experiments.name
+      | None -> Alcotest.failf "find %s: not found" n)
+    names
+
 let tests =
   [
     Alcotest.test_case "prefetch dedups shared keys" `Quick test_prefetch_dedup;
@@ -78,4 +94,6 @@ let tests =
       test_worker_exception_propagates;
     Alcotest.test_case "-j 4 sweep matches serial golden table" `Slow
       test_parallel_matches_golden;
+    Alcotest.test_case "experiment catalogue names unique and findable" `Quick
+      test_catalogue_names;
   ]

@@ -553,13 +553,13 @@ let test_cache_contention_compute_doesnt_block () =
     Domain.cpu_relax ()
   done;
   (* A's compute is in flight and holds no lock: warm hits stay fast. *)
-  let t0 = Unix.gettimeofday () in
+  let t0 = Nomap_util.Clock.now_s () in
   for _ = 1 to 20 do
     let hit, v = Artifact_cache.find_or_add c "B" (fun () -> Alcotest.fail "B recomputed") in
     Alcotest.(check bool) "warm hit" true hit;
     Alcotest.(check string) "warm value" "warm" v
   done;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Nomap_util.Clock.now_s () -. t0 in
   Alcotest.(check bool)
     (Printf.sprintf "20 warm hits under in-flight compute took %.3fs (must be << 0.8s)" elapsed)
     true (elapsed < 0.4);
