@@ -1,5 +1,5 @@
 (** Benchmark harness: regenerates every table and figure of the paper,
-    then times warm VM execution per engine.
+    then times warm VM execution per engine mode.
 
     Phase 1 runs every experiment of the catalogue ([Experiments.experiments])
     cold and serially, printing the paper-style tables — this is the
@@ -10,19 +10,20 @@
     domain count), recording the parallel sweep wall time for comparison;
     with [-j 1] the re-sweep would time the identical serial execution, so
     it is skipped and the report carries [null].  Phase 3 measures warm VM
-    *execution* per engine and per host-helper setting: steady-state calls
-    of every suite benchmark under the decoded and the threaded engine,
-    each with the host fast paths (per-site inline caches, DESIGN.md §14)
-    on and off.  It prints one row per kernel and reports per-suite sums
-    with the threaded-over-decoded and helpers-on-over-off speedups.  The
+    *execution* per engine mode and per host-helper setting: steady-state
+    calls of every suite benchmark in the exact ([decoded]) and the fused
+    ([threaded]) mode (DESIGN.md §13), each with the host fast paths
+    (per-site inline caches, DESIGN.md §14) on and off.  It prints one row
+    per kernel and reports per-suite sums with the threaded-over-decoded
+    and helpers-on-over-off speedups.  The
     simulated counters are identical across all four cells — only
     wall-clock moves.
 
     All wall times read the monotonic [Nomap_util.Clock], so NTP
     adjustments can't skew the report.
 
-    [--engine decoded|threaded] pins the engine used by phases 1-2 (the
-    simulated metrics are engine-invariant; only wall-clock moves).
+    [--engine decoded|threaded] pins the engine mode used by phases 1-2
+    (the simulated metrics are mode-invariant; only wall-clock moves).
     [--json <path>] additionally writes the measurements to [path] as one
     machine-readable report (schema [nomap-bench-v7], keyed by the
     catalogue's experiment names; see DESIGN.md §9), so wall-clock

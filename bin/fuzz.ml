@@ -50,10 +50,11 @@ let parse_arch s =
       ^ String.concat ", " (List.map Config.name Config.all)
       ^ ")")
 
-let parse_engine = function
-  | "decoded" -> Ok Engine.Decoded
-  | "threaded" -> Ok Engine.Threaded
-  | e -> Error ("unknown engine " ^ e ^ " (decoded|threaded)")
+let parse_engine e =
+  match Engine.of_string e with
+  | Some g -> Ok g
+  | None ->
+    Error ("unknown engine " ^ e ^ " (" ^ String.concat "|" (List.map Engine.name Engine.all) ^ ")")
 
 let parse_ic = function
   | "ic" -> Ok true
@@ -137,10 +138,11 @@ let tier_pair =
         ~doc:
           "Restrict the matrix to these configurations (each checked against the reference \
            interpreter).  Tiers: interp, baseline, dfg, ftl.  Archs: Base, NoMap_S, NoMap_B, \
-           NoMap, NoMap_BC, NoMap_RTM, NoMap_RTM_STM ('-' and '_' interchangeable).  Engines: decoded, \
-           threaded; omitting the engine runs dfg/ftl configurations under $(b,both) engines \
-           and additionally requires their full counter tables to match bit-for-bit.  Unknown \
-           tier, arch or engine names are rejected with the valid alternatives listed.")
+           NoMap, NoMap_BC, NoMap_RTM, NoMap_RTM_STM ('-' and '_' interchangeable).  Engines: decoded \
+           (the exact mode), threaded (fused); omitting the engine runs dfg/ftl configurations in \
+           $(b,both) modes and additionally requires their full counter tables to match \
+           bit-for-bit.  Unknown tier, arch or engine names are rejected with the valid \
+           alternatives listed.")
 
 let sabotage =
   Arg.(

@@ -1,8 +1,8 @@
 (** nomap-run: execute a MiniJS file on the simulated VM.
 
-    The downstream-user tool: run any .js file under any of the paper's six
-    architectures and any tier cap, and get execution statistics, bytecode
-    disassembly, or optimized-LIR dumps.
+    The downstream-user tool: run any .js file under any architecture
+    ([Config.all], listed by [--help]) and any tier cap, and get execution
+    statistics, bytecode disassembly, or optimized-LIR dumps.
 
     Examples:
       nomap_run prog.js
@@ -49,7 +49,8 @@ let run file arch_name tier_name engine_name show_stats disasm dump_lir iteratio
     match Engine.of_string (String.lowercase_ascii engine_name) with
     | Some e -> e
     | None ->
-      Printf.eprintf "unknown engine %S (decoded|threaded)\n" engine_name;
+      Printf.eprintf "unknown engine %S (%s)\n" engine_name
+        (String.concat "|" (List.map Engine.name Engine.all));
       exit 2
   in
   let source =
@@ -133,8 +134,10 @@ let run file arch_name tier_name engine_name show_stats disasm dump_lir iteratio
 let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.js")
 
 let arch =
-  Arg.(value & opt string "Base" & info [ "arch"; "a" ] ~docv:"ARCH"
-    ~doc:"Architecture: Base, NoMap_S, NoMap_B, NoMap, NoMap_BC, NoMap_RTM.")
+  let doc =
+    Printf.sprintf "Architecture: %s." (String.concat ", " (List.map Config.name Config.all))
+  in
+  Arg.(value & opt string "Base" & info [ "arch"; "a" ] ~docv:"ARCH" ~doc)
 
 let tier =
   Arg.(value & opt string "ftl" & info [ "tier"; "t" ] ~docv:"TIER"
@@ -142,9 +145,10 @@ let tier =
 
 let engine =
   Arg.(value & opt string (Engine.name Engine.default) & info [ "engine"; "e" ] ~docv:"ENGINE"
-    ~doc:"Execution engine for optimized tiers: decoded (reference) or threaded \
-      (closure-threaded, default).  Simulated metrics are identical; only host wall-clock \
-      differs.")
+    ~doc:"Engine mode for optimized tiers: threaded (fused superinstructions, the \
+      default) or decoded (the exact mode: every instruction charged on its own, the \
+      reference the fused mode is checked against).  Simulated metrics are identical; only \
+      host wall-clock differs.")
 
 let stats = Arg.(value & flag & info [ "stats"; "s" ] ~doc:"Print execution statistics.")
 let disasm = Arg.(value & flag & info [ "disasm" ] ~doc:"Print bytecode disassembly.")

@@ -5,11 +5,11 @@
     reference interpreter observes — the same [result] global and the same
     heap checksum — or the optimizing tiers miscompiled it.  Performance
     counters may differ between (tier, arch) configurations (DESIGN.md §4):
-    different code runs.  They may NOT differ between the decoded and
-    threaded engines at the same (tier, arch) — the engines execute the
-    same compiled code and are required to charge bit-identical metrics —
-    so the engine axis additionally compares the full canonical counter
-    table across engine pairs.
+    different code runs.  They may NOT differ between the engine's exact
+    ([decoded]) and fused ([threaded]) modes at the same (tier, arch) — the
+    modes execute the same compiled code and are required to charge
+    bit-identical metrics — so the engine axis additionally compares the
+    full canonical counter table across mode pairs.
 
     Every VM here runs with [verify_lir] and [paranoid] on, so an
     ill-formed graph is reported at the optimization pass that produced it

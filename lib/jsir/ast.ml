@@ -10,8 +10,6 @@
 
 type pos = { line : int; col : int }
 
-let pp_pos fmt { line; col } = Format.fprintf fmt "%d:%d" line col
-
 type unop =
   | Neg  (** -x *)
   | Plus  (** +x : ToNumber *)

@@ -241,16 +241,6 @@ let exit_of = function
 
 let is_check k = exit_of k <> None
 
-(** Paper Figure 3 categories. *)
-let check_kind_of = function
-  | Check_bounds _ | Check_str_bounds _ -> Some Bounds
-  | Check_overflow _ -> Some Overflow
-  | Check_int _ | Check_number _ | Check_string _ | Check_array _ -> Some Type
-  | Check_shape _ -> Some Property
-  | Check_not_hole _ -> Some Hole
-  | Check_fun_eq _ | Check_cond _ -> Some Path
-  | _ -> None
-
 let check_kind_name = function
   | Bounds -> "Bounds"
   | Overflow -> "Overflow"
@@ -372,11 +362,6 @@ let iter_blocks f fn = Nomap_util.Vec.iter fn f.blocks
 
 let iter_instrs f fn =
   iter_blocks f (fun b -> List.iter (fun v -> fn b (instr f v)) b.instrs)
-
-let all_instrs_count f =
-  let n = ref 0 in
-  iter_instrs f (fun _ i -> if i.kind <> Nop then incr n);
-  !n
 
 (** Rewrite every use across the function (including SMP live maps) through
     [subst].  One pass over the whole function: passes with many rewrites

@@ -104,9 +104,3 @@ let verify (f : Lir.func) =
         | _ -> ());
         List.iter (fun s -> check_block_id s "terminator") (Lir.successors b.Lir.term)
       end)
-
-let verify_or_print f =
-  try verify f
-  with Ill_formed msg ->
-    prerr_endline (Printer.func_to_string f);
-    raise (Ill_formed msg)

@@ -251,7 +251,7 @@ let diff ~now ~before =
 (** Canonical one-line rendering of the full counter table.  Cycles are
     hex-floats so the comparison is exact to the last bit.  Shared by the
     determinism golden (test/determinism.expected) and the fuzzer's engine
-    axis, where decoded × threaded must match bit-for-bit. *)
+    axis, where the exact and fused modes must match bit-for-bit. *)
 let to_canonical_string (c : t) =
   let ints a = String.concat "," (List.map string_of_int (Array.to_list a)) in
   let reasons =

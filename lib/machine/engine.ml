@@ -1,15 +1,15 @@
-(** Execution-engine selection.
+(** Execution-engine mode selection.
 
-    Both engines run the same pre-decoded LIR against the same [Machine]
-    substrate and are required to produce bit-identical results, heap
+    DFG/FTL code runs on one engine, [Threaded], which compiles the same
+    pre-decoded LIR against the same [Machine] substrate in one of two
+    modes.  The modes are required to produce bit-identical results, heap
     contents and [Counters.t] — the fuzzer's engine axis and the
     engine-equivalence test suite enforce it.
 
-    - [Decoded]: the reference interpreter — one [match] over [Lir.kind]
-      per instruction ([Decoded.exec_func]).
-    - [Threaded]: the closure-threaded compiler — each block body is
-      compiled once into a chain of OCaml closures with superinstruction
-      fusion ([Threaded.exec_func]); the default. *)
+    - [Decoded]: the exact mode — every instruction a [solo] closure that
+      charges itself, every phi edge staged; the reference.
+    - [Threaded]: the fused mode — straight-line runs fused into
+      deferred-accounting superinstructions; the default. *)
 
 type kind = Decoded | Threaded
 

@@ -1,10 +1,10 @@
 (** The engine-agnostic substrate of the abstract machine that executes
     LIR — our stand-in for the x86-64 core running DFG/FTL-generated code.
 
-    Execution itself lives in the engines ([Decoded], the reference
-    interpreter over pre-decoded LIR, and [Threaded], the closure-threaded
-    compiler — see [Engine] for selection).  This module owns everything
-    both engines share, which is exactly the simulated-metric contract:
+    Execution itself lives in [Threaded], the closure-threaded compiler,
+    in its exact or fused mode (see [Engine] for selection).  This module
+    owns everything both modes share, which is exactly the
+    simulated-metric contract:
     - counting dynamic instructions, classified NoFTL / NoTM / TMUnopt /
       TMOpt exactly as the paper's Figures 8/9 do (TMOpt = transaction-aware
       code inside its own transaction; TMUnopt = a callee executing inside
@@ -18,12 +18,12 @@
     - performing OSR exits: a failing Deopt check materializes its stack map
       into a Baseline frame and the rest of the function runs there.
 
-    Whatever the engine, the machine executes the pre-decoded form of each
+    Whatever the mode, the machine executes the pre-decoded form of each
     compiled function ([Nomap_lir.Decode]): per-block instruction arrays
     instead of id lists, phi inputs resolved to per-edge copy tables, call
     arguments as arrays, and per-instruction costs precomputed — none of
     which changes any simulated metric (guarded by the counter-determinism
-    test, and by the fuzzer's engine axis across decoded × threaded). *)
+    test, and by the fuzzer's engine axis across exact × fused). *)
 
 module Value = Nomap_runtime.Value
 module Heap = Nomap_runtime.Heap
@@ -95,7 +95,7 @@ let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
   }
 
 (* ------------------------------------------------------------------ *)
-(* The per-instruction protocol.  Both engines run these once or more per
+(* The per-instruction protocol.  Both modes run these once or more per
    executed LIR instruction, so each helper here and in its home module
    ([Value.int_]/[bool_]/[number], [Hot.get]/[set]/[fget],
    [Instance.burn], [Counters.bump_check]/[bump_instrs]/[add_cycles]) is
@@ -164,20 +164,11 @@ let[@inline] as_num = function
 
 (** The engine-independent half of an int32 overflow (arithmetic or
     [Ineg]): sets the transaction's SOF and materializes the wrapped value.
-    The engine also marks the result's overflow flag for its
+    The caller also marks the result's overflow flag for its
     [Check_overflow]. *)
 let overflow_value env raw =
   (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
   Value.int_ (wrap_int32 raw)
-
-(** An int32 arithmetic result; an overflow marks [id] for its
-    [Check_overflow] and goes through [overflow_value]. *)
-let[@inline] int_result env (overflowed : bool array) id raw =
-  if Value.fits_int32 raw then Value.int_ raw
-  else begin
-    Hot.set overflowed id true;
-    overflow_value env raw
-  end
 
 (** RTM transactional reads are ~20% slower (paper §VI-B).  The HTM load
     hook counts every in-transaction read in [tx.reads]; the penalty is
@@ -194,9 +185,9 @@ let charge_rtm_reads env (tx : Htm.tx) =
     the transaction's single finish point (the outermost [Tx_end], or
     [handle_abort]).  Charging here instead of inside the heap hooks keeps
     the floating-point accumulation order independent of how an engine
-    interleaves its instruction charges (decoded charges per instruction,
-    threaded batches per segment), which the bit-exact cross-engine counter
-    contract requires.  The terms, in order:
+    mode interleaves its instruction charges (exact charges per
+    instruction, fused batches per segment), which the bit-exact cross-mode
+    counter contract requires.  The terms, in order:
     - the hardware abort that triggered the fallback, plus the RTM read
       latency the doomed prefix had already paid;
     - STM setup (descriptor + log allocation);
@@ -272,10 +263,9 @@ let intrinsic_cost = function
 
 (* ------------------------------------------------------------------ *)
 
-(* Robust coercions: after NoMap removes checks inside a doomed transaction,
+(* Robust coercion: after NoMap removes checks inside a doomed transaction,
    garbage values may flow; hardware would compute garbage and abort later,
    so we coerce benignly instead of crashing the simulator. *)
-let as_arr = function Value.Arr a -> Some a | _ -> None
 let as_obj = function Value.Obj o -> Some o | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -428,8 +418,8 @@ let decoded (c : Specialize.compiled) =
 (* ------------------------------------------------------------------ *)
 (* Shared engine protocol.  Per-call bookkeeping, the transaction region
    markers and the exit handling are part of the simulated-metric contract,
-   so they live here and every engine calls in — an engine only decides
-   *how* to dispatch the instructions in between. *)
+   so they live here and the engine calls in — its modes only decide *how*
+   to dispatch the instructions in between. *)
 
 let cpi_of = function Dfg -> Timing.cpi_dfg | Ftl -> Timing.cpi_ftl
 

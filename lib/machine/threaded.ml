@@ -1,41 +1,59 @@
-(** The closure-threaded execution engine.
+(** The LIR execution engine.
 
     Compiles each pre-decoded block body once into a chain of OCaml
     closures — each closure executes its instruction, charges its
     pre-computed cost/tick/counter updates, and tail-calls the next — so
     the per-instruction [match] over [Lir.kind] (the decode-interpret
     dispatch tax) is paid once at compile time instead of on every
-    execution.  A peephole selector over the decoded stream fuses maximal
+    execution.
+
+    {b The reference protocol.}  Every instruction's accounting is defined
+    by the [solo] closure, which charges one instruction at a time:
+
+    - free instructions (ghost-mode tx markers, NoMap_BC-elided checks)
+      burn fuel but neither tick the transaction watchdog nor charge
+      instructions/cycles — yet their semantics (including guard failure)
+      still execute;
+    - everything else burns, ticks, then charges its pre-computed cost at
+      the tier's CPI *before* its semantics run;
+    - each block terminator charges one instruction, also before it runs.
+
+    {b Exact mode} ([~exact:true], [Engine.Decoded]) builds every body from
+    [solo] closures only and stages every phi edge through
+    [Decode.scratch].  It is the reference the fused mode is checked
+    against: the fuzzer's engine axis and the engine-equivalence tests
+    require bit-identical counters from the two.
+
+    {b Fused mode} (the default, [Engine.Threaded]) runs a peephole
+    selector over the decoded stream that fuses maximal
     call/tx-marker-free straight-line runs into *deferred-accounting
     segments* — the superinstructions:
 
     - One [burn] of the whole segment's fuel and one batched watchdog-tick
-      add up front (with an exact per-instruction fallback chain when the
-      batched tick could cross the transaction watchdog, so a watchdog
-      abort still fires at the precise instruction it would have under the
-      reference engine).
-    - The semantics then run back to back as a chain of closures,
-      exactly as the decoded engine's match arms execute them.
+      add up front (with an all-[solo] fallback chain when the batched tick
+      could cross the transaction watchdog, so a watchdog abort still fires
+      at the precise instruction it would have in exact mode).
+    - The semantics then run back to back as a chain of closures.
     - The segment's [bump_instrs]/[add_cycles] charges are applied once at
       the end: a single [bump_instrs] of the summed cost (integer adds
       commute exactly) and the per-instruction cycle deltas accumulated in
       original program order, in registers, by [Counters.add_cycle_run]
       (the FP additions into [cycles] are the same operations on the same
-      values in the same order, so the result is bit-identical).  Category and in-region flag are invariant across
-      the segment — it contains no calls and no tx markers — so computing
-      them once is exact.
+      values in the same order, so the result is bit-identical).  Category
+      and in-region flag are invariant across the segment — it contains no
+      calls and no tx markers — so computing them once is exact.
     - Deferral is safe because no instruction inside a segment *observes*
       the counters; the only way the reordering could show is if the
       segment ends early.  Instructions that can raise or abort (checks →
       deopt; heap-hook touchers → capacity aborts; allocs) therefore
       record how many instructions' accounting is due ([st.due]) before
       their semantics run, and the segment's exception guard reconciles
-      exactly that prefix — restoring the reference engine's precise
-      counter state — before re-raising.  Pure instructions
-      ([Decode.pure]) cannot raise and skip the bookkeeping entirely.
-      (The transaction's [instr_count] may be over-advanced when an abort
-      tears the transaction down mid-segment; [handle_abort] never reads
-      it and the transaction object dies, so it is unobservable.)
+      exactly that prefix — restoring exact mode's counter state — before
+      re-raising.  Pure instructions ([Decode.pure]) cannot raise and skip
+      the bookkeeping entirely.  (The transaction's [instr_count] may be
+      over-advanced when an abort tears the transaction down mid-segment;
+      [handle_abort] never reads it and the transaction object dies, so it
+      is unobservable.)
     - *elided runs* are the degenerate segment with zero tick and zero
       cost: the closure only burns fuel (semantics still guard).
     - *check+consumer pairs*: [Check_bounds]+[Load_elem]/[Store_elem] and
@@ -44,19 +62,20 @@
       the array/index in locals instead of re-reading and re-matching
       them; [st.due] advances across both halves, so the reconciled
       charges and the abort points are unchanged.
+    - phi edges whose in-order copy is already exact ([Decode.staged]
+      false) copy pair by pair instead of staging.
 
     Batched fuel: a segment burns its fuel up front, so a program that
-    runs out of fuel mid-segment dies a few instructions earlier than
-    under the decoded engine.  [Out_of_fuel] is a crash, not an
-    observation — the oracle compares crash identity, and both engines
-    raise the same exception — so this is crash-equivalent.
+    runs out of fuel mid-segment dies a few instructions earlier than in
+    exact mode.  [Out_of_fuel] is a crash, not an observation — the oracle
+    compares crash identity, and both modes raise the same exception — so
+    this is crash-equivalent.
 
     Calls, intrinsics, runtime calls and tx markers (which change the
-    category/in-region state or re-enter the VM) stay solo closures with
-    the reference engine's exact protocol baked in at compile time (free /
-    zero-cost / charged variants resolved once, CPI multiplication
-    pre-computed — [float_of_int cost *. cpi] at compile time is the same
-    IEEE operation the decoded engine performs at run time).
+    category/in-region state or re-enter the VM) stay [solo] closures in
+    both modes, with the free / zero-cost / charged decision resolved once
+    and the CPI multiplication pre-computed ([float_of_int cost *. cpi] at
+    compile time is the same IEEE operation as at run time).
 
     The compiled chain is cached on [Specialize.compiled] via the
     extensible [Specialize.artifact] slot; adaptation discarding a version
@@ -107,6 +126,7 @@ type tfunc = {
   t_blocks : code array;  (** per-block entry closure (phis + body + term) *)
   t_nvalues : int;
   t_tier : tier;
+  t_exact : bool;  (** compiled in exact mode *)
 }
 
 type Specialize.artifact += Threaded_code of tfunc
@@ -122,18 +142,19 @@ let[@inline never] overflow_result env st id raw =
   mark_overflow st id;
   overflow_value env raw
 
-(** [Machine.int_result] over the activation's lazily allocated flags. *)
+(** An int32 arithmetic result; an overflow marks [id] for its
+    [Check_overflow] and goes through [Machine.overflow_value]. *)
 let[@inline] frame_int_result env st id raw =
   if Value.fits_int32 raw then Value.int_ raw else overflow_result env st id raw
 
-let compile_func env ~tier (d : D.t) : tfunc =
+let compile_func env ~tier ~exact (d : D.t) : tfunc =
   let cpi = cpi_of tier in
   let inst = env.instance in
   let heap = inst.Instance.heap in
   let cnt = env.counters in
-  (* The semantics of one instruction, exactly as the decoded engine's
-     match arms execute them, continuation-passing into [next].  No
-     accounting here — the caller bakes the charging protocol around it. *)
+  (* The semantics of one instruction, continuation-passing into [next].
+     No accounting here — the caller bakes the charging protocol around
+     it. *)
   let sem_only (di : D.dinstr) (next : code) : code =
     let v = di.D.id in
     let el = di.D.elided in
@@ -522,9 +543,9 @@ let compile_func env ~tier (d : D.t) : tfunc =
         exec_tx_end env;
         next st
   in
-  (* A solo closure: the reference engine's per-instruction protocol with
-     the free / zero-cost / charged decision and the CPI multiply resolved
-     at compile time. *)
+  (* A solo closure: the reference per-instruction protocol with the free /
+     zero-cost / charged decision and the CPI multiply resolved at compile
+     time. *)
   let solo (di : D.dinstr) (next : code) : code =
     let free = di.D.elided || (di.D.is_tx_marker && env.htm_mode = Htm.Ghost) in
     let cost = di.D.cost in
@@ -548,8 +569,11 @@ let compile_func env ~tier (d : D.t) : tfunc =
   in
   (* Segment membership: everything except the instructions that change
      the category/in-region state or re-enter the VM (whose charge
-     protocols differ and whose callees run arbitrary code). *)
+     protocols differ and whose callees run arbitrary code).  Exact mode
+     forms no segments. *)
   let seg_able (di : D.dinstr) =
+    (not exact)
+    &&
     match di.D.kind with
     | L.Call_func _ | L.Call_method _ | L.Ctor_call _ | L.Call_runtime _ | L.Intrinsic _
     | L.Tx_begin _ | L.Tx_end ->
@@ -560,7 +584,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
   (* Check+consumer fusion inside a segment: when the pattern matches,
      returns the fused *semantics* for both instructions (array/index kept
      in locals instead of re-read and re-matched); [st.due] advances past
-     each half exactly when the reference engine would have charged it, so
+     each half exactly when exact mode would have charged it, so
      reconciliation and abort points are unchanged.  Both halves
      non-elided only: an elided check charges nothing and fires no hook,
      so the straight-line chain is already free. *)
@@ -630,8 +654,8 @@ let compile_func env ~tier (d : D.t) : tfunc =
      terminators charge but never burn fuel or tick the transaction, the
      category/in-tx flag cannot change between the segment's last
      instruction and the terminator (no calls or tx markers in between),
-     and appending the terminator's cycle delta last preserves the
-     reference engine's accumulation order.  The watchdog fallback and any
+     and appending the terminator's cycle delta last preserves exact
+     mode's accumulation order.  The watchdog fallback and any
      mid-segment raise never reach the terminator, so those paths keep the
      self-charging [term]. *)
   let rec compile_seq (body : D.dinstr array) i ~(term : code) ~(term_free : code) :
@@ -676,7 +700,7 @@ let compile_func env ~tier (d : D.t) : tfunc =
       in
       let n_deltas = Array.length deltas in
       (* cost_prefix.(k) / dcount_prefix.(k): summed cost and cycle-delta
-         count charged by the reference engine after the segment's first
+         count charged in exact mode after the segment's first
          [k] instructions — what reconciliation owes at [st.due = k]. *)
       let cost_prefix = Array.make (n + 1) 0 in
       let dcount_prefix = Array.make (n + 1) 0 in
@@ -784,10 +808,12 @@ let compile_func env ~tier (d : D.t) : tfunc =
   (* Phis: the pre-resolved copy table for the incoming edge, applied as a
      parallel assignment before the body.  An edge whose in-order copy is
      already exact ([D.staged] false, decided at decode time) copies pair
-     by pair.  The rest stage through the scratch buffer as the decoded
-     engine does; the buffer lives in the major heap, so staging costs two
-     slow-path write barriers per input. *)
+     by pair.  The rest stage through the scratch buffer; the buffer lives
+     in the major heap, so staging costs two slow-path write barriers per
+     input.  Exact mode stages every edge, an independent check of the
+     [staged] rule. *)
   let with_phis (edges : D.phi_edge array) (body : code) : code =
+    let edges = if exact then Array.map (fun e -> { e with D.staged = true }) edges else edges in
     let scratch = d.D.scratch in
     let n_edges = Array.length edges in
     (* The edge scan is a plain loop: a local [let rec] capturing the
@@ -831,20 +857,20 @@ let compile_func env ~tier (d : D.t) : tfunc =
         if Array.length b.D.phi_edges = 0 then body else with_phis b.D.phi_edges body)
       d.D.dblocks
   in
-  { t_entry = d.D.entry; t_blocks; t_nvalues = d.D.nvalues; t_tier = tier }
+  { t_entry = d.D.entry; t_blocks; t_nvalues = d.D.nvalues; t_tier = tier; t_exact = exact }
 
-(** The threaded code for [c], compiled on first execution and cached on
-    the compiled record. *)
-let threaded env (c : Specialize.compiled) ~tier : tfunc =
+(** The threaded code for [c] in the given mode (fused by default),
+    compiled on first execution and cached on the compiled record. *)
+let threaded ?(exact = false) env (c : Specialize.compiled) ~tier : tfunc =
   match c.Specialize.engine_code with
-  | Some (Threaded_code tf) when tf.t_tier = tier -> tf
+  | Some (Threaded_code tf) when tf.t_tier = tier && tf.t_exact = exact -> tf
   | _ ->
-    let tf = compile_func env ~tier (decoded c) in
+    let tf = compile_func env ~tier ~exact (decoded c) in
     c.Specialize.engine_code <- Some (Threaded_code tf);
     tf
 
-let exec_func env (c : Specialize.compiled) ~tier ~this ~args : Value.t =
-  let tf = threaded env c ~tier in
+let exec_func env (c : Specialize.compiled) ~exact ~tier ~this ~args : Value.t =
+  let tf = threaded ~exact env c ~tier in
   let frame = enter_call env ~tier in
   let argv = Array.of_list args in
   let st =

@@ -142,12 +142,6 @@ let edge_live f (c : Specialize.compiled) header pred =
         (reg, v'))
       state
 
-(* Entry state as seen from inside the loop (phis themselves). *)
-let header_live (c : Specialize.compiled) header =
-  match Hashtbl.find_opt c.Specialize.entry_states header with
-  | None -> []
-  | Some state -> state
-
 let convert_checks f blocks =
   let converted = ref 0 in
   List.iter

@@ -64,34 +64,6 @@ let prepend_to_block f v blk =
   in
   b.L.instrs <- insert b.L.instrs
 
-(** Insert [v] immediately before [anchor] in its block. *)
-let insert_before f v ~anchor =
-  let ai = L.instr f anchor in
-  let i = L.instr f v in
-  i.L.block <- ai.L.block;
-  let b = L.block f ai.L.block in
-  let rec ins = function
-    | [] -> [ v ]
-    | x :: rest when x = anchor -> v :: x :: rest
-    | x :: rest -> x :: ins rest
-  in
-  b.L.instrs <- ins b.L.instrs
-
-(** Number of uses of each value (including SMP live maps and terminators). *)
-let use_counts f =
-  let n = Nomap_util.Vec.length f.L.instrs in
-  let counts = Array.make n 0 in
-  let bump v = counts.(v) <- counts.(v) + 1 in
-  L.iter_instrs f (fun _ i ->
-      List.iter bump (L.uses i.L.kind);
-      List.iter bump (L.smp_uses i.L.kind));
-  L.iter_blocks f (fun b ->
-      match b.L.term with
-      | L.Br (c, _, _) -> bump c
-      | L.Ret (Some r) -> bump r
-      | _ -> ());
-  counts
-
 (** Does the loop contain a deopt-exit check (a Stack Map Point)?  This is
     the paper's optimization blocker: when true, memory motion in/out of the
     loop is illegal because the Baseline tier may resume mid-loop and must

@@ -94,8 +94,6 @@ let type_name = function
   | Fun _ -> "function"
   | Hole -> "hole"
 
-let is_number = function Int _ | Num _ -> true | _ -> false
-
 (** JS ToNumber, restricted to the types MiniJS has. *)
 let to_number = function
   | Int i -> float_of_int i

@@ -22,8 +22,6 @@ let create ~title ~header ?aligns () =
 
 let add_row t row = t.rows <- row :: t.rows
 
-let add_rowf t fmt = Fmt.kstr (fun s -> add_row t (String.split_on_char '\t' s)) fmt
-
 let cell_width rows col =
   List.fold_left
     (fun acc row -> match List.nth_opt row col with Some c -> max acc (String.length c) | None -> acc)

@@ -19,7 +19,6 @@ module Interp = Nomap_interp.Interp
 module Specialize = Nomap_tiers.Specialize
 module Machine = Nomap_machine.Machine
 module Engine = Nomap_machine.Engine
-module Decoded = Nomap_machine.Decoded
 module Threaded = Nomap_machine.Threaded
 module Counters = Nomap_machine.Counters
 module Config = Nomap_nomap.Config
@@ -55,7 +54,7 @@ type t = {
   counters : Counters.t;
   config : Config.t;
   tier_cap : tier_cap;
-  engine : Engine.kind;  (** which execution engine runs DFG/FTL code *)
+  engine : Engine.kind;  (** which engine mode runs DFG/FTL code *)
   thresholds : thresholds;
   versions : version array;
   verify_lir : bool;
@@ -229,9 +228,7 @@ and ensure_ftl t fid =
     c
 
 and exec t c ~tier ~this ~args =
-  match t.engine with
-  | Engine.Decoded -> Decoded.exec_func t.env c ~tier ~this ~args
-  | Engine.Threaded -> Threaded.exec_func t.env c ~tier ~this ~args
+  Threaded.exec_func t.env c ~exact:(t.engine = Engine.Decoded) ~tier ~this ~args
 
 and dispatch t ~fid ~this ~args =
   let fp = Feedback.func_profile t.profile fid in

@@ -38,10 +38,10 @@ val create :
   t
 (** Build a VM over a compiled program.  [fuel] bounds total interpreter
     ops / LIR instructions executed ([Instance.Out_of_fuel] past it) —
-    the daemon's defence against runaway requests.  [engine] selects which
-    execution engine runs DFG/FTL-compiled code (default
-    [Engine.Threaded]); both engines are metric-identical, so the choice
-    only affects wall-clock speed.  [shared] binds the VM to an agent on a
+    the daemon's defence against runaway requests.  [engine] selects the
+    mode DFG/FTL-compiled code runs in (default [Engine.Threaded], the
+    fused mode; [Engine.Decoded] is the exact reference mode); both modes
+    are metric-identical, so the choice only affects wall-clock speed.  [shared] binds the VM to an agent on a
     communal shared segment (multi-agent runtime, DESIGN.md §16); by
     default the VM gets a private solo agent so [Shared]/[Atomics] still
     work, tier-invariantly, in single-agent runs. *)
@@ -79,7 +79,7 @@ val instance : t -> Nomap_interp.Instance.t
 val counters : t -> Nomap_machine.Counters.t
 
 val engine : t -> Nomap_machine.Engine.kind
-(** The execution engine this VM was created with. *)
+(** The engine mode this VM was created with. *)
 
 val agent : t -> Nomap_shared.Agent.t
 (** The VM's shared-segment agent (solo unless [create ~shared] bound it

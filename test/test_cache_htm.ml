@@ -1,7 +1,6 @@
-(** Cache-model and HTM unit tests. *)
+(** Footprint-model and HTM unit tests. *)
 
 module Footprint = Nomap_cache.Footprint
-module Cache = Nomap_cache.Cache
 module Htm = Nomap_htm.Htm
 module Heap = Nomap_runtime.Heap
 module Value = Nomap_runtime.Value
@@ -33,30 +32,6 @@ let test_footprint_scaled_geometry () =
   let scaled = Footprint.l1d ~scale:8 () in
   Alcotest.(check int) "full sets" 64 full.Footprint.sets;
   Alcotest.(check int) "scaled sets" 8 scaled.Footprint.sets
-
-let test_cache_lru () =
-  let c = Cache.create ~size_bytes:(2 * 64 * 2) ~ways:2 ~line_bytes:64 in
-  (* 2 sets, 2 ways. Lines 0, 2, 4 all map to set 0. *)
-  Alcotest.(check bool) "cold miss" false (Cache.access c 0);
-  Alcotest.(check bool) "hit" true (Cache.access c 0);
-  ignore (Cache.access c (2 * 64));
-  (* line 2 *)
-  ignore (Cache.access c (4 * 64));
-  (* line 4 evicts line 0 (LRU) *)
-  Alcotest.(check bool) "line 0 evicted" false (Cache.access c 0);
-  Alcotest.(check bool) "line 4 still present" true (Cache.access c (4 * 64))
-
-let test_cache_miss_rate () =
-  let c = Cache.l1d () in
-  Cache.reset c;
-  for i = 0 to 99 do
-    ignore (Cache.access c (i * 64))
-  done;
-  Alcotest.(check (float 1e-9)) "all cold misses" 1.0 (Cache.miss_rate c);
-  for i = 0 to 99 do
-    ignore (Cache.access c (i * 64))
-  done;
-  Alcotest.(check (float 1e-9)) "half hits now" 0.5 (Cache.miss_rate c)
 
 let test_htm_commit_keeps_writes () =
   let heap = Heap.create () in
@@ -293,8 +268,6 @@ let tests =
     Alcotest.test_case "footprint associativity overflow" `Quick
       test_footprint_associativity_overflow;
     Alcotest.test_case "footprint scaled geometry" `Quick test_footprint_scaled_geometry;
-    Alcotest.test_case "cache LRU" `Quick test_cache_lru;
-    Alcotest.test_case "cache miss rate" `Quick test_cache_miss_rate;
     Alcotest.test_case "htm commit keeps writes" `Quick test_htm_commit_keeps_writes;
     Alcotest.test_case "htm rollback restores" `Quick test_htm_rollback_restores;
     Alcotest.test_case "htm write footprint" `Quick test_htm_write_footprint_tracked;

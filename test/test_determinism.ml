@@ -5,12 +5,14 @@
     number of benchmark calls) must reproduce the committed golden counter
     table bit-for-bit: instruction categories, executed checks, cycles
     (hex-float, so exact), commits/aborts with reason breakdown, and the
-    Table IV write-set statistics.  Any change to simulated metrics — an
-    optimization of the simulator that is supposed to be
+    Table IV write-set statistics.  Both engine modes must match it: the
+    fused default and the exact reference.  Any change to simulated
+    metrics — an optimization of the simulator that is supposed to be
     observation-preserving, or an accidental cost-model change — shows up
-    here as a one-line diff naming the workload and architecture.
+    here as a one-line diff naming the mode, workload and architecture.
 
-    Regenerate after an *intentional* metric change with:
+    Regenerate (from the default mode) after an *intentional* metric
+    change with:
       NOMAP_UPDATE_GOLDEN=$PWD/test/determinism.expected dune exec \
         test/test_main.exe -- test determinism *)
 
@@ -18,6 +20,7 @@ module Registry = Nomap_workloads.Registry
 module Config = Nomap_nomap.Config
 module Counters = Nomap_machine.Counters
 module Vm = Nomap_vm.Vm
+module Engine = Nomap_machine.Engine
 module Scheduler = Nomap_harness.Scheduler
 
 (* Domains used for the sweep.  Settable with `-j N` on the test binary
@@ -42,10 +45,10 @@ let golden_file () =
 
 let canonical = Counters.to_canonical_string
 
-let run_one bench arch =
+let run_one ?engine bench arch =
   let prog = Registry.compile bench in
   let vm =
-    Vm.create ~fuel:2_000_000_000 ~thresholds ~config:(Config.create arch)
+    Vm.create ~fuel:2_000_000_000 ~thresholds ?engine ~config:(Config.create arch)
       ~tier_cap:Vm.Cap_ftl prog
   in
   ignore (Vm.run_main vm);
@@ -56,9 +59,9 @@ let run_one bench arch =
 
 (* Each (bench, arch) run is an independent single-domain VM, so the sweep
    fans out across domains; order is preserved by [parallel_map]. *)
-let compute_table ?(jobs = 1) () =
+let compute_table ?(jobs = 1) ?engine () =
   Scheduler.parallel_map ~jobs
-    (fun (bench, arch) -> run_one bench arch)
+    (fun (bench, arch) -> run_one ?engine bench arch)
     (List.concat_map
        (fun bench -> List.map (fun arch -> (bench, arch)) Config.all)
        Registry.all)
@@ -76,26 +79,31 @@ let read_lines path =
 
 let golden_lines () = Option.map read_lines (golden_file ())
 
-let check_against_golden table =
+let check_against_golden ?(label = "") table =
   match golden_lines () with
   | None -> Alcotest.fail "missing golden table determinism.expected"
   | Some golden ->
-    Alcotest.(check int) "runs covered" (List.length golden) (List.length table);
+    Alcotest.(check int) (label ^ "runs covered") (List.length golden) (List.length table);
     List.iter2
       (fun expected got ->
         let name = String.sub got 0 (String.index got ' ') in
-        Alcotest.(check string) name expected got)
+        Alcotest.(check string) (label ^ name) expected got)
       golden table
 
 let test_counter_determinism () =
-  let table = compute_table ~jobs:!jobs () in
   match Sys.getenv_opt "NOMAP_UPDATE_GOLDEN" with
   | Some path ->
+    let table = compute_table ~jobs:!jobs () in
     let oc = open_out path in
     List.iter (fun l -> output_string oc (l ^ "\n")) table;
     close_out oc;
     Printf.printf "wrote %d golden lines to %s\n" (List.length table) path
-  | None -> check_against_golden table
+  | None ->
+    List.iter
+      (fun engine ->
+        check_against_golden ~label:(Engine.name engine ^ " ")
+          (compute_table ~jobs:!jobs ~engine ()))
+      Engine.all
 
 let tests =
   [ Alcotest.test_case "counters bit-identical across workloads x archs" `Slow

@@ -1,17 +1,19 @@
-(** Engine equivalence: the closure-threaded engine must be observationally
-    identical to the decoded reference engine — same results, same heap,
-    and a bit-identical counter table — at every tier and architecture.
+(** Engine equivalence: the threaded engine's fused mode must be
+    observationally identical to its exact reference mode — same results,
+    same heap, and a bit-identical counter table — at every tier and
+    architecture.
 
     Three layers:
-    - the pinned fuzz corpus through both engines across the optimizing
-      tier × architecture matrix (plus the sub-DFG tiers, where the engine
+    - the pinned fuzz corpus through both modes across the optimizing
+      tier × architecture matrix (plus the sub-DFG tiers, where the mode
       choice must be inert);
-    - hand-built edge-case kernels hitting the paths where the threaded
-      engine's deferred accounting must reconcile exactly, or where it
+    - hand-built edge-case kernels hitting the paths where the fused
+      mode's deferred accounting must reconcile exactly, or where it
       departs from the reference's data layout: phi-heavy loops (a swap, a
       cyclic rotation through the staging buffer, an in-order shift chain
       without it), mid-segment deopts, SOF overflow aborts, an overflow
-      followed by a clean activation, chunked transactions;
+      followed by clean activations that must neither deopt nor abort,
+      chunked transactions;
     - a hand-built LIR function whose body is one elided run, proving the
       fused superinstruction charges exactly zero simulated cost (the
       terminator's single instruction is all that may appear). *)
@@ -112,7 +114,7 @@ let phi_kernel =
    = 0; for (it = 0; it < 20; it++) { result = benchmark(); }"
 
 (* Mid-segment deopt: inner() is int-specialized, then fed a double — the
-   Check_int sits inside a straight-line run, so the threaded engine must
+   Check_int sits inside a straight-line run, so the fused mode must
    reconcile the exact charged prefix when it fires. *)
 let deopt_kernel =
   "function inner(x) { return x * 3 + 1; } function bench(d) { var s = 0; for (var i = 0; \
@@ -135,16 +137,16 @@ let chunked_kernel =
    benchmark(); }"
 
 (* Three-way rotation: the back edge copies a <- b, b <- c, c <- a, a
-   cycle no copy order gets right, so the threaded engine stages it
-   through the scratch buffer. *)
+   cycle no copy order gets right, so the fused mode stages it through
+   the scratch buffer. *)
 let rotate_kernel =
   "function benchmark() { var a = 1; var b = 2; var c = 3; var s = 0; for (var i = 0; i < \
    40; i++) { var t = a; a = b; b = c; c = t; s = (s * 3 + a - c) & 0xFFFFF; } return s; } \
    var it; var result = 0; for (it = 0; it < 20; it++) { result = benchmark(); }"
 
 (* Shift chain: a = b; b = c; c = next.  Acyclic, and exact when copied in
-   group order (b is read before it is overwritten), so the threaded
-   engine copies it without the buffer; the reverse order would not be. *)
+   group order (b is read before it is overwritten), so the fused mode
+   copies it without the buffer; the reverse order would not be. *)
 let shift_kernel =
   "function benchmark() { var a = 1; var b = 2; var c = 3; var s = 0; for (var i = 0; i < \
    40; i++) { a = b; b = c; c = (i * 7 + s) & 0xFFFF; s = (s + a - b + c) & 0xFFFFF; } \
@@ -152,12 +154,9 @@ let shift_kernel =
    benchmark(); }"
 
 (* One FTL activation of bench overflows (deopt, or an abort inside a
-   transaction); the next call runs the same code in a fresh activation,
+   transaction); the next calls run the same code in fresh activations,
    which must not see the previous activation's overflow flags. *)
-let overflow_once_kernel =
-  "function bench(start) { var x = start; for (var i = 0; i < 30; i++) { x = x + 7; } \
-   return x; } var it; var result = 0; for (it = 0; it < 40; it++) { result = bench(it); \
-   } result = bench(2147483640); result = bench(5) + bench(9);"
+let overflow_once_kernel = sof_kernel ^ " result = bench(5) + bench(9);"
 
 let test_phi_loop () = check_matrix ~name:"phi loop" phi_kernel
 
@@ -198,7 +197,29 @@ let test_phi_shift_chain () =
     (List.exists (fun e -> (not e.D.staged) && order_sensitive e) edges);
   check_matrix ~name:"phi shift chain" shift_kernel
 
-let test_overflow_once () = check_matrix ~name:"overflow once" overflow_once_kernel
+(* Both modes could share a stale-flag bug and still agree, so the clean
+   calls after the overflow are also pinned directly: no deopt, no abort. *)
+let test_overflow_once () =
+  check_matrix ~name:"overflow once" overflow_once_kernel;
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun arch ->
+          let prog = Nomap_bytecode.Compile.compile_source sof_kernel in
+          let vm =
+            Vm.create ~fuel:500_000_000 ~thresholds ~engine ~config:(Config.create arch)
+              ~tier_cap:Vm.Cap_ftl prog
+          in
+          ignore (Vm.run_main vm);
+          let before = Counters.copy (Vm.counters vm) in
+          ignore (Vm.call_function vm "bench" [ Value.Int 5 ]);
+          ignore (Vm.call_function vm "bench" [ Value.Int 9 ]);
+          let d = Counters.diff ~now:(Vm.counters vm) ~before in
+          let label s = Printf.sprintf "%s/%s: %s" (Engine.name engine) (Config.name arch) s in
+          Alcotest.(check int) (label "deopts") 0 d.Counters.deopts;
+          Alcotest.(check int) (label "tx_aborts") 0 d.Counters.tx_aborts)
+        Config.all)
+    Engine.all
 
 let edge_archs =
   [ Config.Base; Config.NoMap_full; Config.NoMap_BC; Config.NoMap_RTM; Config.NoMap_RTM_STM ]
@@ -252,7 +273,7 @@ let run_cold ~arch src =
   (result, Nomap_vm.Heap_checksum.checksum (Vm.instance vm), Vm.counters vm, Vm.tx_demotions vm)
 
 let test_hybrid_overflow () =
-  (* Both engines agree on the overflowing kernel under both RTM archs. *)
+  (* Both modes agree on the overflowing kernel under both RTM archs. *)
   List.iter
     (fun arch -> check_equiv ~name:"spray" ~tier:Vm.Cap_ftl ~arch spray_kernel)
     [ Config.NoMap_RTM; Config.NoMap_RTM_STM ];
@@ -288,10 +309,10 @@ let test_hybrid_fit_identical () =
 
 (* Hand-build an FTL LIR function whose whole body is an elided Iadd chain:
    b0: v0 = Const 7; v1 = v0+v0; ... v5 = v4+v4; Ret v5, every body
-   instruction marked elided.  Both engines must execute it for exactly
-   one simulated instruction (the terminator), one terminator's worth of
-   cycles, and zero checks — the threaded engine runs the body as a single
-   fused zero-cost superinstruction. *)
+   instruction marked elided.  Both modes must execute it for exactly one
+   simulated instruction (the terminator), one terminator's worth of
+   cycles, and zero checks — the fused mode runs the body as a single
+   zero-cost superinstruction. *)
 let build_elided_chain () =
   let f = L.create_func ~fid:0 in
   let b = L.new_block f in
@@ -327,13 +348,8 @@ let exec_raw ~engine compiled =
       ()
   in
   let result =
-    match engine with
-    | Engine.Decoded ->
-      Nomap_machine.Decoded.exec_func env compiled ~tier:Machine.Ftl ~this:Value.Undef
-        ~args:[]
-    | Engine.Threaded ->
-      Nomap_machine.Threaded.exec_func env compiled ~tier:Machine.Ftl ~this:Value.Undef
-        ~args:[]
+    Nomap_machine.Threaded.exec_func env compiled ~exact:(engine = Engine.Decoded)
+      ~tier:Machine.Ftl ~this:Value.Undef ~args:[]
   in
   (result, counters)
 
@@ -341,7 +357,7 @@ let test_elided_run_is_free () =
   List.iter
     (fun engine ->
       let name s = Engine.name engine ^ ": " ^ s in
-      (* Fresh compiled record per engine so each compiles from scratch. *)
+      (* Fresh compiled record per mode so each compiles from scratch. *)
       let r, c = exec_raw ~engine (build_elided_chain ()) in
       Alcotest.(check string) (name "result") "224" (Value.to_js_string r);
       Alcotest.(check int) (name "only the terminator charged") 1 (Counters.total_instrs c);
@@ -350,7 +366,7 @@ let test_elided_run_is_free () =
         Timing.cpi_ftl (Counters.cycles c);
       Alcotest.(check int) (name "zero checks") 0 (Counters.total_checks c))
     Engine.all;
-  (* And the two engines' full canonical tables match bit-for-bit. *)
+  (* And the two modes' full canonical tables match bit-for-bit. *)
   let _, cd = exec_raw ~engine:Engine.Decoded (build_elided_chain ()) in
   let _, ct = exec_raw ~engine:Engine.Threaded (build_elided_chain ()) in
   Alcotest.(check string) "canonical tables identical"
