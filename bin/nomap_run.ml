@@ -2,7 +2,8 @@
 
     The downstream-user tool: run any .js file under any architecture
     ([Config.all], listed by [--help]) and any tier cap, and get execution
-    statistics, bytecode disassembly, or optimized-LIR dumps.
+    statistics, bytecode disassembly, or optimized-LIR dumps with their
+    register layout.
 
     Examples:
       nomap_run prog.js
@@ -98,7 +99,9 @@ let run file arch_name tier_name engine_name show_stats disasm dump_lir iteratio
     | Some f -> (
       match Vm.ftl_code vm f.Nomap_bytecode.Opcode.fid with
       | Some c ->
-        print_endline (Nomap_lir.Printer.func_to_string c.Nomap_tiers.Specialize.lir)
+        print_endline (Nomap_lir.Printer.func_to_string c.Nomap_tiers.Specialize.lir);
+        print_string
+          (Nomap_lir.Decode.layout_to_string (Nomap_machine.Machine.decoded c).Nomap_lir.Decode.layout)
       | None ->
         Printf.eprintf "%s never reached the FTL tier (call it more, or raise --iterations)\n"
           name))
@@ -155,7 +158,9 @@ let disasm = Arg.(value & flag & info [ "disasm" ] ~doc:"Print bytecode disassem
 
 let dump_lir =
   Arg.(value & opt (some string) None & info [ "dump-lir" ] ~docv:"FUNC"
-    ~doc:"Dump the optimized FTL LIR of a function after the run.")
+    ~doc:"Dump the optimized FTL LIR of a function after the run, then its register \
+      layout: the size of the int and boxed register files and each value's \
+      representation and slot.")
 
 let iterations =
   Arg.(value & opt int 40 & info [ "iterations"; "n" ] ~docv:"N"

@@ -49,16 +49,8 @@ let create ~sets ~ways ~line_bytes =
     the set count: the workloads are scaled down from the originals, so the
     experiments scale the modeled HTM capacity equally to keep the paper's
     footprint/capacity ratios (see DESIGN.md). *)
-let l1d ?(scale = 1) () = create ~sets:(max 1 (32 * 1024 / 64 / 8 / scale)) ~ways:8 ~line_bytes:64
-let l2 ?(scale = 1) () = create ~sets:(max 1 (256 * 1024 / 64 / 8 / scale)) ~ways:8 ~line_bytes:64
-
-let clear t =
-  Array.fill t.counts 0 t.sets 0;
-  t.table <- Array.make initial_slots empty;
-  t.lines <- 0;
-  t.max_ways <- 0;
-  t.last_line <- empty;
-  t.overflowed <- false
+let l1d ?(scale = 1) () = create ~sets:(Int.max 1 (32 * 1024 / 64 / 8 / scale)) ~ways:8 ~line_bytes:64
+let l2 ?(scale = 1) () = create ~sets:(Int.max 1 (256 * 1024 / 64 / 8 / scale)) ~ways:8 ~line_bytes:64
 
 (* Fibonacci hashing: strided line numbers (one line per set, say) would
    cluster under the identity. *)
@@ -101,7 +93,7 @@ let record t line =
     footprint still fits (every touched set needs <= ways lines). *)
 let touch t ~addr ~bytes =
   let first = addr / t.line_bytes in
-  let last = (addr + max 1 bytes - 1) / t.line_bytes in
+  let last = (addr + Int.max 1 bytes - 1) / t.line_bytes in
   for line = first to last do
     if line <> t.last_line then record t line
   done;

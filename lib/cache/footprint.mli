@@ -30,8 +30,6 @@ val l1d : ?scale:int -> unit -> t
 (** Skylake L2 (256KB, 8-way, 64B lines). *)
 val l2 : ?scale:int -> unit -> t
 
-val clear : t -> unit
-
 (** Record an access to [addr >= 0]; [false] once any set exceeds its ways
     (sticky).  Lines keep being recorded after an overflow, so [bytes] and
     [max_ways] stay exact for a transaction that carries on in software. *)

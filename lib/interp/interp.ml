@@ -446,7 +446,7 @@ let rec fill_params regs nparams i = function
 (** Fresh frame for calling [fid]: this in r0, params from r1, rest undefined. *)
 let make_frame inst ~fid ~this ~args =
   let f = Instance.func inst fid in
-  let regs = Array.make (max 1 f.Opcode.nregs) Value.Undef in
+  let regs = Array.make (Int.max 1 f.Opcode.nregs) Value.Undef in
   regs.(0) <- this;
   fill_params regs f.Opcode.nparams 0 args;
   regs

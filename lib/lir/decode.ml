@@ -11,7 +11,9 @@
     - the block-leading phi group as one [phi_edge] per incoming edge — the
       (destination, source) pairs that edge copies, in parallel-assignment
       order;
-    - the terminator by value.
+    - the terminator by value;
+    - the register layout ([layout]): each value's representation (int32,
+      boolean or boxed) and its dense slot in the matching register file.
 
     Semantics are bit-identical to direct interpretation: phis and [Nop]s
     never burned fuel, ticked transactions, or charged cycles, so dropping
@@ -65,14 +67,36 @@ type dblock = {
   dterm : Lir.terminator;
 }
 
+(** A value's representation in the engine's typed register files. *)
+type rep =
+  | Int32  (** always a [Value.Int]: kept unboxed in the int file *)
+  | Boolean  (** always a [Value.Bool]: kept in the int file as 0/1 *)
+  | Boxed  (** anything else: a [Value.t] in the boxed file *)
+
+type layout = {
+  rep : rep array;  (** per value id *)
+  slot : int array;
+      (** per value id: its index into the int file ([Int32] and
+          [Boolean]) or the boxed file; -1 for a value nothing reads or
+          writes *)
+  n_int : int;  (** int file size *)
+  n_boxed : int;  (** boxed file size *)
+  int_sink : int;
+  boxed_sink : int;
+      (** the slot every written-but-never-read value of that file shares,
+          or -1 if there is none *)
+}
+
 type t = {
-  nvalues : int;  (** size of the SSA value space (register file to allocate) *)
+  nvalues : int;  (** size of the SSA value id space *)
   entry : int;
   dblocks : dblock array;
+  layout : layout;
   scratch : Value.t array;
       (** phi-copy staging buffer, sized to the largest phi group.  Safe to
           share across (re-entrant) activations: the read and write phases
           of a parallel copy complete without any intervening call. *)
+  iscratch : int array;  (** the same, for copies between int-file slots *)
 }
 
 (** Whether an edge's copies must go through the staging buffer: the
@@ -178,6 +202,179 @@ let pure_kind = function
 
 let no_args = [||]
 
+(* ------------------------------------------------------------------ *)
+(* Register layout *)
+
+(** The representation a kind's result always has, or [None] when it
+    depends on other values ([Phi], and the checks that pass their operand
+    through).  Every [Int32] kind produces a [Value.Int] in every path,
+    every [Boolean] kind a [Value.Bool].  [Ushr] stays boxed: its result
+    can exceed 2^31-1. *)
+let kind_rep = function
+  | Lir.Iadd _ | Lir.Isub _ | Lir.Imul _ | Lir.Ineg _ | Lir.Iadd_wrap _ | Lir.Isub_wrap _
+  | Lir.Band _ | Lir.Bor _ | Lir.Bxor _ | Lir.Bnot _ | Lir.Shl _ | Lir.Shr _
+  | Lir.Load_length _ | Lir.Str_length _ | Lir.Load_char_code _ | Lir.Check_int _
+  | Lir.Check_bounds _ | Lir.Check_str_bounds _ | Lir.Check_not_hole _
+  | Lir.Const (Value.Int _) ->
+    Some Int32
+  | Lir.Cmp _ | Lir.Not _ | Lir.Const (Value.Bool _) -> Some Boolean
+  | Lir.Phi _ | Lir.Check_overflow _ | Lir.Check_cond _ | Lir.Check_number _ -> None
+  | _ -> Some Boxed
+
+(** Kinds whose engine closure writes no register. *)
+let writes_result = function
+  | Lir.Nop | Lir.Store_slot _ | Lir.Store_transition _ | Lir.Store_elem _
+  | Lir.Store_global _ | Lir.Tx_begin _ | Lir.Tx_end ->
+    false
+  | _ -> true
+
+(** Every value id the engine may read while executing [k]: its operands
+    and the live map of its exit (of either kind: an abort exit with no
+    live transaction deopts) or transaction snapshot. *)
+let reads k =
+  let live (smp : Lir.smp) = List.map snd smp.Lir.live in
+  Lir.uses k
+  @
+  match (Lir.exit_of k, k) with
+  | Some e, _ -> live e.Lir.smp
+  | None, Lir.Tx_begin smp -> live smp
+  | None, _ -> []
+
+(** Assign every value a representation and a dense slot in its file.
+
+    A value no executed instruction writes is [Boxed], so a read of it
+    still sees the file's initial [Undef].  A phi is [Int32] (or
+    [Boolean]) only if every input is; the pass-through checks take their
+    operand's representation ([Check_number] only [Int32]'s).  An
+    optimistic fixpoint decides these: unknown inputs are ignored until
+    nothing changes, then whatever is still unknown becomes [Boxed] and the
+    fixpoint runs again.  Only values something reads get a slot of their
+    own; the written-but-unread values of a file share one sink slot. *)
+let layout ~nvalues (dblocks : dblock array) : layout =
+  let n = nvalues in
+  (* 0 unknown, 1 Int32, 2 Boolean, 3 Boxed: a join semilattice. *)
+  let code = Array.make n 3 in
+  let deps = ref [] in
+  let define v k =
+    match kind_rep k with
+    | Some Int32 -> code.(v) <- 1
+    | Some Boolean -> code.(v) <- 2
+    | Some Boxed -> code.(v) <- 3
+    | None ->
+      code.(v) <- 0;
+      deps := (v, k) :: !deps
+  in
+  let phi_ins = Hashtbl.create 16 in
+  Array.iter
+    (fun b ->
+      Array.iter
+        (fun e ->
+          Array.iteri
+            (fun i d ->
+              if not (Hashtbl.mem phi_ins d) then define d (Lir.Phi []);
+              Hashtbl.replace phi_ins d
+                (e.srcs.(i) :: Option.value ~default:[] (Hashtbl.find_opt phi_ins d)))
+            e.dsts)
+        b.phi_edges;
+      Array.iter (fun di -> if writes_result di.kind then define di.id di.kind) b.body)
+    dblocks;
+  let join x y = if x = 0 then y else if y = 0 || x = y then x else 3 in
+  let eval (v, k) =
+    match k with
+    | Lir.Phi _ ->
+      List.fold_left (fun acc s -> join acc code.(s)) 0
+        (Option.value ~default:[] (Hashtbl.find_opt phi_ins v))
+    | Lir.Check_number (a, _) -> if code.(a) <= 1 then code.(a) else 3
+    | Lir.Check_overflow (a, _) | Lir.Check_cond (a, _, _) -> code.(a)
+    | _ -> 3
+  in
+  let rec settle () =
+    let changed = ref false in
+    List.iter
+      (fun ((v, _) as dep) ->
+        let c = eval dep in
+        if c <> code.(v) then begin
+          code.(v) <- c;
+          changed := true
+        end)
+      !deps;
+    if !changed then settle ()
+    else if List.exists (fun (v, _) -> code.(v) = 0) !deps then begin
+      List.iter (fun (v, _) -> if code.(v) = 0 then code.(v) <- 3) !deps;
+      settle ()
+    end
+  in
+  settle ();
+  let rep = Array.map (function 1 -> Int32 | 2 -> Boolean | _ -> Boxed) code in
+  let read = Array.make n false in
+  let written = Array.make n false in
+  let mark v = read.(v) <- true in
+  Array.iter
+    (fun b ->
+      Array.iter
+        (fun e ->
+          Array.iter mark e.srcs;
+          Array.iter (fun d -> written.(d) <- true) e.dsts)
+        b.phi_edges;
+      Array.iter
+        (fun di ->
+          List.iter mark (reads di.kind);
+          if writes_result di.kind then written.(di.id) <- true)
+        b.body;
+      match b.dterm with
+      | Lir.Br (c, _, _) -> mark c
+      | Lir.Ret (Some r) -> mark r
+      | Lir.Jump _ | Lir.Ret None | Lir.Unreachable -> ())
+    dblocks;
+  let slot = Array.make n (-1) in
+  let n_int = ref 0 and n_boxed = ref 0 in
+  let next r = match r with Boxed -> n_boxed | Int32 | Boolean -> n_int in
+  let take r =
+    let c = next r in
+    incr c;
+    !c - 1
+  in
+  Array.iteri (fun v r -> if read.(v) then slot.(v) <- take r) rep;
+  let int_sink = ref (-1) and boxed_sink = ref (-1) in
+  Array.iteri
+    (fun v r ->
+      if written.(v) && not read.(v) then begin
+        let sink = match r with Boxed -> boxed_sink | Int32 | Boolean -> int_sink in
+        if !sink < 0 then sink := take r;
+        slot.(v) <- !sink
+      end)
+    rep;
+  {
+    rep;
+    slot;
+    n_int = !n_int;
+    n_boxed = !n_boxed;
+    int_sink = !int_sink;
+    boxed_sink = !boxed_sink;
+  }
+
+let rep_name = function Int32 -> "int32" | Boolean -> "boolean" | Boxed -> "boxed"
+
+(** The register layout as text: the file sizes, then one line per value
+    with a slot, giving its representation and slot ("sink" marks the
+    shared slot of written-but-unread values). *)
+let layout_to_string (l : layout) =
+  let b = Buffer.create 256 in
+  Printf.bprintf b "register layout: int file %d slots, boxed file %d slots (%d value ids)\n"
+    l.n_int l.n_boxed (Array.length l.rep);
+  Array.iteri
+    (fun v s ->
+      if s >= 0 then begin
+        let r = l.rep.(v) in
+        let sink = if r = Boxed then l.boxed_sink else l.int_sink in
+        Printf.bprintf b "  v%d: %s %s[%d]%s\n" v (rep_name r)
+          (if r = Boxed then "boxed" else "int")
+          s
+          (if s = sink then " sink" else "")
+      end)
+    l.slot;
+  Buffer.contents b
+
 (** Sites that get a host inline cache. *)
 let ic_of = function
   | Lir.Call_runtime ((Lir.Rt_get_prop _ | Lir.Rt_set_prop _ | Lir.Rt_get_length), _, _)
@@ -214,7 +411,7 @@ let decode ~(cost : Lir.kind -> int) (f : Lir.func) : t =
           | [] -> (List.rev phis, [])
         in
         let phis, body_ids = split [] b.Lir.instrs in
-        max_phis := max !max_phis (List.length phis);
+        max_phis := Int.max !max_phis (List.length phis);
         (* One edge per predecessor appearing in any phi's input list. *)
         let preds =
           List.sort_uniq compare
@@ -260,9 +457,12 @@ let decode ~(cost : Lir.kind -> int) (f : Lir.func) : t =
         in
         { phi_edges; body; dterm = b.Lir.term })
   in
+  let nvalues = Nomap_util.Vec.length f.Lir.instrs in
   {
-    nvalues = Nomap_util.Vec.length f.Lir.instrs;
+    nvalues;
     entry = f.Lir.entry;
     dblocks;
-    scratch = Array.make (max 1 !max_phis) Value.Undef;
+    layout = layout ~nvalues dblocks;
+    scratch = Array.make (Int.max 1 !max_phis) Value.Undef;
+    iscratch = Array.make (Int.max 1 !max_phis) 0;
   }

@@ -178,7 +178,7 @@ let record_commit t ~write_kb ~assoc =
   f.tx_write_kb_sum <- f.tx_write_kb_sum +. write_kb;
   f.tx_write_kb_max <- Float.max f.tx_write_kb_max write_kb;
   f.tx_assoc_sum <- f.tx_assoc_sum +. float_of_int assoc;
-  t.tx_assoc_max <- max t.tx_assoc_max assoc
+  t.tx_assoc_max <- Int.max t.tx_assoc_max assoc
 
 (** Instruction-category fractions of the total. *)
 let category_fraction t cat =

@@ -163,12 +163,12 @@ let[@inline] as_num = function
   | v -> Value.to_number v
 
 (** The engine-independent half of an int32 overflow (arithmetic or
-    [Ineg]): sets the transaction's SOF and materializes the wrapped value.
+    [Ineg]): sets the transaction's SOF and returns the wrapped value.
     The caller also marks the result's overflow flag for its
     [Check_overflow]. *)
-let overflow_value env raw =
+let overflow_int env raw =
   (match env.tx with Some tx when env.sof_enabled -> tx.Htm.sof <- true | _ -> ());
-  Value.int_ (wrap_int32 raw)
+  wrap_int32 raw
 
 (** RTM transactional reads are ~20% slower (paper §VI-B).  The HTM load
     hook counts every in-transaction read in [tx.reads]; the penalty is
@@ -272,18 +272,6 @@ let as_obj = function Value.Obj o -> Some o | _ -> None
 (* Hot-path helpers, hoisted to the top level so executing a function
    allocates no closures per instruction (they used to be rebuilt on every
    call).  All take the per-activation state they touch explicitly. *)
-
-let materialize (values : Value.t array) live =
-  List.map (fun (r, v) -> (r, Hot.get values v)) live
-
-(* A failing check: Deopt outside any real transaction OSR-exits; inside a
-   transaction any failure is an abort (Deopt there is irrevocable).  An
-   Abort exit with no live transaction is only possible if a pass
-   mis-converted; treat it as a plain deopt to stay safe. *)
-let check_fail env (values : Value.t array) (e : L.exit) kind =
-  match env.tx with
-  | Some _ -> raise (Htm.Abort (Htm.Check_failed kind))
-  | None -> raise (Deopt_exit (e.L.smp.L.resume_pc, materialize values e.L.smp.L.live))
 
 (** Build a call's argument list from pre-resolved value ids. *)
 let arg_values (values : Value.t array) (ids : int array) =
@@ -432,8 +420,10 @@ let enter_call env ~tier =
   env.next_frame <- env.next_frame + 1;
   frame
 
-(** The [Tx_begin] semantics (cost/tick already charged by the engine). *)
-let exec_tx_begin env (values : Value.t array) ~frame (smp : L.smp) =
+(** The [Tx_begin] semantics (cost/tick already charged by the engine).
+    [snapshot] boxes the live map's values; it runs only when a hardware
+    or software transaction actually starts. *)
+let exec_tx_begin env ~(snapshot : unit -> (int * Value.t) list) ~frame (smp : L.smp) =
   match env.htm_mode with
   | Htm.Ghost ->
     if env.ghost_depth = 0 then env.ghost_owner <- frame;
@@ -442,7 +432,7 @@ let exec_tx_begin env (values : Value.t array) ~frame (smp : L.smp) =
     match env.tx with
     | Some tx -> tx.Htm.nesting <- tx.Htm.nesting + 1
     | None ->
-      let snapshot = materialize values smp.L.live in
+      let snapshot = snapshot () in
       let stm_fallback =
         (* The fallback callback does integer bookkeeping only (the averted
            abort's reason and count); every cycle charge waits for the
@@ -476,7 +466,7 @@ let exec_tx_begin env (values : Value.t array) ~frame (smp : L.smp) =
 let exec_tx_end env =
   match env.htm_mode with
   | Htm.Ghost ->
-    env.ghost_depth <- max 0 (env.ghost_depth - 1);
+    env.ghost_depth <- Int.max 0 (env.ghost_depth - 1);
     if env.ghost_depth = 0 then env.ghost_owner <- -1
   | Htm.Rot | Htm.Rtm | Htm.Stm -> (
     match env.tx with

@@ -65,6 +65,13 @@
     - phi edges whose in-order copy is already exact ([Decode.staged]
       false) copy pair by pair instead of staging.
 
+    {b Registers.}  Both modes share one register layout
+    ([Decode.layout]): int32 and boolean values live unboxed in an [int
+    array] file, the rest in a [Value.t array] file, each at a dense slot,
+    and a value is boxed only when it leaves for a generic consumer (a
+    heap or global store, a call, runtime or intrinsic argument, a return,
+    a deopt or transaction snapshot) — DESIGN.md §14.
+
     Batched fuel: a segment burns its fuel up front, so a program that
     runs out of fuel mid-segment dies a few instructions earlier than in
     exact mode.  [Out_of_fuel] is a crash, not an observation — the oracle
@@ -100,11 +107,16 @@ open Hot (* get/set: the audited unchecked register-file accessors *)
 (** Per-activation state threaded through every closure.  [next_block] is
     the driver's program counter; -1 means the function returned.  Each
     activation allocates its own state, so it lives in the minor heap and
-    register stores take the write barrier's young fast path. *)
+    boxed-register stores take the write barrier's young fast path.
+
+    The register file is split by representation ([Decode.layout]):
+    [Int32] and [Boolean] values live unboxed in [ints], everything else
+    in [vals], each indexed by the value's dense slot. *)
 type state = {
-  values : Value.t array;
+  ints : int array;  (** int32 values, and booleans as 0/1 *)
+  vals : Value.t array;
   mutable overflowed : bool array;
-      (** per-value overflow flags, allocated on the activation's first
+      (** per int slot overflow flags, allocated on the activation's first
           overflow; empty means "no value overflowed" *)
   this : Value.t;
   argv : Value.t array;
@@ -124,419 +136,593 @@ type code = state -> unit
 type tfunc = {
   t_entry : int;
   t_blocks : code array;  (** per-block entry closure (phis + body + term) *)
-  t_nvalues : int;
+  t_nint : int;  (** int file size *)
+  t_nboxed : int;  (** boxed file size *)
   t_tier : tier;
   t_exact : bool;  (** compiled in exact mode *)
 }
 
 type Specialize.artifact += Threaded_code of tfunc
 
+(* Operand reads, each at a representation and slot fixed at compile
+   time.  An unboxed operand is read straight from the int file: a
+   boolean's 0/1 is exactly its ToInt32 and ToNumber, and nonzero exactly
+   its truthiness. *)
+let[@inline] rd_int st (r : D.rep) s =
+  match r with D.Boxed -> as_int (get st.vals s) | D.Int32 | D.Boolean -> iget st.ints s
+
+let[@inline] rd_num st (r : D.rep) s =
+  match r with
+  | D.Boxed -> as_num (get st.vals s)
+  | D.Int32 | D.Boolean -> float_of_int (iget st.ints s)
+
+let[@inline] rd_truthy st (r : D.rep) s =
+  match r with
+  | D.Boxed -> Value.truthy (get st.vals s)
+  | D.Int32 | D.Boolean -> iget st.ints s <> 0
+
+(** The operand as a [Value.t], boxed for a generic consumer. *)
+let[@inline] rd_val st (r : D.rep) s =
+  match r with
+  | D.Boxed -> get st.vals s
+  | D.Int32 -> Value.int_ (iget st.ints s)
+  | D.Boolean -> Value.bool_ (iget st.ints s <> 0)
+
 (* Most activations never overflow, so the flags cost nothing until the
    first overflow allocates them. *)
-let mark_overflow st id =
+let mark_overflow st s =
   if Array.length st.overflowed = 0 then
-    st.overflowed <- Array.make (Array.length st.values) false;
-  set st.overflowed id true
+    st.overflowed <- Array.make (Array.length st.ints) false;
+  set st.overflowed s true
 
-let[@inline never] overflow_result env st id raw =
-  mark_overflow st id;
-  overflow_value env raw
+let[@inline never] overflow_result env st s raw =
+  mark_overflow st s;
+  overflow_int env raw
 
-(** An int32 arithmetic result; an overflow marks [id] for its
-    [Check_overflow] and goes through [Machine.overflow_value]. *)
-let[@inline] frame_int_result env st id raw =
-  if Value.fits_int32 raw then Value.int_ raw else overflow_result env st id raw
+(** An int32 arithmetic result for int slot [s]; an overflow marks [s] for
+    its [Check_overflow] and goes through [Machine.overflow_int]. *)
+let[@inline] int_result env st s raw =
+  if Value.fits_int32 raw then raw else overflow_result env st s raw
+
+(** A live map's values, boxed by their representation. *)
+let materialize st (lay : D.layout) (live : (int * int) list) =
+  List.map (fun (r, v) -> (r, rd_val st (get lay.D.rep v) (get lay.D.slot v))) live
+
+(** The array a call site's argument ids index: the boxed file itself
+    when every argument is boxed, else a fresh array of the arguments,
+    boxed (see [args_of]). *)
+let arg_file st = function
+  | None -> st.vals
+  | Some (reps, slots) ->
+    let n = Array.length slots in
+    let a = Array.make n Value.Undef in
+    for i = 0 to n - 1 do
+      set a i (rd_val st (get reps i) (get slots i))
+    done;
+    a
+
+(* Phi copy kinds, by (destination, source) representation: the analysis
+   makes a phi unboxed only when all its inputs share its representation,
+   so these four are all there are. *)
+let copy_int = 0
+let copy_boxed = 1
+let box_int = 2
+let box_bool = 3
+
+(** A phi edge resolved to slots: [kinds.(i)] says how [srcs.(i)] reaches
+    [dsts.(i)]. *)
+type tedge = {
+  e_pred : int;
+  kinds : int array;
+  dsts : int array;
+  srcs : int array;
+  staged : bool;
+}
 
 let compile_func env ~tier ~exact (d : D.t) : tfunc =
   let cpi = cpi_of tier in
   let inst = env.instance in
   let heap = inst.Instance.heap in
   let cnt = env.counters in
+  let lay = d.D.layout in
+  (* Every operand is read, and every result written, at its value's
+     representation and slot. *)
+  let opnd v = (lay.D.rep.(v), lay.D.slot.(v)) in
+  let unboxed v = lay.D.rep.(v) <> D.Boxed in
+  (* A failing check: Deopt outside any real transaction OSR-exits;
+     inside a transaction any failure is an abort (Deopt there is
+     irrevocable).  An Abort exit with no live transaction is only
+     possible if a pass mis-converted; treat it as a plain deopt to stay
+     safe. *)
+  let check_fail st (e : L.exit) kind =
+    match env.tx with
+    | Some _ -> raise (Htm.Abort (Htm.Check_failed kind))
+    | None -> raise (Deopt_exit (e.L.smp.L.resume_pc, materialize st lay e.L.smp.L.live))
+  in
+  (* A call site's arguments, as the ids into [arg_file] that
+     [Machine.arg_values]/[exec_runtime]/[eval_intrinsic] read. *)
+  let args_of (args : int array) =
+    let reps = Array.map (fun v -> lay.D.rep.(v)) args
+    and slots = Array.map (fun v -> lay.D.slot.(v)) args in
+    if Array.for_all (fun r -> r = D.Boxed) reps then (slots, None)
+    else (Array.init (Array.length args) Fun.id, Some (reps, slots))
+  in
   (* The semantics of one instruction, continuation-passing into [next].
      No accounting here — the caller bakes the charging protocol around
      it. *)
   let sem_only (di : D.dinstr) (next : code) : code =
     let v = di.D.id in
+    let sv = lay.D.slot.(v) in
     let el = di.D.elided in
     match di.D.kind with
     | L.Nop | L.Phi _ -> fun st -> next st
     | L.Param r ->
       if r = 0 then
         fun st ->
-          set st.values v st.this;
+          set st.vals sv st.this;
           next st
       else
         fun st ->
-          set st.values v
-            (if r - 1 < st.nargs then get st.argv (r - 1) else Value.Undef);
+          set st.vals sv (if r - 1 < st.nargs then get st.argv (r - 1) else Value.Undef);
           next st
-    | L.Const c ->
-      fun st ->
-        set st.values v c;
-        next st
+    | L.Const c -> (
+      match (lay.D.rep.(v), c) with
+      | D.Int32, Value.Int i ->
+        fun st ->
+          iset st.ints sv i;
+          next st
+      | D.Boolean, Value.Bool b ->
+        let i = Bool.to_int b in
+        fun st ->
+          iset st.ints sv i;
+          next st
+      | _ ->
+        fun st ->
+          set st.vals sv c;
+          next st)
     | L.Iadd (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (frame_int_result env st v (as_int (get st.values a) + as_int (get st.values b)));
+        iset st.ints sv (int_result env st sv (rd_int st ra sa + rd_int st rb sb));
         next st
     | L.Isub (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (frame_int_result env st v (as_int (get st.values a) - as_int (get st.values b)));
+        iset st.ints sv (int_result env st sv (rd_int st ra sa - rd_int st rb sb));
         next st
     | L.Iadd_wrap (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.int_ (wrap_int32 (as_int (get st.values a) + as_int (get st.values b))));
+        iset st.ints sv (wrap_int32 (rd_int st ra sa + rd_int st rb sb));
         next st
     | L.Isub_wrap (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.int_ (wrap_int32 (as_int (get st.values a) - as_int (get st.values b))));
+        iset st.ints sv (wrap_int32 (rd_int st ra sa - rd_int st rb sb));
         next st
     | L.Imul (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (frame_int_result env st v (as_int (get st.values a) * as_int (get st.values b)));
+        iset st.ints sv (int_result env st sv (rd_int st ra sa * rd_int st rb sb));
         next st
     | L.Ineg a ->
+      let ra, sa = opnd a in
       fun st ->
-        let x = as_int (get st.values a) in
+        let x = rd_int st ra sa in
         (* -0 and -int32_min are not int32-representable results. *)
         if x = 0 || x = Value.int32_min then begin
-          mark_overflow st v;
-          set st.values v (overflow_value env (-x))
+          mark_overflow st sv;
+          iset st.ints sv (overflow_int env (-x))
         end
-        else set st.values v (Value.int_ (-x));
+        else iset st.ints sv (-x);
         next st
     | L.Fadd (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.number (as_num (get st.values a) +. as_num (get st.values b)));
+        set st.vals sv (Value.number (rd_num st ra sa +. rd_num st rb sb));
         next st
     | L.Fsub (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.number (as_num (get st.values a) -. as_num (get st.values b)));
+        set st.vals sv (Value.number (rd_num st ra sa -. rd_num st rb sb));
         next st
     | L.Fmul (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.number (as_num (get st.values a) *. as_num (get st.values b)));
+        set st.vals sv (Value.number (rd_num st ra sa *. rd_num st rb sb));
         next st
     | L.Fdiv (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.number (as_num (get st.values a) /. as_num (get st.values b)));
+        set st.vals sv (Value.number (rd_num st ra sa /. rd_num st rb sb));
         next st
     | L.Fmod (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.number (Float.rem (as_num (get st.values a)) (as_num (get st.values b))));
+        set st.vals sv (Value.number (Float.rem (rd_num st ra sa) (rd_num st rb sb)));
         next st
     | L.Fneg a ->
+      let ra, sa = opnd a in
       fun st ->
-        set st.values v (Value.number (-.as_num (get st.values a)));
+        set st.vals sv (Value.number (-.rd_num st ra sa));
         next st
     | L.Band (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.int_ (wrap_int32 (as_int (get st.values a) land as_int (get st.values b))));
+        iset st.ints sv (wrap_int32 (rd_int st ra sa land rd_int st rb sb));
         next st
     | L.Bor (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.int_ (wrap_int32 (as_int (get st.values a) lor as_int (get st.values b))));
+        iset st.ints sv (wrap_int32 (rd_int st ra sa lor rd_int st rb sb));
         next st
     | L.Bxor (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.int_ (wrap_int32 (as_int (get st.values a) lxor as_int (get st.values b))));
+        iset st.ints sv (wrap_int32 (rd_int st ra sa lxor rd_int st rb sb));
         next st
     | L.Bnot a ->
+      let ra, sa = opnd a in
       fun st ->
-        set st.values v (Value.Int (wrap_int32 (lnot (as_int (get st.values a)))));
+        iset st.ints sv (wrap_int32 (lnot (rd_int st ra sa)));
         next st
     | L.Shl (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.int_
-             (wrap_int32 (as_int (get st.values a) lsl (as_int (get st.values b) land 31))));
+        iset st.ints sv (wrap_int32 (rd_int st ra sa lsl (rd_int st rb sb land 31)));
         next st
     | L.Shr (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v
-          (Value.int_ (as_int (get st.values a) asr (as_int (get st.values b) land 31)));
+        iset st.ints sv (rd_int st ra sa asr (rd_int st rb sb land 31));
         next st
     | L.Ushr (a, b) ->
+      let ra, sa = opnd a and rb, sb = opnd b in
       fun st ->
-        set st.values v (Ops.js_ushr (get st.values a) (get st.values b));
+        set st.vals sv (Ops.js_ushr (rd_val st ra sa) (rd_val st rb sb));
         next st
     (* One closure per comparator: the dispatch on [c] happens at compile
-       time and the float compare stays local (unboxed) in each body. *)
-    | L.Cmp (L.Ceq, a, b) ->
-      fun st ->
-        set st.values v
-          (Value.bool_ (as_num (get st.values a) = as_num (get st.values b)));
-        next st
-    | L.Cmp (L.Cne, a, b) ->
-      (* JS: NaN != anything is true *)
-      fun st ->
-        set st.values v
-          (Value.bool_ (as_num (get st.values a) <> as_num (get st.values b)));
-        next st
-    | L.Cmp (L.Clt, a, b) ->
-      fun st ->
-        set st.values v
-          (Value.bool_ (as_num (get st.values a) < as_num (get st.values b)));
-        next st
-    | L.Cmp (L.Cle, a, b) ->
-      fun st ->
-        set st.values v
-          (Value.bool_ (as_num (get st.values a) <= as_num (get st.values b)));
-        next st
-    | L.Cmp (L.Cgt, a, b) ->
-      fun st ->
-        set st.values v
-          (Value.bool_ (as_num (get st.values a) > as_num (get st.values b)));
-        next st
-    | L.Cmp (L.Cge, a, b) ->
-      fun st ->
-        set st.values v
-          (Value.bool_ (as_num (get st.values a) >= as_num (get st.values b)));
-        next st
+       time.  Two unboxed operands compare as ints, exactly as their
+       doubles would (every int32 converts exactly); otherwise the float
+       compare stays local (unboxed) in each body. *)
+    | L.Cmp (c, a, b) when unboxed a && unboxed b -> (
+      let _, sa = opnd a and _, sb = opnd b in
+      match c with
+      | L.Ceq ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (iget st.ints sa = iget st.ints sb));
+          next st
+      | L.Cne ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (iget st.ints sa <> iget st.ints sb));
+          next st
+      | L.Clt ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (iget st.ints sa < iget st.ints sb));
+          next st
+      | L.Cle ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (iget st.ints sa <= iget st.ints sb));
+          next st
+      | L.Cgt ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (iget st.ints sa > iget st.ints sb));
+          next st
+      | L.Cge ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (iget st.ints sa >= iget st.ints sb));
+          next st)
+    | L.Cmp (c, a, b) -> (
+      let ra, sa = opnd a and rb, sb = opnd b in
+      match c with
+      | L.Ceq ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (rd_num st ra sa = rd_num st rb sb));
+          next st
+      | L.Cne ->
+        (* JS: NaN != anything is true *)
+        fun st ->
+          iset st.ints sv (Bool.to_int (rd_num st ra sa <> rd_num st rb sb));
+          next st
+      | L.Clt ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (rd_num st ra sa < rd_num st rb sb));
+          next st
+      | L.Cle ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (rd_num st ra sa <= rd_num st rb sb));
+          next st
+      | L.Cgt ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (rd_num st ra sa > rd_num st rb sb));
+          next st
+      | L.Cge ->
+        fun st ->
+          iset st.ints sv (Bool.to_int (rd_num st ra sa >= rd_num st rb sb));
+          next st)
     | L.Not a ->
+      let ra, sa = opnd a in
       fun st ->
-        set st.values v (Value.bool_ (not (Value.truthy (get st.values a))));
+        iset st.ints sv (if rd_truthy st ra sa then 0 else 1);
         next st
     | L.Load_slot (o, slot) ->
+      let ro, so = opnd o in
       fun st ->
-        (match get st.values o with
+        (match rd_val st ro so with
         | Value.Obj obj when slot < Array.length obj.Value.slots ->
-          set st.values v (Heap.load_slot heap obj slot)
-        | _ -> set st.values v Value.Undef);
+          set st.vals sv (Heap.load_slot heap obj slot)
+        | _ -> set st.vals sv Value.Undef);
         next st
     | L.Store_slot (o, slot, x) ->
+      let ro, so = opnd o and rx, sx = opnd x in
       fun st ->
-        (match get st.values o with
+        (match rd_val st ro so with
         | Value.Obj obj when slot < Array.length obj.Value.slots ->
-          Heap.store_slot heap obj slot (get st.values x)
+          Heap.store_slot heap obj slot (rd_val st rx sx)
         | _ -> ());
         next st
     | L.Store_transition (o, name, slot, x) ->
       let ic = site_ic env di.D.ic in
+      let ro, so = opnd o and rx, sx = opnd x in
       fun st ->
-        (match get st.values o with
+        (match rd_val st ro so with
         | Value.Obj obj ->
           (* The guarding shape check ran just before; resolve the
              (memoized, site-cached) transition and install shape + value. *)
           let new_shape = Ic.transition heap ic obj name in
           if new_shape.Shape.prop_count - 1 = slot then
-            Heap.transition_store heap obj new_shape slot (get st.values x)
+            Heap.transition_store heap obj new_shape slot (rd_val st rx sx)
           else
             (* Shape drifted (possible only in a doomed transaction). *)
-            Heap.set_prop heap obj name (get st.values x)
+            Heap.set_prop heap obj name (rd_val st rx sx)
         | _ -> ());
         next st
     | L.Load_elem (a, i') ->
+      let ra, sa = opnd a and ri, si = opnd i' in
       fun st ->
-        (match get st.values a with
-        | Value.Arr arr ->
-          set st.values v (Heap.load_elem heap arr (as_int (get st.values i')))
-        | _ -> set st.values v Value.Undef);
+        (match rd_val st ra sa with
+        | Value.Arr arr -> set st.vals sv (Heap.load_elem heap arr (rd_int st ri si))
+        | _ -> set st.vals sv Value.Undef);
         next st
     | L.Store_elem (a, i', x) ->
+      let ra, sa = opnd a and ri, si = opnd i' and rx, sx = opnd x in
       fun st ->
-        (match get st.values a with
-        | Value.Arr arr ->
-          Heap.store_elem heap arr (as_int (get st.values i')) (get st.values x)
+        (match rd_val st ra sa with
+        | Value.Arr arr -> Heap.store_elem heap arr (rd_int st ri si) (rd_val st rx sx)
         | _ -> ());
         next st
     | L.Load_length a ->
+      let ra, sa = opnd a in
       fun st ->
-        (match get st.values a with
+        (match rd_val st ra sa with
         | Value.Arr arr ->
           Heap.note_load heap arr.Value.aaddr 8;
-          set st.values v (Value.int_ arr.Value.alen)
-        | _ -> set st.values v (Value.Int 0));
+          iset st.ints sv arr.Value.alen
+        | _ -> iset st.ints sv 0);
         next st
     | L.Str_length a ->
+      let ra, sa = opnd a in
       fun st ->
-        (match get st.values a with
-        | Value.Str s -> set st.values v (Value.int_ (String.length s.Value.sdata))
-        | _ -> set st.values v (Value.Int 0));
+        (match rd_val st ra sa with
+        | Value.Str s -> iset st.ints sv (String.length s.Value.sdata)
+        | _ -> iset st.ints sv 0);
         next st
     | L.Load_char_code (s, i') ->
+      let rs, ss = opnd s and ri, si = opnd i' in
       fun st ->
-        (match get st.values s with
-        | Value.Str str ->
-          set st.values v
-            (Value.int_ (Ops.string_char_code heap str (as_int (get st.values i'))))
-        | _ -> set st.values v (Value.Int 0));
+        (match rd_val st rs ss with
+        | Value.Str str -> iset st.ints sv (Ops.string_char_code heap str (rd_int st ri si))
+        | _ -> iset st.ints sv 0);
         next st
     | L.Load_global g ->
       fun st ->
-        set st.values v inst.Instance.globals.(g);
+        set st.vals sv inst.Instance.globals.(g);
         next st
     | L.Store_global (g, x) ->
+      let rx, sx = opnd x in
       fun st ->
-        inst.Instance.globals.(g) <- get st.values x;
+        inst.Instance.globals.(g) <- rd_val st rx sx;
         next st
     (* Elided checks (NoMap_BC) guard exactly as charged ones do, but
        model zero hardware instructions: no check-category count, no
        cache-visible load of the metadata they test. *)
-    | L.Check_int (a, e) ->
-      fun st ->
-        (match get st.values a with
-        | Value.Int _ ->
+    | L.Check_int (a, e) -> (
+      match opnd a with
+      | D.Int32, sa ->
+        fun st ->
           if not el then Counters.bump_check cnt ci_type;
-          set st.values v (get st.values a)
-        | _ -> check_fail env st.values e L.Type);
-        next st
-    | L.Check_number (a, e) ->
-      fun st ->
-        (match get st.values a with
-        | Value.Int _ | Value.Num _ ->
+          iset st.ints sv (iget st.ints sa);
+          next st
+      | ra, sa ->
+        fun st ->
+          (match rd_val st ra sa with
+          | Value.Int i ->
+            if not el then Counters.bump_check cnt ci_type;
+            iset st.ints sv i
+          | _ -> check_fail st e L.Type);
+          next st)
+    | L.Check_number (a, e) -> (
+      match opnd a with
+      | D.Int32, sa ->
+        fun st ->
           if not el then Counters.bump_check cnt ci_type;
-          set st.values v (get st.values a)
-        | _ -> check_fail env st.values e L.Type);
-        next st
+          iset st.ints sv (iget st.ints sa);
+          next st
+      | ra, sa ->
+        fun st ->
+          (match rd_val st ra sa with
+          | (Value.Int _ | Value.Num _) as x ->
+            if not el then Counters.bump_check cnt ci_type;
+            set st.vals sv x
+          | _ -> check_fail st e L.Type);
+          next st)
     | L.Check_string (a, e) ->
+      let ra, sa = opnd a in
       fun st ->
-        (match get st.values a with
-        | Value.Str _ ->
+        (match rd_val st ra sa with
+        | Value.Str _ as x ->
           if not el then Counters.bump_check cnt ci_type;
-          set st.values v (get st.values a)
-        | _ -> check_fail env st.values e L.Type);
+          set st.vals sv x
+        | _ -> check_fail st e L.Type);
         next st
     | L.Check_array (a, e) ->
+      let ra, sa = opnd a in
       fun st ->
-        (match get st.values a with
-        | Value.Arr _ ->
+        (match rd_val st ra sa with
+        | Value.Arr _ as x ->
           if not el then Counters.bump_check cnt ci_type;
-          set st.values v (get st.values a)
-        | _ -> check_fail env st.values e L.Type);
+          set st.vals sv x
+        | _ -> check_fail st e L.Type);
         next st
     | L.Check_shape (a, shape_id, e) ->
+      let ra, sa = opnd a in
       fun st ->
-        (match get st.values a with
-        | Value.Obj o when o.Value.shape.Shape.id = shape_id ->
+        (match rd_val st ra sa with
+        | Value.Obj o as x when o.Value.shape.Shape.id = shape_id ->
           if not el then begin
             Heap.note_load heap o.Value.oaddr 8;
             Counters.bump_check cnt ci_property
           end;
-          set st.values v (get st.values a)
-        | _ -> check_fail env st.values e L.Property);
+          set st.vals sv x
+        | _ -> check_fail st e L.Property);
         next st
     | L.Check_fun_eq (a, fid, e) ->
+      let ra, sa = opnd a in
       fun st ->
-        (match get st.values a with
-        | Value.Fun f when f = fid ->
+        (match rd_val st ra sa with
+        | Value.Fun f as x when f = fid ->
           if not el then Counters.bump_check cnt ci_path;
-          set st.values v (get st.values a)
-        | _ -> check_fail env st.values e L.Path);
+          set st.vals sv x
+        | _ -> check_fail st e L.Path);
         next st
     | L.Check_bounds (a, i', e) ->
+      let ra, sa = opnd a and ri, si = opnd i' in
       fun st ->
-        (let idx = as_int (get st.values i') in
-         match get st.values a with
+        (let idx = rd_int st ri si in
+         match rd_val st ra sa with
          | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
            if not el then begin
              Heap.note_load heap arr.Value.aaddr 8;
              Counters.bump_check cnt ci_bounds
            end;
-           set st.values v (Value.int_ idx)
-         | _ -> check_fail env st.values e L.Bounds);
+           iset st.ints sv idx
+         | _ -> check_fail st e L.Bounds);
         next st
     | L.Check_str_bounds (s, i', e) ->
+      let rs, ss = opnd s and ri, si = opnd i' in
       fun st ->
-        (let idx = as_int (get st.values i') in
-         match get st.values s with
+        (let idx = rd_int st ri si in
+         match rd_val st rs ss with
          | Value.Str str when idx >= 0 && idx < String.length str.Value.sdata ->
            if not el then Counters.bump_check cnt ci_bounds;
-           set st.values v (Value.int_ idx)
-         | _ -> check_fail env st.values e L.Bounds);
+           iset st.ints sv idx
+         | _ -> check_fail st e L.Bounds);
         next st
     | L.Check_not_hole (a, i', e) ->
+      let ra, sa = opnd a and ri, si = opnd i' in
       fun st ->
-        (let idx = as_int (get st.values i') in
-         match get st.values a with
+        (let idx = rd_int st ri si in
+         match rd_val st ra sa with
          | Value.Arr arr
            when idx >= 0
                 && idx < Array.length arr.Value.elems
                 && Heap.load_elem heap arr idx <> Value.Hole ->
            if not el then Counters.bump_check cnt ci_hole;
-           set st.values v (Value.int_ idx)
-         | _ -> check_fail env st.values e L.Hole);
+           iset st.ints sv idx
+         | _ -> check_fail st e L.Hole);
         next st
-    | L.Check_overflow (a, e) ->
-      fun st ->
-        let flags = st.overflowed in
-        if Array.length flags > 0 && get flags a then check_fail env st.values e L.Overflow
-        else begin
+    (* Only the int32 arithmetic marks overflow flags, so a boxed operand
+       never fails. *)
+    | L.Check_overflow (a, e) -> (
+      match opnd a with
+      | D.Boxed, sa ->
+        fun st ->
           if not el then Counters.bump_check cnt ci_overflow;
-          set st.values v (get st.values a)
-        end;
-        next st
-    | L.Check_cond (a, expected, e) ->
-      fun st ->
-        if Value.truthy (get st.values a) = expected then begin
-          if not el then Counters.bump_check cnt ci_path;
-          set st.values v (get st.values a)
-        end
-        else check_fail env st.values e L.Path;
-        next st
+          set st.vals sv (get st.vals sa);
+          next st
+      | _, sa ->
+        fun st ->
+          let flags = st.overflowed in
+          if Array.length flags > 0 && get flags sa then check_fail st e L.Overflow
+          else begin
+            if not el then Counters.bump_check cnt ci_overflow;
+            iset st.ints sv (iget st.ints sa)
+          end;
+          next st)
+    | L.Check_cond (a, expected, e) -> (
+      match opnd a with
+      | D.Boxed, sa ->
+        fun st ->
+          let x = get st.vals sa in
+          if Value.truthy x = expected then begin
+            if not el then Counters.bump_check cnt ci_path;
+            set st.vals sv x
+          end
+          else check_fail st e L.Path;
+          next st
+      | _, sa ->
+        fun st ->
+          let x = iget st.ints sa in
+          if (x <> 0) = expected then begin
+            if not el then Counters.bump_check cnt ci_path;
+            iset st.ints sv x
+          end
+          else check_fail st e L.Path;
+          next st)
     | L.Call_func (fid, _) ->
-      let args = di.D.args in
+      let ids, boxing = args_of di.D.args in
       fun st ->
-        set st.values v (env.call ~fid ~this:Value.Undef ~args:(arg_values st.values args));
+        set st.vals sv
+          (env.call ~fid ~this:Value.Undef ~args:(arg_values (arg_file st boxing) ids));
         next st
     | L.Call_method (fid, thisv, _) ->
-      let args = di.D.args in
+      let ids, boxing = args_of di.D.args and rt, stv = opnd thisv in
       fun st ->
-        set st.values v
-          (env.call ~fid ~this:(get st.values thisv) ~args:(arg_values st.values args));
+        set st.vals sv
+          (env.call ~fid ~this:(rd_val st rt stv) ~args:(arg_values (arg_file st boxing) ids));
         next st
     | L.Ctor_call (fid, _) ->
-      let args = di.D.args in
+      let ids, boxing = args_of di.D.args in
       fun st ->
         let obj = Value.Obj (Heap.alloc_object heap) in
-        let r = env.call ~fid ~this:obj ~args:(arg_values st.values args) in
-        set st.values v (match r with Value.Undef -> obj | x -> x);
+        let r = env.call ~fid ~this:obj ~args:(arg_values (arg_file st boxing) ids) in
+        set st.vals sv (match r with Value.Undef -> obj | x -> x);
         next st
     | L.Call_runtime (rt, recv, _) ->
-      let args = di.D.args in
+      let ids, boxing = args_of di.D.args and rr, sr = opnd recv in
       let ic = di.D.ic in
       fun st ->
-        set st.values v (exec_runtime env ~ic rt (get st.values recv) args st.values);
+        set st.vals sv (exec_runtime env ~ic rt (rd_val st rr sr) ids (arg_file st boxing));
         next st
     | L.Intrinsic (intr, _) ->
-      let args = di.D.args in
+      let ids, boxing = args_of di.D.args in
       let ftl_c, rt_c = intrinsic_cost intr in
       fun st ->
         if not el then begin
           charge env ~frame:st.frame ~cpi ftl_c;
           charge_runtime env rt_c
         end;
-        set st.values v (eval_intrinsic heap intr Value.Undef args st.values);
+        set st.vals sv (eval_intrinsic heap intr Value.Undef ids (arg_file st boxing));
         next st
     | L.Alloc_object ->
       fun st ->
-        set st.values v (Value.Obj (Heap.alloc_object heap));
+        set st.vals sv (Value.Obj (Heap.alloc_object heap));
         next st
     | L.Alloc_array len ->
+      let rl, sl = opnd len in
       fun st ->
-        let n = as_int (get st.values len) in
+        let n = rd_int st rl sl in
         if n < 0 || n > 1 lsl 24 then begin
           match env.tx with
           | Some _ -> raise (Htm.Abort Htm.Watchdog)
           | None -> raise (Nomap_interp.Interp.Runtime_error "bad array length")
         end;
-        set st.values v (Value.Arr (Heap.alloc_array heap n));
+        set st.vals sv (Value.Arr (Heap.alloc_array heap n));
         next st
     | L.Tx_begin smp ->
+      let live = smp.L.live in
       fun st ->
-        exec_tx_begin env st.values ~frame:st.frame smp;
+        exec_tx_begin env ~snapshot:(fun () -> materialize st lay live) ~frame:st.frame smp;
         next st
     | L.Tx_end ->
       fun st ->
@@ -594,51 +780,55 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
       let c = get run k and u = get run (k + 1) in
       if c.D.elided || u.D.elided then None
       else
-        let vc = c.D.id and vu = u.D.id in
+        let svc = lay.D.slot.(c.D.id) and svu = lay.D.slot.(u.D.id) in
         let due1 = k + 1 and due2 = k + 2 in
         match (c.D.kind, u.D.kind) with
         | L.Check_bounds (a, i', e), L.Load_elem (a2, i2) when a2 = a && i2 = c.D.id ->
+          let ra, sa = opnd a and ri, si = opnd i' in
           Some
             (fun next_sems st ->
               st.due <- due1;
-              let idx = as_int (get st.values i') in
-              (match get st.values a with
+              let idx = rd_int st ri si in
+              (match rd_val st ra sa with
               | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
                 Heap.note_load heap arr.Value.aaddr 8;
                 Counters.bump_check cnt ci_bounds;
-                set st.values vc (Value.int_ idx);
+                iset st.ints svc idx;
                 st.due <- due2;
-                set st.values vu (Heap.load_elem heap arr idx)
-              | _ -> check_fail env st.values e L.Bounds);
+                set st.vals svu (Heap.load_elem heap arr idx)
+              | _ -> check_fail st e L.Bounds);
               next_sems st)
         | L.Check_bounds (a, i', e), L.Store_elem (a2, i2, x) when a2 = a && i2 = c.D.id
           ->
+          let ra, sa = opnd a and ri, si = opnd i' in
+          let rx, sx = opnd x in
           Some
             (fun next_sems st ->
               st.due <- due1;
-              let idx = as_int (get st.values i') in
-              (match get st.values a with
+              let idx = rd_int st ri si in
+              (match rd_val st ra sa with
               | Value.Arr arr when idx >= 0 && idx < arr.Value.alen ->
                 Heap.note_load heap arr.Value.aaddr 8;
                 Counters.bump_check cnt ci_bounds;
-                set st.values vc (Value.int_ idx);
+                iset st.ints svc idx;
                 st.due <- due2;
-                Heap.store_elem heap arr idx (get st.values x)
-              | _ -> check_fail env st.values e L.Bounds);
+                Heap.store_elem heap arr idx (rd_val st rx sx)
+              | _ -> check_fail st e L.Bounds);
               next_sems st)
         | L.Check_str_bounds (s, i', e), L.Load_char_code (s2, i2)
           when s2 = s && i2 = c.D.id ->
+          let rs, ss = opnd s and ri, si = opnd i' in
           Some
             (fun next_sems st ->
               st.due <- due1;
-              let idx = as_int (get st.values i') in
-              (match get st.values s with
+              let idx = rd_int st ri si in
+              (match rd_val st rs ss with
               | Value.Str str when idx >= 0 && idx < String.length str.Value.sdata ->
                 Counters.bump_check cnt ci_bounds;
-                set st.values vc (Value.int_ idx);
+                iset st.ints svc idx;
                 st.due <- due2;
-                set st.values vu (Value.int_ (Ops.string_char_code heap str idx))
-              | _ -> check_fail env st.values e L.Bounds);
+                iset st.ints svu (Ops.string_char_code heap str idx)
+              | _ -> check_fail st e L.Bounds);
               next_sems st)
         | _ -> None
   in
@@ -794,27 +984,49 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
         st.prev_block <- bid;
         st.next_block <- tgt
     | L.Br (cv, bt, bf) ->
+      let rc, sc = opnd cv in
       fun st ->
         st.prev_block <- bid;
-        st.next_block <- (if Value.truthy (get st.values cv) then bt else bf)
+        st.next_block <- (if rd_truthy st rc sc then bt else bf)
     | L.Ret (Some rv) ->
+      let rr, sr = opnd rv in
       fun st ->
-        st.result <- get st.values rv;
+        st.result <- rd_val st rr sr;
         st.next_block <- -1
     | L.Ret None -> fun st -> st.next_block <- -1
     | L.Unreachable ->
       fun _ -> raise (Nomap_interp.Interp.Runtime_error "reached unreachable block")
   in
   (* Phis: the pre-resolved copy table for the incoming edge, applied as a
-     parallel assignment before the body.  An edge whose in-order copy is
-     already exact ([D.staged] false, decided at decode time) copies pair
-     by pair.  The rest stage through the scratch buffer; the buffer lives
-     in the major heap, so staging costs two slow-path write barriers per
-     input.  Exact mode stages every edge, an independent check of the
-     [staged] rule. *)
+     parallel assignment before the body.  Each pair copies within a file
+     or boxes an unboxed source into a boxed phi.  An edge whose in-order
+     copy is already exact ([D.staged] false, decided at decode time on
+     value ids, which distinct slots of one file preserve) copies pair by
+     pair.  The rest stage through the scratch buffers, ints through
+     [D.iscratch]; the boxed buffer lives in the major heap, so staging a
+     boxed value costs two slow-path write barriers.  Exact mode stages
+     every edge, an independent check of the [staged] rule. *)
+  let tedge (e : D.phi_edge) =
+    let kind i =
+      match (lay.D.rep.(e.D.dsts.(i)), lay.D.rep.(e.D.srcs.(i))) with
+      | D.Boxed, D.Boxed -> copy_boxed
+      | D.Boxed, D.Int32 -> box_int
+      | D.Boxed, D.Boolean -> box_bool
+      | r, r' when r = r' -> copy_int
+      | _ -> invalid_arg "Threaded: phi joins unboxed values of different representations"
+    in
+    let slots a = Array.map (fun v -> lay.D.slot.(v)) a in
+    {
+      e_pred = e.D.pred;
+      kinds = Array.init (Array.length e.D.dsts) kind;
+      dsts = slots e.D.dsts;
+      srcs = slots e.D.srcs;
+      staged = exact || e.D.staged;
+    }
+  in
   let with_phis (edges : D.phi_edge array) (body : code) : code =
-    let edges = if exact then Array.map (fun e -> { e with D.staged = true }) edges else edges in
-    let scratch = d.D.scratch in
+    let edges = Array.map tedge edges in
+    let scratch = d.D.scratch and iscratch = d.D.iscratch in
     let n_edges = Array.length edges in
     (* The edge scan is a plain loop: a local [let rec] capturing the
        incoming block would be a fresh closure on every block entry. *)
@@ -823,24 +1035,36 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
       let ei = ref (-1) in
       let i = ref 0 in
       while !ei < 0 && !i < n_edges do
-        if (get edges !i).D.pred = prev then ei := !i else incr i
+        if (get edges !i).e_pred = prev then ei := !i else incr i
       done;
       let ei = !ei in
       if ei >= 0 then begin
         let e = get edges ei in
-        let dsts = e.D.dsts and srcs = e.D.srcs and values = st.values in
+        let kinds = e.kinds and dsts = e.dsts and srcs = e.srcs in
+        let ints = st.ints and vals = st.vals in
         let np = Array.length dsts in
-        if e.D.staged then begin
+        if e.staged then begin
           for i = 0 to np - 1 do
-            set scratch i (get values (get srcs i))
+            let s = iget srcs i in
+            let k = iget kinds i in
+            if k = copy_int then iset iscratch i (iget ints s)
+            else if k = copy_boxed then set scratch i (get vals s)
+            else if k = box_int then set scratch i (Value.int_ (iget ints s))
+            else set scratch i (Value.bool_ (iget ints s <> 0))
           done;
           for i = 0 to np - 1 do
-            set values (get dsts i) (get scratch i)
+            if iget kinds i = copy_int then iset ints (iget dsts i) (iget iscratch i)
+            else set vals (iget dsts i) (get scratch i)
           done
         end
         else
           for i = 0 to np - 1 do
-            set values (get dsts i) (get values (get srcs i))
+            let s = iget srcs i and dst = iget dsts i in
+            let k = iget kinds i in
+            if k = copy_int then iset ints dst (iget ints s)
+            else if k = copy_boxed then set vals dst (get vals s)
+            else if k = box_int then set vals dst (Value.int_ (iget ints s))
+            else set vals dst (Value.bool_ (iget ints s <> 0))
           done
       end;
       body st
@@ -857,7 +1081,14 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
         if Array.length b.D.phi_edges = 0 then body else with_phis b.D.phi_edges body)
       d.D.dblocks
   in
-  { t_entry = d.D.entry; t_blocks; t_nvalues = d.D.nvalues; t_tier = tier; t_exact = exact }
+  {
+    t_entry = d.D.entry;
+    t_blocks;
+    t_nint = lay.D.n_int;
+    t_nboxed = lay.D.n_boxed;
+    t_tier = tier;
+    t_exact = exact;
+  }
 
 (** The threaded code for [c] in the given mode (fused by default),
     compiled on first execution and cached on the compiled record. *)
@@ -875,7 +1106,8 @@ let exec_func env (c : Specialize.compiled) ~exact ~tier ~this ~args : Value.t =
   let argv = Array.of_list args in
   let st =
     {
-      values = Array.make (max 1 tf.t_nvalues) Value.Undef;
+      ints = Array.make tf.t_nint 0;
+      vals = Array.make tf.t_nboxed Value.Undef;
       overflowed = [||];
       this;
       argv;

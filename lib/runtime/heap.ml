@@ -149,7 +149,7 @@ let transition_store t (o : Value.obj) new_shape slot v =
   let need_grow = slot >= Array.length old_slots in
   let new_slots =
     if need_grow then begin
-      let grown = Array.make (max 4 (2 * Array.length old_slots)) Value.Undef in
+      let grown = Array.make (Int.max 4 (2 * Array.length old_slots)) Value.Undef in
       Array.blit old_slots 0 grown 0 (Array.length old_slots);
       grown
     end
@@ -191,7 +191,7 @@ let set_prop t (o : Value.obj) name v = set_prop_sym t o (Shape.intern t.shapes 
 let alloc_array t len : Value.arr =
   let aid = t.next_aid in
   t.next_aid <- t.next_aid + 1;
-  let capacity = max len 4 in
+  let capacity = Int.max len 4 in
   let aaddr = alloc_region t 16 in
   let elems_addr = alloc_region t (capacity * word_bytes) in
   { Value.aid; elems = Array.make capacity Value.Hole; alen = len; aaddr; elems_addr }
@@ -223,7 +223,7 @@ let store_elem t (a : Value.arr) i v =
 
 let grow_array t (a : Value.arr) needed =
   let old_elems = a.Value.elems in
-  let capacity = max needed (max 4 (2 * Array.length old_elems)) in
+  let capacity = Int.max needed (Int.max 4 (2 * Array.length old_elems)) in
   let grown = Array.make capacity Value.Hole in
   Array.blit old_elems 0 grown 0 (Array.length old_elems);
   let grown_addr = alloc_region t (capacity * word_bytes) in

@@ -221,6 +221,13 @@ let num n args = Value.to_number (arg n args)
 
 let math1 f args = Value.number (f (num 0 args))
 
+(* [Stdlib.min]/[max]'s own bodies at type float: the same NaN ordering
+   (a NaN wins only as the second argument), compiled inline instead of a
+   polymorphic-compare C call.  Not [Float.min]/[Float.max], whose NaN
+   ordering differs. *)
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
 let expect_string fn = function
   | Value.Str s -> s.Value.sdata
   | v -> raise (Type_error (Printf.sprintf "%s: expected string, got %s" fn (Value.type_name v)))
@@ -264,10 +271,10 @@ let eval heap intr (recv : Value.t) (args : Value.t list) : Value.t =
   | Math_exp -> math1 exp args
   | Math_min ->
     let xs = List.map Value.to_number args in
-    Value.number (List.fold_left min Float.infinity xs)
+    Value.number (List.fold_left fmin Float.infinity xs)
   | Math_max ->
     let xs = List.map Value.to_number args in
-    Value.number (List.fold_left max Float.neg_infinity xs)
+    Value.number (List.fold_left fmax Float.neg_infinity xs)
   | Math_random -> Value.Num (Heap.math_random heap)
   | Str_char_code_at ->
     let s = expect_string "charCodeAt" recv in
@@ -281,12 +288,12 @@ let eval heap intr (recv : Value.t) (args : Value.t list) : Value.t =
   | Str_substring ->
     let s = expect_string "substring" recv in
     let n = String.length s in
-    let clamp i = max 0 (min n i) in
+    let clamp i = Int.max 0 (Int.min n i) in
     let a = clamp (Value.to_int32 (arg 0 args)) in
     let b =
       match args with [ _ ] -> n | _ -> clamp (Value.to_int32 (arg 1 args))
     in
-    let lo = min a b and hi = max a b in
+    let lo = Int.min a b and hi = Int.max a b in
     Heap.str heap (String.sub s lo (hi - lo))
   | Str_index_of ->
     let s = expect_string "indexOf" recv in
@@ -417,8 +424,8 @@ let eval heap intr (recv : Value.t) (args : Value.t list) : Value.t =
    The optimizing tiers know the call-site arity, so the common 0/1/2-arg
    intrinsic calls can skip building the argument list.  Each case below
    replicates [eval]'s behavior for that arity exactly (including the
-   polymorphic [min]/[max] folds, whose NaN ordering differs from
-   [Float.min]); anything not covered falls back to [eval] with a freshly
+   [fmin]/[fmax] folds, whose NaN ordering differs from [Float.min]);
+   anything not covered falls back to [eval] with a freshly
    built list. *)
 
 let eval0 heap intr (recv : Value.t) : Value.t =
@@ -442,8 +449,8 @@ let eval1 heap intr (recv : Value.t) (a0 : Value.t) : Value.t =
   | Math_atan -> Value.number (atan (Value.to_number a0))
   | Math_log -> Value.number (log (Value.to_number a0))
   | Math_exp -> Value.number (exp (Value.to_number a0))
-  | Math_min -> Value.number (min Float.infinity (Value.to_number a0))
-  | Math_max -> Value.number (max Float.neg_infinity (Value.to_number a0))
+  | Math_min -> Value.number (fmin Float.infinity (Value.to_number a0))
+  | Math_max -> Value.number (fmax Float.neg_infinity (Value.to_number a0))
   | Str_char_code_at ->
     let s = expect_string "charCodeAt" recv in
     let i = Value.to_int32 a0 in
@@ -465,7 +472,7 @@ let eval2 heap intr (recv : Value.t) (a0 : Value.t) (a1 : Value.t) : Value.t =
   | Math_atan2 -> Value.number (atan2 (Value.to_number a0) (Value.to_number a1))
   | Math_pow -> Value.number (Float.pow (Value.to_number a0) (Value.to_number a1))
   | Math_min ->
-    Value.number (min (min Float.infinity (Value.to_number a0)) (Value.to_number a1))
+    Value.number (fmin (fmin Float.infinity (Value.to_number a0)) (Value.to_number a1))
   | Math_max ->
-    Value.number (max (max Float.neg_infinity (Value.to_number a0)) (Value.to_number a1))
+    Value.number (fmax (fmax Float.neg_infinity (Value.to_number a0)) (Value.to_number a1))
   | _ -> eval heap intr recv [ a0; a1 ]

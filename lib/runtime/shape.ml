@@ -106,7 +106,7 @@ let transition_sym u shape (s : sym) =
   match Hashtbl.find_opt shape.transitions s with
   | Some child -> child
   | None ->
-    let table = Array.make (max (Array.length shape.slot_of_sym) (s + 1)) (-1) in
+    let table = Array.make (Int.max (Array.length shape.slot_of_sym) (s + 1)) (-1) in
     Array.blit shape.slot_of_sym 0 table 0 (Array.length shape.slot_of_sym);
     table.(s) <- shape.prop_count;
     let child =

@@ -115,7 +115,7 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
       t.deopt_invalidations <- t.deopt_invalidations + 1
     end;
     let f = prog.Opcode.funcs.(fid) in
-    let regs = Array.make (max 1 f.Opcode.nregs) Value.Undef in
+    let regs = Array.make (Int.max 1 f.Opcode.nregs) Value.Undef in
     List.iter (fun (r, value) -> if r < Array.length regs then regs.(r) <- value) values;
     Interp.run_from t.baseline_env ~fid ~entry_pc:resume_pc ~regs
   in

@@ -37,7 +37,7 @@ let thresholds = { Vm.baseline_at = 1; dfg_at = 2; ftl_at = 4 }
 
 type obs = { result : string; heap : string; counters : string }
 
-let observe ~engine ~tier ~arch src =
+let run_vm ~engine ~tier ~arch src =
   let prog = Nomap_bytecode.Compile.compile_source src in
   let vm =
     Vm.create ~fuel:500_000_000 ~thresholds ~verify_lir:true ~engine
@@ -50,6 +50,10 @@ let observe ~engine ~tier ~arch src =
       ignore (Vm.call_function vm "benchmark" [])
     done
   | None -> ());
+  vm
+
+let observe ~engine ~tier ~arch src =
+  let vm = run_vm ~engine ~tier ~arch src in
   {
     result =
       (match Vm.global vm "result" with
@@ -160,23 +164,25 @@ let overflow_once_kernel = sof_kernel ^ " result = bench(5) + bench(9);"
 
 let test_phi_loop () = check_matrix ~name:"phi loop" phi_kernel
 
-(* The phi edges of [benchmark]'s FTL code under Base, so a kernel can
-   show which copy path it exercises. *)
-let benchmark_phi_edges src =
+(* The decoded FTL code of function [fn] (default [benchmark]) after the
+   program's top level ran under Base, so a kernel can show which engine
+   path it exercises. *)
+let ftl_decoded ?(fn = "benchmark") src =
   let prog = Nomap_bytecode.Compile.compile_source src in
   let vm =
     Vm.create ~fuel:500_000_000 ~thresholds ~config:(Config.create Config.Base)
       ~tier_cap:Vm.Cap_ftl prog
   in
   ignore (Vm.run_main vm);
-  match Nomap_bytecode.Opcode.func_by_name prog "benchmark" with
+  match Nomap_bytecode.Opcode.func_by_name prog fn with
+  | None -> None
+  | Some f -> Option.map Machine.decoded (Vm.ftl_code vm f.Nomap_bytecode.Opcode.fid)
+
+let benchmark_phi_edges src =
+  match ftl_decoded src with
   | None -> []
-  | Some f -> (
-    match Vm.ftl_code vm f.Nomap_bytecode.Opcode.fid with
-    | None -> []
-    | Some c ->
-      Array.to_list (Machine.decoded c).D.dblocks
-      |> List.concat_map (fun b -> Array.to_list b.D.phi_edges))
+  | Some d ->
+    Array.to_list d.D.dblocks |> List.concat_map (fun b -> Array.to_list b.D.phi_edges)
 
 (* An edge where some copy reads a value a later copy of the group
    overwrites: copying in group order is exact, the reverse is not. *)
@@ -373,6 +379,174 @@ let test_elided_run_is_free () =
     (Counters.to_canonical_string cd)
     (Counters.to_canonical_string ct)
 
+(* ------------------------------------------------------------------ *)
+(* Typed register files *)
+
+(* Exact and fused mode share the register layout ([Decode.layout]), so
+   the engine-equivalence tests cannot see a representation bug; the
+   bytecode Interpreter can.  Each kernel runs at FTL under every
+   architecture in both modes, and its result and heap checksum (which
+   tells [Int] from [Num] and [Bool]) must match the Interpreter's. *)
+let check_vs_interp ~name src =
+  let reference = observe ~engine:Engine.Decoded ~tier:Vm.Cap_interp ~arch:Config.Base src in
+  List.iter
+    (fun engine ->
+      List.iter
+        (fun arch ->
+          let vm = run_vm ~engine ~tier:Vm.Cap_ftl ~arch src in
+          let label s =
+            Printf.sprintf "%s @ %s/%s: %s" name (Engine.name engine) (Config.name arch) s
+          in
+          Alcotest.(check bool) (label "ran FTL code") true
+            ((Vm.counters vm).Counters.ftl_calls > 0);
+          Alcotest.(check string) (label "result") reference.result
+            (match Vm.global vm "result" with
+            | Some v -> Value.to_js_string v
+            | None -> "<no result>");
+          Alcotest.(check string) (label "heap") reference.heap
+            (Nomap_vm.Heap_checksum.checksum (Vm.instance vm)))
+        Config.all)
+    Engine.all
+
+(* Whether [fn]'s FTL code has a phi copy from a [src_rep] value into a
+   [dst_rep] phi. *)
+let has_phi_copy ?fn src ~dst_rep ~src_rep =
+  match ftl_decoded ?fn src with
+  | None -> false
+  | Some d ->
+    let rep v = d.D.layout.D.rep.(v) in
+    Array.exists
+      (fun b ->
+        Array.exists
+          (fun e ->
+            let n = Array.length e.D.dsts in
+            List.exists
+              (fun i -> rep e.D.dsts.(i) = dst_rep && rep e.D.srcs.(i) = src_rep)
+              (List.init n Fun.id))
+          b.D.phi_edges)
+      d.D.dblocks
+
+(* (a) A phi joining an int with a double and a string: the phi is boxed
+   and its int input is boxed on the edge. *)
+let mixed_phi_kernel =
+  "var out = [0, 0, 0, 0, 0, 0, 0, 0]; function benchmark() { var acc = \"\"; var s = 0; \
+   for (var i = 0; i < 30; i++) { var x = i; if (i % 3 == 1) { x = i * 0.5; } if (i % 5 \
+   == 2) { x = \"k\"; } out[i & 7] = x; acc = acc + x; if (i % 5 != 2) { s = s + x; } } \
+   return acc + s; } var it; var result = 0; for (it = 0; it < 20; it++) { result = \
+   benchmark(); }"
+
+(* (b) Booleans that escape the int file: stored to an array, returned,
+   passed as an argument, and used in arithmetic. *)
+let bool_escape_kernel =
+  "var flags = [0, 0, 0, 0, 0, 0, 0, 0]; function id(v) { return v; } function below(a, \
+   b) { return a < b; } function benchmark() { var n = 0; var last = false; for (var i = \
+   0; i < 30; i++) { var b = (i & 3) < 2; flags[i & 7] = b; var c = below(i, 15); n = n + \
+   ((i & 1) < 1) + 1; if (id(b == c)) { n = n + 2; } last = b; } return \"\" + n + \
+   flags[3] + below(n, 3) + last; } var it; var result = 0; for (it = 0; it < 20; it++) \
+   { result = benchmark(); }"
+
+(* (c) [>>>] results above 2^31-1 stay boxed, into arithmetic and
+   stores. *)
+let ushr_kernel =
+  "var us = [0, 0, 0, 0, 0, 0, 0, 0]; function benchmark() { var s = 0; for (var i = 0; i \
+   < 40; i++) { var u = (i - 20) >>> 0; us[i & 7] = u; s = (s + u * 3 + (u >>> 28)) % \
+   1000003; } return s + us[3]; } var it; var result = 0; for (it = 0; it < 20; it++) { \
+   result = benchmark(); }"
+
+(* (d) -2^31 ([1 << 31]) through a phi, a [Check_int] on its reload, a
+   store and negation, whose 2^31 overflows int32. *)
+let int32_min_kernel =
+  "var ms = [0, 0, 0, 0, 0, 0, 0, 0]; function benchmark() { var s = 0; var m = 0; for \
+   (var i = 0; i < 40; i++) { if ((i & 3) == 0) { m = 1 << 31; } else { m = i; } ms[i & \
+   7] = m; var y = ms[(i + 4) & 7]; s = (s + y) % 1000003; if ((i & 3) != 0) { s = s + \
+   (-m); } } return s + (-ms[0]); } var it; var result = 0; for (it = 0; it < 20; it++) { \
+   result = benchmark(); }"
+
+(* (e) A deopt with an int32 and a boolean register live: Baseline resumes
+   with them and stores them, so the heap shows [Int] and [Bool]. *)
+let deopt_live_kernel =
+  "var seen = [0, 0]; function f(d, k) { var big = k > 3; var n = k * 2 + 1; var v = d[k] \
+   + 1; seen[0] = big; seen[1] = n; return v + n + (big ? 100 : 0); } var data = [1, 2, \
+   3, 4, 5, 6, 7, 8]; var it; var result = 0; for (it = 0; it < 30; it++) { result = \
+   f(data, it & 7); } data[5] = 2.5; result = \"\" + f(data, 5) + seen[0] + seen[1];"
+
+(* (f) A transaction abort whose snapshot holds int32 (and boolean)
+   registers: the loop's region resumes in Baseline from the snapshot,
+   which stores them after the loop. *)
+let abort_snapshot_kernel =
+  "var keep = [0, 0, 0]; function g(a, lim) { var s = 7; var t = lim * 3; var flag = lim \
+   > 10; for (var i = 0; i < a.length; i++) { s = (s + a[i] * t) & 1048575; } keep[0] = \
+   t; keep[1] = flag; keep[2] = s; return s; } var arr = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, \
+   11, 12, 13, 14, 15, 16]; var it; var result = 0; for (it = 0; it < 30; it++) { result \
+   = g(arr, it); } arr[9] = 0.5; result = \"\" + g(arr, 12) + \":\" + keep[1];"
+
+let test_rep_mixed_phi () =
+  Alcotest.(check bool) "an int input feeds a boxed phi" true
+    (has_phi_copy mixed_phi_kernel ~dst_rep:D.Boxed ~src_rep:D.Int32);
+  check_vs_interp ~name:"mixed phi" mixed_phi_kernel
+
+let test_rep_bool_escape () = check_vs_interp ~name:"escaping booleans" bool_escape_kernel
+let test_rep_ushr () = check_vs_interp ~name:"ushr above int32" ushr_kernel
+
+let test_rep_int32_min () =
+  Alcotest.(check bool) "-2^31 flows through an int32 phi" true
+    (has_phi_copy int32_min_kernel ~dst_rep:D.Int32 ~src_rep:D.Int32);
+  check_vs_interp ~name:"int32 min" int32_min_kernel
+
+(* The events each kernel is for must actually happen. *)
+let count_events ~arch src =
+  let c = Vm.counters (run_vm ~engine:Engine.Threaded ~tier:Vm.Cap_ftl ~arch src) in
+  (c.Counters.deopts, c.Counters.tx_aborts)
+
+let test_rep_deopt_live () =
+  Alcotest.(check bool) "Base deopts" true
+    (fst (count_events ~arch:Config.Base deopt_live_kernel) > 0);
+  check_vs_interp ~name:"deopt with unboxed live values" deopt_live_kernel
+
+let test_rep_abort_snapshot () =
+  Alcotest.(check bool) "NoMap aborts" true
+    (snd (count_events ~arch:Config.NoMap_full abort_snapshot_kernel) > 0);
+  check_vs_interp ~name:"abort with unboxed snapshot" abort_snapshot_kernel
+
+(* ROADMAP item 3's three largest FTL functions had boxed register files
+   past [Max_young_wosize] (256 words), so each activation allocated
+   them in the major heap.  Split and compacted, every FTL function of
+   those kernels fits both files in the minor heap, and the slots never
+   outnumber the value ids. *)
+let test_rep_layout_shape () =
+  let largest = ref 0 in
+  List.iter
+    (fun name ->
+      let b = Option.get (Nomap_workloads.Registry.by_name name) in
+      List.iter
+        (fun arch ->
+          let prog = Nomap_workloads.Registry.compile b in
+          let vm = Vm.create ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl prog in
+          ignore (Vm.run_main vm);
+          for _ = 1 to Nomap_harness.Runner.default_warmup do
+            ignore (Vm.call_function vm "benchmark" [])
+          done;
+          Array.iteri
+            (fun fid _ ->
+              match Vm.ftl_code vm fid with
+              | None -> ()
+              | Some c ->
+                let d = Machine.decoded c in
+                let l = d.D.layout in
+                let label s = Printf.sprintf "%s/%s fid %d: %s" name (Config.name arch) fid s in
+                largest := Int.max !largest d.D.nvalues;
+                Alcotest.(check bool) (label "int file fits the minor heap") true
+                  (l.D.n_int <= 256);
+                Alcotest.(check bool) (label "boxed file fits the minor heap") true
+                  (l.D.n_boxed <= 256);
+                Alcotest.(check bool) (label "no more slots than value ids") true
+                  (l.D.n_int + l.D.n_boxed <= d.D.nvalues))
+            prog.Nomap_bytecode.Opcode.funcs)
+        [ Config.Base; Config.NoMap_full ])
+    [ "ai-astar"; "imaging-gaussian-blur"; "access-fannkuch" ];
+  Alcotest.(check bool) "some function has more value ids than a young block holds" true
+    (!largest > 256)
+
 let tests =
   [
     Alcotest.test_case "corpus equivalence (both engines)" `Quick test_corpus_equivalence;
@@ -387,4 +561,11 @@ let tests =
     Alcotest.test_case "hybrid matches rtm when footprint fits" `Quick
       test_hybrid_fit_identical;
     Alcotest.test_case "fused elided run is free" `Quick test_elided_run_is_free;
+    Alcotest.test_case "representation: int/double/string phi" `Quick test_rep_mixed_phi;
+    Alcotest.test_case "representation: escaping booleans" `Quick test_rep_bool_escape;
+    Alcotest.test_case "representation: ushr above int32" `Quick test_rep_ushr;
+    Alcotest.test_case "representation: int32 min" `Quick test_rep_int32_min;
+    Alcotest.test_case "representation: deopt live values" `Quick test_rep_deopt_live;
+    Alcotest.test_case "representation: abort snapshot" `Quick test_rep_abort_snapshot;
+    Alcotest.test_case "representation: register file shape" `Quick test_rep_layout_shape;
   ]
