@@ -3,7 +3,7 @@
     The downstream-user tool: run any .js file under any architecture
     ([Config.all], listed by [--help]) and any tier cap, and get execution
     statistics, bytecode disassembly, or optimized-LIR dumps with their
-    register layout.
+    register layout and edge plan.
 
     Examples:
       nomap_run prog.js
@@ -99,9 +99,10 @@ let run file arch_name tier_name engine_name show_stats disasm dump_lir iteratio
     | Some f -> (
       match Vm.ftl_code vm f.Nomap_bytecode.Opcode.fid with
       | Some c ->
+        let d = Nomap_machine.Machine.decoded c in
         print_endline (Nomap_lir.Printer.func_to_string c.Nomap_tiers.Specialize.lir);
-        print_string
-          (Nomap_lir.Decode.layout_to_string (Nomap_machine.Machine.decoded c).Nomap_lir.Decode.layout)
+        print_string (Nomap_lir.Decode.layout_to_string d.Nomap_lir.Decode.layout);
+        print_string (Nomap_machine.Threaded.edge_plan_to_string d)
       | None ->
         Printf.eprintf "%s never reached the FTL tier (call it more, or raise --iterations)\n"
           name))
@@ -160,7 +161,8 @@ let dump_lir =
   Arg.(value & opt (some string) None & info [ "dump-lir" ] ~docv:"FUNC"
     ~doc:"Dump the optimized FTL LIR of a function after the run, then its register \
       layout: the size of the int and boxed register files and each value's \
-      representation and slot.")
+      representation and slot; then its edge plan: one line per CFG edge with \
+      its phi copy counts (int, boxed, boxing) and whether it is staged.")
 
 let iterations =
   Arg.(value & opt int 40 & info [ "iterations"; "n" ] ~docv:"N"

@@ -29,6 +29,9 @@
 module Value = Nomap_runtime.Value
 module Ic = Nomap_runtime.Ic
 
+(** The phi copies of one CFG edge [pred -> b], for the block [b] that
+    holds it.  The engine compiles each edge into its own closure, which
+    runs these copies and then enters [b]'s body. *)
 type phi_edge = {
   pred : int;  (** incoming block id this edge handles *)
   dsts : int array;  (** phi value ids assigned when entering via [pred] *)
@@ -37,7 +40,9 @@ type phi_edge = {
       (** some destination is read by a later source of the group, so the
           copies must stage through [scratch] (read phase, then write
           phase).  Otherwise copying pair by pair, in order, already gives
-          the parallel assignment's result. *)
+          the parallel assignment's result, and so does each in-order
+          subsequence on its own: the engine runs the copies into each
+          register file as one such group. *)
 }
 
 type dinstr = {
@@ -93,9 +98,10 @@ type t = {
   dblocks : dblock array;
   layout : layout;
   scratch : Value.t array;
-      (** phi-copy staging buffer, sized to the largest phi group.  Safe to
-          share across (re-entrant) activations: the read and write phases
-          of a parallel copy complete without any intervening call. *)
+      (** phi-copy staging buffer for staged edges (every edge in the
+          engine's exact mode), sized to the largest phi group.  Safe to
+          share across (re-entrant) activations: an edge's read and write
+          phases complete without any intervening call. *)
   iscratch : int array;  (** the same, for copies between int-file slots *)
 }
 

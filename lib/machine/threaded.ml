@@ -19,10 +19,11 @@
     - each block terminator charges one instruction, also before it runs.
 
     {b Exact mode} ([~exact:true], [Engine.Decoded]) builds every body from
-    [solo] closures only and stages every phi edge through
-    [Decode.scratch].  It is the reference the fused mode is checked
-    against: the fuzzer's engine axis and the engine-equivalence tests
-    require bit-identical counters from the two.
+    [solo] closures only, charges every terminator on its own, and stages
+    every phi edge through [Decode.scratch].  It is the reference the
+    fused mode is checked against: the fuzzer's engine axis and the
+    engine-equivalence tests require bit-identical counters from the
+    two.
 
     {b Fused mode} (the default, [Engine.Threaded]) runs a peephole
     selector over the decoded stream that fuses maximal
@@ -63,7 +64,31 @@
       them; [st.due] advances across both halves, so the reconciled
       charges and the abort points are unchanged.
     - phi edges whose in-order copy is already exact ([Decode.staged]
-      false) copy pair by pair instead of staging.
+      false) copy by register file instead of staging (below).
+    - a block-final run absorbs the terminator's charge, even a
+      one-instruction run, so a [Cmp; Br] loop header settles once.
+
+    {b Control flow.}  Both modes compile control flow the way they
+    compile straight-line code.  Every CFG edge (pred -> succ) is one
+    closure that runs the edge's phi copies and tail-calls the
+    successor's body; [Jump] and [Br] tail-call their edge closures, and
+    [Ret] only stores the result.  An activation is therefore one chain
+    of tail calls from the entry block to its [Ret], with no dispatch
+    loop and no search for the incoming edge.  Every transfer from a
+    terminator to an edge to a body is a tail call outside any [try];
+    otherwise the OCaml stack would grow by a frame per executed block.
+    An edge's copies are resolved at compile time:
+
+    - a staged edge (every edge in exact mode) reads all its sources into
+      [Decode.scratch]/[iscratch], then writes all its destinations;
+    - an unstaged edge runs its copies into the boxed file (boxed
+      sources, and boxings of int32 and boolean sources) first, then its
+      int-to-int copies, each group in the edge's order and specialized
+      by count.  Copying an unstaged edge in order is exact, and so is
+      each group on its own, an in-order subsequence.  The groups write
+      different files, so they can only interfere through a read of the
+      other file; the boxings are the only such reads, and they must
+      read the int file before the int group writes it.
 
     {b Registers.}  Both modes share one register layout
     ([Decode.layout]): int32 and boolean values live unboxed in an [int
@@ -104,9 +129,8 @@ module Hot = Nomap_util.Hot
 open Machine
 open Hot (* get/set: the audited unchecked register-file accessors *)
 
-(** Per-activation state threaded through every closure.  [next_block] is
-    the driver's program counter; -1 means the function returned.  Each
-    activation allocates its own state, so it lives in the minor heap and
+(** Per-activation state threaded through every closure.  Each activation
+    allocates its own state, so it lives in the minor heap and
     boxed-register stores take the write barrier's young fast path.
 
     The register file is split by representation ([Decode.layout]):
@@ -122,9 +146,7 @@ type state = {
   argv : Value.t array;
   nargs : int;
   frame : int;
-  mutable prev_block : int;
-  mutable next_block : int;
-  mutable result : Value.t;
+  mutable result : Value.t;  (** set by the [Ret] that ends the activation *)
   mutable due : int;
       (** deferred-accounting progress within the executing segment: number
           of leading segment instructions whose instr/cycle charges must be
@@ -134,8 +156,7 @@ type state = {
 type code = state -> unit
 
 type tfunc = {
-  t_entry : int;
-  t_blocks : code array;  (** per-block entry closure (phis + body + term) *)
+  t_entry : code;  (** the entry block's body; it runs the activation to its [Ret] *)
   t_nint : int;  (** int file size *)
   t_nboxed : int;  (** boxed file size *)
   t_tier : tier;
@@ -143,6 +164,9 @@ type tfunc = {
 }
 
 type Specialize.artifact += Threaded_code of tfunc
+
+(** A block's compiled body, filled in once every block is compiled. *)
+type block = { mutable body : code }
 
 (* Operand reads, each at a representation and slot fixed at compile
    time.  An unboxed operand is read straight from the int file: a
@@ -209,15 +233,93 @@ let copy_boxed = 1
 let box_int = 2
 let box_bool = 3
 
-(** A phi edge resolved to slots: [kinds.(i)] says how [srcs.(i)] reaches
-    [dsts.(i)]. *)
-type tedge = {
-  e_pred : int;
-  kinds : int array;
-  dsts : int array;
-  srcs : int array;
-  staged : bool;
+let copy_kind (lay : D.layout) dst src =
+  match (lay.D.rep.(dst), lay.D.rep.(src)) with
+  | D.Boxed, D.Boxed -> copy_boxed
+  | D.Boxed, D.Int32 -> box_int
+  | D.Boxed, D.Boolean -> box_bool
+  | r, r' when r = r' -> copy_int
+  | _ -> invalid_arg "Threaded: phi joins unboxed values of different representations"
+
+(** The phi copies of the CFG edge [pred -> succ], if [succ] has any for
+    [pred]. *)
+let incoming (d : D.t) ~pred ~succ =
+  Array.find_opt (fun (e : D.phi_edge) -> e.D.pred = pred) d.D.dblocks.(succ).D.phi_edges
+
+(** A terminator's distinct successors, in order. *)
+let successors = function
+  | L.Jump t -> [ t ]
+  | L.Br (_, t, f) -> if t = f then [ t ] else [ t; f ]
+  | L.Ret _ | L.Unreachable -> []
+
+(** An edge's copies, split by destination file, each group in the
+    edge's order: [b_*] the copies into the boxed file ([b_kinds]:
+    [copy_boxed], or [box_int]/[box_bool] for an unboxed source), [i_*]
+    the copies within the int file.  All slots.  On an unstaged edge,
+    running the boxed group first keeps the split exact (see the module
+    doc). *)
+type groups = {
+  b_kinds : int array;
+  b_dsts : int array;
+  b_srcs : int array;
+  i_dsts : int array;
+  i_srcs : int array;
 }
+
+let split_by_file (lay : D.layout) (e : D.phi_edge) =
+  let kinds = Array.map2 (copy_kind lay) e.D.dsts e.D.srcs in
+  let n = Array.length kinds in
+  let n_int = Array.fold_left (fun c k -> if k = copy_int then c + 1 else c) 0 kinds in
+  let g =
+    {
+      b_kinds = Array.make (n - n_int) 0;
+      b_dsts = Array.make (n - n_int) 0;
+      b_srcs = Array.make (n - n_int) 0;
+      i_dsts = Array.make n_int 0;
+      i_srcs = Array.make n_int 0;
+    }
+  in
+  let nb = ref 0 and ni = ref 0 in
+  for i = 0 to n - 1 do
+    let dst = lay.D.slot.(e.D.dsts.(i)) and src = lay.D.slot.(e.D.srcs.(i)) in
+    if kinds.(i) = copy_int then begin
+      g.i_dsts.(!ni) <- dst;
+      g.i_srcs.(!ni) <- src;
+      incr ni
+    end
+    else begin
+      g.b_kinds.(!nb) <- kinds.(i);
+      g.b_dsts.(!nb) <- dst;
+      g.b_srcs.(!nb) <- src;
+      incr nb
+    end
+  done;
+  g
+
+(** The edge plan as text: one line per CFG edge, with its copy counts
+    (int, boxed, boxing) and whether the fused mode stages it (exact mode
+    stages every edge). *)
+let edge_plan_to_string (d : D.t) =
+  let b = Buffer.create 256 in
+  Buffer.add_string b "edge plan:\n";
+  Array.iteri
+    (fun pred (blk : D.dblock) ->
+      List.iter
+        (fun succ ->
+          Printf.bprintf b "  b%d -> b%d: " pred succ;
+          match incoming d ~pred ~succ with
+          | None -> Buffer.add_string b "no copies\n"
+          | Some e ->
+            let g = split_by_file d.D.layout e in
+            let boxing =
+              Array.fold_left (fun n k -> if k = copy_boxed then n else n + 1) 0 g.b_kinds
+            in
+            Printf.bprintf b "int %d, boxed %d, boxing %d, %s\n" (Array.length g.i_dsts)
+              (Array.length g.b_dsts - boxing) boxing
+              (if e.D.staged then "staged" else "unstaged"))
+        (successors blk.D.dterm))
+    d.D.dblocks;
+  Buffer.contents b
 
 let compile_func env ~tier ~exact (d : D.t) : tfunc =
   let cpi = cpi_of tier in
@@ -839,15 +941,15 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
      an exact per-instruction fallback when the batched tick could cross
      the transaction watchdog.
 
-     A segment that runs to the end of the block additionally absorbs the
-     terminator's 1-instruction charge into its batched [settle] ([fold_term]):
-     terminators charge but never burn fuel or tick the transaction, the
-     category/in-tx flag cannot change between the segment's last
-     instruction and the terminator (no calls or tx markers in between),
-     and appending the terminator's cycle delta last preserves exact
-     mode's accumulation order.  The watchdog fallback and any
-     mid-segment raise never reach the terminator, so those paths keep the
-     self-charging [term]. *)
+     A segment that runs to the end of the block, even a one-instruction
+     one, additionally absorbs the terminator's 1-instruction charge into
+     its batched [settle] ([fold_term]): terminators charge but never burn
+     fuel or tick the transaction, the category/in-tx flag cannot change
+     between the segment's last instruction and the terminator (no calls
+     or tx markers in between), and appending the terminator's cycle delta
+     last preserves exact mode's accumulation order.  The watchdog
+     fallback and any mid-segment raise never reach the terminator, so
+     those paths keep the self-charging [term]. *)
   let rec compile_seq (body : D.dinstr array) i ~(term : code) ~(term_free : code) :
       code =
     if i >= Array.length body then term
@@ -858,8 +960,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
       let j = ref (i + 1) in
       while !j < n_body && seg_able (get body !j) do incr j done;
       let run = Array.sub body i (!j - i) in
-      if !j >= n_body && Array.length run > 1 then
-        compile_segment run ~next:term_free ~slow_next:term ~fold_term:true
+      if !j >= n_body then compile_segment run ~next:term_free ~slow_next:term ~fold_term:true
       else begin
         let rest = compile_seq body !j ~term ~term_free in
         compile_segment run ~next:rest ~slow_next:rest ~fold_term:false
@@ -868,7 +969,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
   and compile_segment (run : D.dinstr array) ~(next : code) ~(slow_next : code)
       ~fold_term : code =
     let n = Array.length run in
-    if n = 1 then solo (get run 0) slow_next
+    if n = 1 && not fold_term then solo (get run 0) slow_next
     else begin
       let n_tick = ref 0 and total_cost = ref 0 in
       Array.iter
@@ -879,16 +980,20 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
           end)
         run;
       let n_tick = !n_tick and total_cost = !total_cost + if fold_term then 1 else 0 in
-      let deltas =
-        run |> Array.to_list
-        |> List.filter_map (fun di ->
-               if (not di.D.elided) && di.D.cost > 0 then
-                 Some (float_of_int di.D.cost *. cpi)
-               else None)
-        |> (fun ds -> if fold_term then ds @ [ cpi ] else ds)
-        |> Array.of_list
-      in
-      let n_deltas = Array.length deltas in
+      (* The charged instructions' cycle deltas in program order, then the
+         folded terminator's [cpi]. *)
+      let charged di = (not di.D.elided) && di.D.cost > 0 in
+      let n_charged = Array.fold_left (fun c di -> if charged di then c + 1 else c) 0 run in
+      let n_deltas = n_charged + if fold_term then 1 else 0 in
+      let deltas = Array.make n_deltas cpi in
+      let k = ref 0 in
+      Array.iter
+        (fun di ->
+          if charged di then begin
+            deltas.(!k) <- float_of_int di.D.cost *. cpi;
+            incr k
+          end)
+        run;
       (* cost_prefix.(k) / dcount_prefix.(k): summed cost and cycle-delta
          count charged in exact mode after the segment's first
          [k] instructions — what reconciliation owes at [st.due = k]. *)
@@ -975,115 +1080,158 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
             next st
     end
   in
+  (* Control flow.  Every CFG edge (pred -> succ) is one closure that runs
+     the edge's phi copies and tail-calls the successor's body; a
+     terminator tail-calls its edges, and [Ret] only stores the result, so
+     an activation runs from its entry block to its [Ret] as one chain of
+     tail calls.  Bodies are filled in below, and an edge reaches its
+     successor's through the successor's [block] cell, which ties the
+     CFG's cycles. *)
+  let blocks = Array.map (fun _ -> { body = unit_code }) d.D.dblocks in
+  let goto succ : code =
+    let b = blocks.(succ) in
+    fun st -> b.body st
+  in
+  (* A staged edge reads every source into the scratch buffers (ints
+     through [D.iscratch]; the boxed buffer lives in the major heap, so
+     staging a boxed value costs two slow-path write barriers), then writes
+     every destination. *)
+  let staged_edge (e : D.phi_edge) succ : code =
+    let b = blocks.(succ) in
+    let kinds = Array.map2 (copy_kind lay) e.D.dsts e.D.srcs in
+    let slots a = Array.map (fun v -> lay.D.slot.(v)) a in
+    let dsts = slots e.D.dsts and srcs = slots e.D.srcs in
+    let scratch = d.D.scratch and iscratch = d.D.iscratch in
+    let np = Array.length dsts in
+    fun st ->
+      let ints = st.ints and vals = st.vals in
+      for i = 0 to np - 1 do
+        let s = iget srcs i in
+        let k = iget kinds i in
+        if k = copy_int then iset iscratch i (iget ints s)
+        else if k = copy_boxed then set scratch i (get vals s)
+        else if k = box_int then set scratch i (Value.int_ (iget ints s))
+        else set scratch i (Value.bool_ (iget ints s <> 0))
+      done;
+      for i = 0 to np - 1 do
+        if iget kinds i = copy_int then iset ints (iget dsts i) (iget iscratch i)
+        else set vals (iget dsts i) (get scratch i)
+      done;
+      b.body st
+  in
+  (* An unstaged edge's int group, specialized by count; it ends the edge. *)
+  let int_copies dsts srcs succ : code =
+    let b = blocks.(succ) in
+    match (dsts, srcs) with
+    | [||], _ -> goto succ
+    | [| d0 |], [| s0 |] ->
+      fun st ->
+        let ints = st.ints in
+        iset ints d0 (iget ints s0);
+        b.body st
+    | [| d0; d1 |], [| s0; s1 |] ->
+      fun st ->
+        let ints = st.ints in
+        iset ints d0 (iget ints s0);
+        iset ints d1 (iget ints s1);
+        b.body st
+    | [| d0; d1; d2 |], [| s0; s1; s2 |] ->
+      fun st ->
+        let ints = st.ints in
+        iset ints d0 (iget ints s0);
+        iset ints d1 (iget ints s1);
+        iset ints d2 (iget ints s2);
+        b.body st
+    | _ ->
+      let n = Array.length dsts in
+      fun st ->
+        let ints = st.ints in
+        for i = 0 to n - 1 do
+          iset ints (iget dsts i) (iget ints (iget srcs i))
+        done;
+        b.body st
+  in
+  (* An unstaged edge's boxed group: plain copies specialized by count, or
+     a per-pair loop when some source is unboxed and must be boxed. *)
+  let boxed_copies kinds dsts srcs (next : code) : code =
+    if Array.exists (fun k -> k <> copy_boxed) kinds then begin
+      let n = Array.length dsts in
+      fun st ->
+        let ints = st.ints and vals = st.vals in
+        for i = 0 to n - 1 do
+          let s = iget srcs i and dst = iget dsts i in
+          let k = iget kinds i in
+          if k = copy_boxed then set vals dst (get vals s)
+          else if k = box_int then set vals dst (Value.int_ (iget ints s))
+          else set vals dst (Value.bool_ (iget ints s <> 0))
+        done;
+        next st
+    end
+    else
+      match (dsts, srcs) with
+      | [||], _ -> next
+      | [| d0 |], [| s0 |] ->
+        fun st ->
+          let vals = st.vals in
+          set vals d0 (get vals s0);
+          next st
+      | [| d0; d1 |], [| s0; s1 |] ->
+        fun st ->
+          let vals = st.vals in
+          set vals d0 (get vals s0);
+          set vals d1 (get vals s1);
+          next st
+      | _ ->
+        let n = Array.length dsts in
+        fun st ->
+          let vals = st.vals in
+          for i = 0 to n - 1 do
+            set vals (iget dsts i) (get vals (iget srcs i))
+          done;
+          next st
+  in
+  (* An edge whose in-order copy is already exact ([D.staged] false,
+     decided at decode time on value ids, which distinct slots of one file
+     preserve) runs as two in-order groups, the boxed group first (see the
+     module doc).  The rest stage.  Exact mode stages every edge, an
+     independent check of the [D.staged] rule and of the split. *)
+  let edge pred succ : code =
+    match incoming d ~pred ~succ with
+    | None -> goto succ
+    | Some e when exact || e.D.staged -> staged_edge e succ
+    | Some e ->
+      let g = split_by_file lay e in
+      boxed_copies g.b_kinds g.b_dsts g.b_srcs (int_copies g.i_dsts g.i_srcs succ)
+  in
   (* Terminator effect only — the 1-instruction charge is folded into a
      preceding segment's [settle] when possible, or wrapped on by the caller. *)
   let compile_term bid (t : L.terminator) : code =
     match t with
-    | L.Jump tgt ->
-      fun st ->
-        st.prev_block <- bid;
-        st.next_block <- tgt
-    | L.Br (cv, bt, bf) ->
-      let rc, sc = opnd cv in
-      fun st ->
-        st.prev_block <- bid;
-        st.next_block <- (if rd_truthy st rc sc then bt else bf)
+    | L.Jump tgt -> edge bid tgt
+    | L.Br (cv, bt, bf) -> (
+      let et = edge bid bt in
+      let ef = if bf = bt then et else edge bid bf in
+      match opnd cv with
+      | D.Boxed, sc -> fun st -> if Value.truthy (get st.vals sc) then et st else ef st
+      | _, sc -> fun st -> if iget st.ints sc <> 0 then et st else ef st)
     | L.Ret (Some rv) ->
       let rr, sr = opnd rv in
-      fun st ->
-        st.result <- rd_val st rr sr;
-        st.next_block <- -1
-    | L.Ret None -> fun st -> st.next_block <- -1
+      fun st -> st.result <- rd_val st rr sr
+    | L.Ret None -> unit_code
     | L.Unreachable ->
       fun _ -> raise (Nomap_interp.Interp.Runtime_error "reached unreachable block")
   in
-  (* Phis: the pre-resolved copy table for the incoming edge, applied as a
-     parallel assignment before the body.  Each pair copies within a file
-     or boxes an unboxed source into a boxed phi.  An edge whose in-order
-     copy is already exact ([D.staged] false, decided at decode time on
-     value ids, which distinct slots of one file preserve) copies pair by
-     pair.  The rest stage through the scratch buffers, ints through
-     [D.iscratch]; the boxed buffer lives in the major heap, so staging a
-     boxed value costs two slow-path write barriers.  Exact mode stages
-     every edge, an independent check of the [staged] rule. *)
-  let tedge (e : D.phi_edge) =
-    let kind i =
-      match (lay.D.rep.(e.D.dsts.(i)), lay.D.rep.(e.D.srcs.(i))) with
-      | D.Boxed, D.Boxed -> copy_boxed
-      | D.Boxed, D.Int32 -> box_int
-      | D.Boxed, D.Boolean -> box_bool
-      | r, r' when r = r' -> copy_int
-      | _ -> invalid_arg "Threaded: phi joins unboxed values of different representations"
-    in
-    let slots a = Array.map (fun v -> lay.D.slot.(v)) a in
-    {
-      e_pred = e.D.pred;
-      kinds = Array.init (Array.length e.D.dsts) kind;
-      dsts = slots e.D.dsts;
-      srcs = slots e.D.srcs;
-      staged = exact || e.D.staged;
-    }
-  in
-  let with_phis (edges : D.phi_edge array) (body : code) : code =
-    let edges = Array.map tedge edges in
-    let scratch = d.D.scratch and iscratch = d.D.iscratch in
-    let n_edges = Array.length edges in
-    (* The edge scan is a plain loop: a local [let rec] capturing the
-       incoming block would be a fresh closure on every block entry. *)
-    fun st ->
-      let prev = st.prev_block in
-      let ei = ref (-1) in
-      let i = ref 0 in
-      while !ei < 0 && !i < n_edges do
-        if (get edges !i).e_pred = prev then ei := !i else incr i
-      done;
-      let ei = !ei in
-      if ei >= 0 then begin
-        let e = get edges ei in
-        let kinds = e.kinds and dsts = e.dsts and srcs = e.srcs in
-        let ints = st.ints and vals = st.vals in
-        let np = Array.length dsts in
-        if e.staged then begin
-          for i = 0 to np - 1 do
-            let s = iget srcs i in
-            let k = iget kinds i in
-            if k = copy_int then iset iscratch i (iget ints s)
-            else if k = copy_boxed then set scratch i (get vals s)
-            else if k = box_int then set scratch i (Value.int_ (iget ints s))
-            else set scratch i (Value.bool_ (iget ints s <> 0))
-          done;
-          for i = 0 to np - 1 do
-            if iget kinds i = copy_int then iset ints (iget dsts i) (iget iscratch i)
-            else set vals (iget dsts i) (get scratch i)
-          done
-        end
-        else
-          for i = 0 to np - 1 do
-            let s = iget srcs i and dst = iget dsts i in
-            let k = iget kinds i in
-            if k = copy_int then iset ints dst (iget ints s)
-            else if k = copy_boxed then set vals dst (get vals s)
-            else if k = box_int then set vals dst (Value.int_ (iget ints s))
-            else set vals dst (Value.bool_ (iget ints s <> 0))
-          done
-      end;
-      body st
-  in
-  let t_blocks =
-    Array.mapi
-      (fun bid (b : D.dblock) ->
-        let term_free = compile_term bid b.D.dterm in
-        let term st =
-          charge env ~frame:st.frame ~cpi 1;
-          term_free st
-        in
-        let body = compile_seq b.D.body 0 ~term ~term_free in
-        if Array.length b.D.phi_edges = 0 then body else with_phis b.D.phi_edges body)
-      d.D.dblocks
-  in
+  Array.iteri
+    (fun bid (b : D.dblock) ->
+      let term_free = compile_term bid b.D.dterm in
+      let term st =
+        charge env ~frame:st.frame ~cpi 1;
+        term_free st
+      in
+      blocks.(bid).body <- compile_seq b.D.body 0 ~term ~term_free)
+    d.D.dblocks;
   {
-    t_entry = d.D.entry;
-    t_blocks;
+    t_entry = blocks.(d.D.entry).body;
     t_nint = lay.D.n_int;
     t_nboxed = lay.D.n_boxed;
     t_tier = tier;
@@ -1113,17 +1261,12 @@ let exec_func env (c : Specialize.compiled) ~exact ~tier ~this ~args : Value.t =
       argv;
       nargs = Array.length argv;
       frame;
-      prev_block = -1;
-      next_block = tf.t_entry;
       result = Value.Undef;
       due = 0;
     }
   in
-  let blocks = tf.t_blocks in
   let run () =
-    while st.next_block >= 0 do
-      (get blocks st.next_block) st
-    done;
+    tf.t_entry st;
     st.result
   in
   run_with_exits env ~fid:c.Specialize.lir.L.fid ~frame run

@@ -10,6 +10,10 @@
     metrics — an optimization of the simulator that is supposed to be
     observation-preserving, or an accidental cost-model change — shows up
     here as a one-line diff naming the mode, workload and architecture.
+    Each row is checked as soon as it completes, under a fuel budget a
+    few times the heaviest row's use, so a miscompile that keeps a loop
+    from exiting fails its row within seconds instead of hanging the
+    suite.
 
     Regenerate (from the default mode) after an *intentional* metric
     change with:
@@ -22,6 +26,7 @@ module Counters = Nomap_machine.Counters
 module Vm = Nomap_vm.Vm
 module Engine = Nomap_machine.Engine
 module Scheduler = Nomap_harness.Scheduler
+module Instance = Nomap_interp.Instance
 
 (* Domains used for the sweep.  Settable with `-j N` on the test binary
    (test_main strips the flag before Alcotest sees argv) or the NOMAP_JOBS
@@ -45,26 +50,66 @@ let golden_file () =
 
 let canonical = Counters.to_canonical_string
 
-let run_one ?engine bench arch =
+(* Fuel per row.  The heaviest rows (K01) burn 8.03M fuel (LIR
+   instructions and bytecode ops executed) and charge 43.1M modeled
+   instructions; the budget is 4x that burn, so a loop that never exits
+   runs out within a second or two of host time.  A row that uses more
+   than half the budget fails too, so a heavier workload asks for a larger
+   budget instead of running out mid-sweep. *)
+let fuel_budget = 32_000_000
+
+let rows () =
+  List.concat_map (fun bench -> List.map (fun arch -> (bench, arch)) Config.all) Registry.all
+
+(* One golden row; with [expected], it is checked as soon as it exists.
+   Rows run on worker domains, where Alcotest's checks are not safe to
+   call, so a failing row raises [Failure], which [parallel_map] hands to
+   the calling domain. *)
+let run_one ?engine ?expected bench arch =
+  let name = Printf.sprintf "%s/%s" bench.Registry.id (Config.name arch) in
+  let label = (match engine with Some e -> Engine.name e ^ " " | None -> "") ^ name in
   let prog = Registry.compile bench in
   let vm =
-    Vm.create ~fuel:2_000_000_000 ~thresholds ?engine ~config:(Config.create arch)
+    Vm.create ~fuel:fuel_budget ~thresholds ?engine ~config:(Config.create arch)
       ~tier_cap:Vm.Cap_ftl prog
   in
-  ignore (Vm.run_main vm);
-  for _ = 1 to calls do
-    ignore (Vm.call_function vm "benchmark" [])
-  done;
-  Printf.sprintf "%s/%s %s" bench.Registry.id (Config.name arch) (canonical (Vm.counters vm))
+  (try
+     ignore (Vm.run_main vm);
+     for _ = 1 to calls do
+       ignore (Vm.call_function vm "benchmark" [])
+     done
+   with
+   | Instance.Out_of_fuel ->
+     failwith
+       (Printf.sprintf "%s: out of fuel after %d (a loop that never exits?)" label fuel_budget)
+   | e -> failwith (Printf.sprintf "%s: raised %s" label (Printexc.to_string e)));
+  let used = fuel_budget - (Vm.instance vm).Instance.fuel in
+  if 2 * used > fuel_budget then
+    failwith
+      (Printf.sprintf "%s: used %d of the %d fuel budget; raise [fuel_budget]" label used
+         fuel_budget);
+  let row = Printf.sprintf "%s %s" name (canonical (Vm.counters vm)) in
+  Option.iter
+    (fun expected ->
+      if row <> expected then
+        failwith (Printf.sprintf "%s differs from the golden:\nexpected %s\ngot      %s" label
+             expected row))
+    expected;
+  row
 
 (* Each (bench, arch) run is an independent single-domain VM, so the sweep
-   fans out across domains; order is preserved by [parallel_map]. *)
-let compute_table ?(jobs = 1) ?engine () =
+   fans out across domains; order is preserved by [parallel_map], and a
+   failing row stops the sweep at the workers' next row. *)
+let compute_table ?(jobs = 1) ?engine ?golden () =
+  let rows = rows () in
+  let expected =
+    match golden with
+    | None -> List.map (fun _ -> None) rows
+    | Some lines -> List.map Option.some lines
+  in
   Scheduler.parallel_map ~jobs
-    (fun (bench, arch) -> run_one ?engine bench arch)
-    (List.concat_map
-       (fun bench -> List.map (fun arch -> (bench, arch)) Config.all)
-       Registry.all)
+    (fun ((bench, arch), expected) -> run_one ?engine ?expected bench arch)
+    (List.combine rows expected)
 
 let read_lines path =
   let ic = open_in path in
@@ -79,16 +124,14 @@ let read_lines path =
 
 let golden_lines () = Option.map read_lines (golden_file ())
 
-let check_against_golden ?(label = "") table =
+(** Every row, in mode [engine] (the default mode if omitted), checked
+    against its golden line as soon as it completes. *)
+let check_against_golden ?(jobs = 1) ?engine () =
   match golden_lines () with
   | None -> Alcotest.fail "missing golden table determinism.expected"
   | Some golden ->
-    Alcotest.(check int) (label ^ "runs covered") (List.length golden) (List.length table);
-    List.iter2
-      (fun expected got ->
-        let name = String.sub got 0 (String.index got ' ') in
-        Alcotest.(check string) (label ^ name) expected got)
-      golden table
+    Alcotest.(check int) "runs covered" (List.length golden) (List.length (rows ()));
+    ignore (compute_table ~jobs ?engine ~golden ())
 
 let test_counter_determinism () =
   match Sys.getenv_opt "NOMAP_UPDATE_GOLDEN" with
@@ -98,12 +141,7 @@ let test_counter_determinism () =
     List.iter (fun l -> output_string oc (l ^ "\n")) table;
     close_out oc;
     Printf.printf "wrote %d golden lines to %s\n" (List.length table) path
-  | None ->
-    List.iter
-      (fun engine ->
-        check_against_golden ~label:(Engine.name engine ^ " ")
-          (compute_table ~jobs:!jobs ~engine ()))
-      Engine.all
+  | None -> List.iter (fun engine -> check_against_golden ~jobs:!jobs ~engine ()) Engine.all
 
 let tests =
   [ Alcotest.test_case "counters bit-identical across workloads x archs" `Slow

@@ -16,7 +16,12 @@
       chunked transactions;
     - a hand-built LIR function whose body is one elided run, proving the
       fused superinstruction charges exactly zero simulated cost (the
-      terminator's single instruction is all that may appear). *)
+      terminator's single instruction is all that may appear);
+    - the edge-threaded control flow: a mixed-file back edge and a [Br]
+      whose arms meet, checked against the Interpreter; a loop of 1.2M
+      block transitions under a 512 KB stack limit, which only tail calls
+      survive; and one-instruction tail runs that fold their terminator's
+      charge, on the normal and the deopt path. *)
 
 module Vm = Nomap_vm.Vm
 module Config = Nomap_nomap.Config
@@ -547,6 +552,152 @@ let test_rep_layout_shape () =
   Alcotest.(check bool) "some function has more value ids than a young block holds" true
     (!largest > 256)
 
+(* ------------------------------------------------------------------ *)
+(* Edge-threaded blocks *)
+
+(* A mixed-file back edge: the boxed phi [x] (it joins 0.5 and [y]) reads
+   the int32 phi [y] that the same edge reassigns.  The back edge is
+   unstaged, so the fused mode splits it by file, and the boxing of [y]
+   into [x] must run before the int copy into [y]: the other order adds
+   [y + 1] where [y] belongs.  The empty [if] ends in a [Br] whose two arms
+   reach one block. *)
+let edge_kernel =
+  "function benchmark() { var x = 0.5; var y = 0; var s = 0; for (var i = 0; i < 40; i++) \
+   { s = s + x; x = y; y = y + 1; if ((i & 3) == 1) { } } return s; } var it; var result \
+   = 0; for (it = 0; it < 20; it++) { result = benchmark(); }"
+
+(* Whether [e] is unstaged and boxes a value that an int copy later in the
+   same edge overwrites: the case where the boxed group must go first. *)
+let boxing_read_then_overwritten (d : D.t) (e : D.phi_edge) =
+  let rep v = d.D.layout.D.rep.(v) in
+  let n = Array.length e.D.dsts in
+  (not e.D.staged)
+  && List.exists
+       (fun i ->
+         rep e.D.dsts.(i) = D.Boxed
+         && rep e.D.srcs.(i) = D.Int32
+         && List.exists
+              (fun j -> j > i && rep e.D.dsts.(j) = D.Int32 && e.D.dsts.(j) = e.D.srcs.(i))
+              (List.init n Fun.id))
+       (List.init n Fun.id)
+
+let test_edge_rules () =
+  let d = Option.get (ftl_decoded edge_kernel) in
+  Alcotest.(check bool) "a boxing reads an int phi its own unstaged edge overwrites" true
+    (Array.exists (fun b -> Array.exists (boxing_read_then_overwritten d) b.D.phi_edges)
+       d.D.dblocks);
+  Alcotest.(check bool) "a Br's two arms reach one block" true
+    (Array.exists
+       (fun b -> match b.D.dterm with L.Br (_, t, f) -> t = f | _ -> false)
+       d.D.dblocks);
+  Alcotest.(check bool) "the edge plan shows an unstaged edge that boxes" true
+    (List.exists
+       (fun line -> String.ends_with ~suffix:"boxing 1, unstaged" line)
+       (String.split_on_char '\n' (Nomap_machine.Threaded.edge_plan_to_string d)));
+  check_vs_interp ~name:"edge rules" edge_kernel
+
+(* Every block transfer (terminator to edge to successor body) must be a
+   tail call, or the OCaml stack grows by a frame per executed block.
+   One FTL activation of [spin] makes 1.2M block transitions (two per
+   iteration) under a 512 KB stack limit, so a non-tail transfer raises
+   [Stack_overflow] instead of silently growing the stack. *)
+let spin_kernel =
+  "function spin(n) { var s = 0; for (var i = 0; i < n; i++) { s = (s + i) & 0xFFFF; } \
+   return s; } var it; var result = 0; for (it = 0; it < 20; it++) { result = spin(10); }"
+
+let with_stack_limit words f =
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.stack_limit = words };
+  Fun.protect ~finally:(fun () -> Gc.set saved) f
+
+let test_tail_calls () =
+  let n = 600_000 in
+  let expected =
+    let s = ref 0 in
+    for i = 0 to n - 1 do
+      s := (!s + i) land 0xFFFF
+    done;
+    !s
+  in
+  List.iter
+    (fun engine ->
+      let label s = Engine.name engine ^ ": " ^ s in
+      let prog = Nomap_bytecode.Compile.compile_source spin_kernel in
+      let vm =
+        Vm.create ~fuel:500_000_000 ~thresholds ~engine ~config:(Config.create Config.Base)
+          ~tier_cap:Vm.Cap_ftl prog
+      in
+      ignore (Vm.run_main vm);
+      let before = Counters.copy (Vm.counters vm) in
+      let r =
+        with_stack_limit 65_536 (fun () -> Vm.call_function vm "spin" [ Value.Int n ])
+      in
+      let d = Counters.diff ~now:(Vm.counters vm) ~before in
+      Alcotest.(check int) (label "one FTL call") 1 d.Counters.ftl_calls;
+      Alcotest.(check int) (label "no deopt") 0 d.Counters.deopts;
+      Alcotest.(check string) (label "result") (string_of_int expected) (Value.to_js_string r))
+    Engine.all
+
+(* A one-instruction run at the end of a block absorbs the terminator's
+   charge like a longer run, and keeps the self-charging terminator on its
+   raise path.  [tail_kernel]'s loop body ends [call f; store_global], so
+   a folded one-instruction run of cost 2 runs on every iteration.  The
+   hand-built function ends its second block in a lone [Check_int] that
+   deopts: exact mode charges the jump and the check, in that order, but
+   never reaches the [Ret], and neither may the fused mode. *)
+let tail_kernel =
+  "var g = 0; function f(x) { return x * 3 + 1; } function benchmark() { var i = 0; while \
+   (i < 300) { i = i + 1; g = f(i); } return g; } var it; var result = 0; for (it = 0; it < \
+   20; it++) { result = benchmark(); }"
+
+let build_lone_check () =
+  let f = L.create_func ~fid:0 in
+  let b0 = L.new_block f and b1 = L.new_block f in
+  f.L.entry <- b0.L.bid;
+  let add (b : L.block) kind =
+    let i = L.new_instr f kind in
+    i.L.block <- b.L.bid;
+    b.L.instrs <- b.L.instrs @ [ i.L.id ];
+    i.L.id
+  in
+  let v0 = add b0 (L.Param 1) in
+  b0.L.term <- L.Jump b1.L.bid;
+  let exit = { L.ekind = L.Deopt; smp = L.fresh_smp f ~resume_pc:0 ~live:[] } in
+  let v1 = add b1 (L.Check_int (v0, exit)) in
+  b1.L.term <- L.Ret (Some v1);
+  {
+    Specialize.lir = f;
+    block_pc = Hashtbl.create 1;
+    header_blocks = [];
+    entry_states = Hashtbl.create 1;
+    decoded = None;
+    engine_code = None;
+  }
+
+let test_tail_run_fold () =
+  let d = Option.get (ftl_decoded tail_kernel) in
+  Alcotest.(check bool) "a block ends in [call; store_global]" true
+    (Array.exists
+       (fun b ->
+         let n = Array.length b.D.body in
+         n >= 2
+         && (match b.D.body.(n - 2).D.kind with L.Call_func _ -> true | _ -> false)
+         && match b.D.body.(n - 1).D.kind with L.Store_global _ -> true | _ -> false)
+       d.D.dblocks);
+  check_ftl_archs ~name:"one-instruction tail run" tail_kernel;
+  let tables =
+    List.map
+      (fun engine ->
+        let _, c = exec_raw ~engine (build_lone_check ()) in
+        let name s = Engine.name engine ^ ": " ^ s in
+        Alcotest.(check int) (name "deopts") 1 c.Counters.deopts;
+        Alcotest.(check int) (name "the jump and the check, not the ret") 3
+          (Counters.total_instrs c);
+        Counters.to_canonical_string c)
+      Engine.all
+  in
+  Alcotest.(check string) "canonical tables identical" (List.nth tables 0) (List.nth tables 1)
+
 let tests =
   [
     Alcotest.test_case "corpus equivalence (both engines)" `Quick test_corpus_equivalence;
@@ -568,4 +719,8 @@ let tests =
     Alcotest.test_case "representation: deopt live values" `Quick test_rep_deopt_live;
     Alcotest.test_case "representation: abort snapshot" `Quick test_rep_abort_snapshot;
     Alcotest.test_case "representation: register file shape" `Quick test_rep_layout_shape;
+    Alcotest.test_case "edges: mixed-file back edge and one-block Br" `Quick test_edge_rules;
+    Alcotest.test_case "edges: block transfers are tail calls" `Quick test_tail_calls;
+    Alcotest.test_case "edges: one-instruction tail run folds its terminator" `Quick
+      test_tail_run_fold;
   ]

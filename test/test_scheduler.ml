@@ -50,11 +50,7 @@ let test_prefetch_dedup () =
    domain-parallel sweep must reproduce it bit-for-bit (hex-float cycles
    included).  Together with test_determinism (which runs at the session's
    default -j), this pins -j 1 ≡ -j 4. *)
-let test_parallel_matches_golden () =
-  match Test_determinism.golden_lines () with
-  | None -> Alcotest.fail "missing golden table determinism.expected"
-  | Some _ ->
-    Test_determinism.check_against_golden (Test_determinism.compute_table ~jobs:4 ())
+let test_parallel_matches_golden () = Test_determinism.check_against_golden ~jobs:4 ()
 
 (* A worker raising must surface in the calling domain as the original
    exception, with the remaining work abandoned — not a hang. *)
