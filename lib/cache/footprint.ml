@@ -100,7 +100,6 @@ let touch t ~addr ~bytes =
   not t.overflowed
 
 let bytes t = t.lines * t.line_bytes
-let kb t = float_of_int (bytes t) /. 1024.0
 
 (** Maximum number of ways any set needs for this footprint. *)
 let max_ways t = t.max_ways

@@ -38,8 +38,6 @@ val touch : t -> addr:int -> bytes:int -> bool
 (** Distinct bytes touched (whole lines). *)
 val bytes : t -> int
 
-val kb : t -> float
-
 (** Maximum ways any one set needs for this footprint. *)
 val max_ways : t -> int
 

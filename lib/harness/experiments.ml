@@ -50,12 +50,14 @@ let fig1 () =
   let ratios = List.map (fun _ -> ref []) fig1_langs in
   List.iter
     (fun b ->
-      let c_cycles = (Scheduler.run_language ~lang:Runner.Lang_c b).Runner.cycles in
+      let c_cycles =
+        Counters.cycles (Scheduler.run_language ~lang:Runner.Lang_c b).Runner.counters
+      in
       let row =
         List.map2
           (fun lang acc ->
             let m = Scheduler.run_language ~lang b in
-            let r = m.Runner.cycles /. c_cycles in
+            let r = Counters.cycles m.Runner.counters /. c_cycles in
             acc := r :: !acc;
             f2 r)
           fig1_langs ratios
@@ -90,7 +92,7 @@ let table1 () =
       (fun b ->
         let interp = Scheduler.run_cap ~cap:Vm.Cap_interp b in
         let m = Scheduler.run_cap ~cap b in
-        interp.Runner.cycles /. m.Runner.cycles)
+        Counters.cycles interp.Runner.counters /. Counters.cycles m.Runner.counters)
       (List.filter members (Registry.of_suite suite))
   in
   List.iter
@@ -297,10 +299,10 @@ let fig10_11 suite =
   let norm_of b arch =
     let base = Scheduler.run_arch ~arch:Config.Base b in
     let m = Scheduler.run_arch ~arch b in
-    let norm = m.Runner.cycles /. base.Runner.cycles in
+    let cycles = Counters.cycles m.Runner.counters in
+    let norm = cycles /. Counters.cycles base.Runner.counters in
     let tm_frac =
-      if m.Runner.cycles > 0.0 then Counters.tx_cycles m.Runner.counters /. m.Runner.cycles
-      else 0.0
+      if cycles > 0.0 then Counters.tx_cycles m.Runner.counters /. cycles else 0.0
     in
     (norm, norm *. tm_frac, norm *. (1.0 -. tm_frac))
   in
@@ -341,7 +343,9 @@ let time_reduction suite ~members =
           (fun b ->
             let base = Scheduler.run_arch ~arch:Config.Base b in
             let m = Scheduler.run_arch ~arch b in
-            Stats.percent_reduction ~base:base.Runner.cycles m.Runner.cycles)
+            Stats.percent_reduction
+              ~base:(Counters.cycles base.Runner.counters)
+              (Counters.cycles m.Runner.counters))
           benches
       in
       (arch, Stats.mean reductions))
@@ -453,14 +457,14 @@ let validate_htm () =
     [
       "lightweight (ROT)";
       string_of_int rot.Runner.counters.Counters.tx_commits;
-      f1 (Timing.xbegin_cycles +. Timing.xend_rot_cycles);
+      f1 (float_of_int (Timing.xbegin + Timing.xend_rot) /. 1000.0);
       string_of_int rot.Runner.counters.Counters.tx_aborts;
     ];
   Table.add_row t
     [
       "heavyweight (RTM)";
       string_of_int rtm.Runner.counters.Counters.tx_commits;
-      f1 (Timing.xbegin_cycles +. Timing.xend_rtm_cycles);
+      f1 (float_of_int (Timing.xbegin + Timing.xend_rtm) /. 1000.0);
       string_of_int rtm.Runner.counters.Counters.tx_aborts;
     ];
   let s = Table.render t in

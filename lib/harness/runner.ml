@@ -34,7 +34,6 @@ type measurement = {
   bench : Registry.benchmark;
   label : string;
   counters : Counters.t;  (** steady-state metrics over the measured calls *)
-  cycles : float;  (** steady-state simulated cycles *)
   checksum : string;
   deopts_total : int;  (** including warmup (for the §III-A2 statistic) *)
   ftl_calls_total : int;
@@ -73,7 +72,6 @@ let steady_vm ~warmup ~measure ~label bench vm =
     bench;
     label;
     counters;
-    cycles = Counters.cycles counters;
     checksum;
     deopts_total = (Vm.counters vm).Counters.deopts;
     ftl_calls_total = (Vm.counters vm).Counters.ftl_calls;
@@ -181,13 +179,13 @@ let run_bytecode_lang ~mode ~cpi ~label bench ~warmup ~measure =
   let instrs = !count - before in
   let counters = Counters.create () in
   Counters.add_instrs counters Counters.No_ftl instrs;
+  Counters.add_cycles counters ~in_tx:false (instrs * cpi);
   let checksum = Value.to_js_string !result in
   check bench label checksum;
   {
     bench;
     label;
     counters;
-    cycles = float_of_int instrs *. cpi;
     checksum;
     deopts_total = 0;
     ftl_calls_total = 0;
@@ -216,13 +214,13 @@ let run_ast_lang ~flavour ~label bench ~warmup ~measure =
   let instrs = !count - before in
   let counters = Counters.create () in
   Counters.add_instrs counters Counters.No_ftl instrs;
+  Counters.add_cycles counters ~in_tx:false (instrs * Timing.cpi_runtime);
   let checksum = Value.to_js_string !result in
   check bench label checksum;
   {
     bench;
     label;
     counters;
-    cycles = float_of_int instrs *. Timing.cpi_runtime;
     checksum;
     deopts_total = 0;
     ftl_calls_total = 0;

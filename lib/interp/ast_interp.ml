@@ -53,6 +53,13 @@ let burn env =
 
 type frame = { locals : (string, Value.t) Hashtbl.t; this : Value.t }
 
+(* An array index is its int32 value only when that is exactly the index's
+   number, as in the bytecode tiers; any other index reads undefined and
+   its write is dropped. *)
+let array_index vi =
+  let idx = Value.to_int32 vi in
+  if float_of_int idx = Value.to_number vi then Some idx else None
+
 let lookup_var env frame x =
   var_cost env;
   match Hashtbl.find_opt frame.locals x with
@@ -110,14 +117,14 @@ let rec eval env frame (e : Ast.expr) : Value.t =
   | Ast.Index (a, i) -> (
     let va = eval env frame a and vi = eval env frame i in
     send_cost env;
-    match va with
-    | Value.Arr arr -> Heap.get_elem env.heap arr (Value.to_int32 vi)
-    | Value.Str s ->
-      let idx = Value.to_int32 vi in
+    match (va, vi) with
+    | Value.Arr arr, _ -> (
+      match array_index vi with Some idx -> Heap.get_elem env.heap arr idx | None -> Value.Undef)
+    | Value.Str s, Value.Int idx ->
       if idx >= 0 && idx < String.length s.Value.sdata then
         Heap.str env.heap (String.make 1 s.Value.sdata.[idx])
       else Value.Undef
-    | v -> raise (Runtime_error ("cannot index " ^ Value.type_name v)))
+    | v, _ -> raise (Runtime_error ("cannot index " ^ Value.type_name v)))
   | Ast.Prop (Ast.Var base, prop) when Intrinsics.static_constant base prop <> None ->
     Option.get (Intrinsics.static_constant base prop)
   | Ast.Prop (o, "length") -> (
@@ -223,7 +230,7 @@ and assign env frame lv v =
     let va = eval env frame a and vi = eval env frame i in
     send_cost env;
     match va with
-    | Value.Arr arr -> Heap.set_elem env.heap arr (Value.to_int32 vi) v
+    | Value.Arr arr -> Option.iter (fun idx -> Heap.set_elem env.heap arr idx v) (array_index vi)
     | v' -> raise (Runtime_error ("cannot index-assign " ^ Value.type_name v')))
   | Ast.Lprop (o, p) -> (
     let vo = eval env frame o in

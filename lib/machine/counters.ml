@@ -47,33 +47,21 @@ let abort_reason_table : Nomap_htm.Htm.abort_reason array =
     @ [ Deopt_in_tx; Capacity_write; Capacity_read; Sof_overflow; Irrevocable; Watchdog;
         Conflict ])
 
-(* All-float record: OCaml gives it the flat float representation, so the
-   per-instruction accumulation in [add_cycles] is an unboxed store.  Kept
-   in a mixed record these fields would be boxed and every update would
-   allocate — at one update per charged instruction that dominated the
-   engines' minor-heap traffic. *)
-type fstats = {
-  mutable cycles : float;
-  mutable tx_cycles : float;  (** cycles inside transactions (TMTime) *)
-  (* Committed-transaction write-set characterization (Table IV). *)
-  mutable tx_write_kb_sum : float;
-  mutable tx_write_kb_max : float;
-  mutable tx_assoc_sum : float;
-  mutable stm_cycles : float;
-      (** subset of [tx_cycles]: modeled software-transaction overhead
-          charged to hybrid transactions that fell back (DESIGN.md §15) *)
-}
-
 type t = {
   instrs : int array;  (** per category *)
   checks : int array;  (** executed FTL checks per kind *)
-  f : fstats;
+  mutable mcycles : int;  (** simulated milli-cycles *)
+  mutable tx_mcycles : int;  (** milli-cycles inside transactions (TMTime) *)
   mutable deopts : int;
   mutable ftl_calls : int;  (** invocations of FTL-compiled functions *)
   mutable dfg_calls : int;
   mutable tx_commits : int;
   mutable tx_aborts : int;
   abort_reasons : int array;  (** per [abort_index] *)
+  (* Committed-transaction write-set characterization (Table IV). *)
+  mutable tx_write_bytes_sum : int;
+  mutable tx_write_bytes_max : int;
+  mutable tx_assoc_sum : int;
   mutable tx_assoc_max : int;
   mutable tx_samples : int;
   (* Hybrid RTM+STM fallback activity (DESIGN.md §15).  A fallen-back
@@ -84,6 +72,9 @@ type t = {
   mutable stm_aborts : int;
   mutable stm_reads : int;
   mutable stm_writes : int;
+  mutable stm_mcycles : int;
+      (** subset of [tx_mcycles]: modeled software-transaction overhead
+          charged to hybrid transactions that fell back *)
   (* Shared-segment traffic (DESIGN.md §16): every [Shared]/[Atomics]
      operation this VM's agent completed, uniform across tiers and engines
      (the agent's note callback fires once per operation). *)
@@ -97,39 +88,36 @@ let create () =
   {
     instrs = Array.make 4 0;
     checks = Array.make 6 0;
-    f =
-      {
-        cycles = 0.0;
-        tx_cycles = 0.0;
-        tx_write_kb_sum = 0.0;
-        tx_write_kb_max = 0.0;
-        tx_assoc_sum = 0.0;
-        stm_cycles = 0.0;
-      };
+    mcycles = 0;
+    tx_mcycles = 0;
     deopts = 0;
     ftl_calls = 0;
     dfg_calls = 0;
     tx_commits = 0;
     tx_aborts = 0;
     abort_reasons = Array.make (Array.length abort_reason_table) 0;
+    tx_write_bytes_sum = 0;
+    tx_write_bytes_max = 0;
+    tx_assoc_sum = 0;
     tx_assoc_max = 0;
     tx_samples = 0;
     stm_commits = 0;
     stm_aborts = 0;
     stm_reads = 0;
     stm_writes = 0;
+    stm_mcycles = 0;
     shared_loads = 0;
     shared_stores = 0;
     shared_rmws = 0;
     shared_fences = 0;
   }
 
-let cycles t = t.f.cycles
-let tx_cycles t = t.f.tx_cycles
-let stm_cycles t = t.f.stm_cycles
-let tx_write_kb_sum t = t.f.tx_write_kb_sum
-let tx_write_kb_max t = t.f.tx_write_kb_max
-let tx_assoc_sum t = t.f.tx_assoc_sum
+let cycles t = float_of_int t.mcycles /. 1000.0
+let tx_cycles t = float_of_int t.tx_mcycles /. 1000.0
+let stm_cycles t = float_of_int t.stm_mcycles /. 1000.0
+let tx_write_kb_sum t = float_of_int t.tx_write_bytes_sum /. 1024.0
+let tx_write_kb_max t = float_of_int t.tx_write_bytes_max /. 1024.0
+let tx_assoc_sum t = float_of_int t.tx_assoc_sum
 
 let total_instrs t = Array.fold_left ( + ) 0 t.instrs
 let total_checks t = Array.fold_left ( + ) 0 t.checks
@@ -139,23 +127,8 @@ let[@inline] bump_check t ci = t.checks.(ci) <- t.checks.(ci) + 1
 let add_instrs t cat n = bump_instrs t (category_index cat) n
 
 let[@inline] add_cycles t ~in_tx c =
-  let f = t.f in
-  f.cycles <- f.cycles +. c;
-  if in_tx then f.tx_cycles <- f.tx_cycles +. c
-
-(* The sums live in local float refs, which the compiler keeps unboxed in
-   registers: no load or store of [t.f] per element, and no chain of
-   store-to-load waits through memory. *)
-let[@inline] add_cycle_run t ~in_tx (deltas : float array) n =
-  let f = t.f in
-  let c = ref f.cycles and x = ref f.tx_cycles in
-  for i = 0 to n - 1 do
-    let d = Nomap_util.Hot.fget deltas i in
-    c := !c +. d;
-    if in_tx then x := !x +. d
-  done;
-  f.cycles <- !c;
-  if in_tx then f.tx_cycles <- !x
+  t.mcycles <- t.mcycles + c;
+  if in_tx then t.tx_mcycles <- t.tx_mcycles + c
 
 let record_abort t reason =
   t.tx_aborts <- t.tx_aborts + 1;
@@ -171,13 +144,12 @@ let abort_breakdown t =
          if n = 0 then None else Some (Nomap_htm.Htm.abort_reason_name r, n))
   |> List.sort compare
 
-let record_commit t ~write_kb ~assoc =
+let record_commit t ~write_bytes ~assoc =
   t.tx_commits <- t.tx_commits + 1;
   t.tx_samples <- t.tx_samples + 1;
-  let f = t.f in
-  f.tx_write_kb_sum <- f.tx_write_kb_sum +. write_kb;
-  f.tx_write_kb_max <- Float.max f.tx_write_kb_max write_kb;
-  f.tx_assoc_sum <- f.tx_assoc_sum +. float_of_int assoc;
+  t.tx_write_bytes_sum <- t.tx_write_bytes_sum + write_bytes;
+  t.tx_write_bytes_max <- Int.max t.tx_write_bytes_max write_bytes;
+  t.tx_assoc_sum <- t.tx_assoc_sum + assoc;
   t.tx_assoc_max <- Int.max t.tx_assoc_max assoc
 
 (** Instruction-category fractions of the total. *)
@@ -191,18 +163,8 @@ let checks_per_100 t kind =
   if total = 0 then 0.0
   else 100.0 *. float_of_int t.checks.(check_index kind) /. float_of_int total
 
-let copy_f f =
-  {
-    cycles = f.cycles;
-    tx_cycles = f.tx_cycles;
-    tx_write_kb_sum = f.tx_write_kb_sum;
-    tx_write_kb_max = f.tx_write_kb_max;
-    tx_assoc_sum = f.tx_assoc_sum;
-    stm_cycles = f.stm_cycles;
-  }
-
 let copy t =
-  { t with instrs = Array.copy t.instrs; checks = Array.copy t.checks; f = copy_f t.f;
+  { t with instrs = Array.copy t.instrs; checks = Array.copy t.checks;
     abort_reasons = Array.copy t.abort_reasons }
 
 (** Open a measurement window: returns a snapshot for [diff ~before] and
@@ -211,7 +173,7 @@ let copy t =
     polluted by warmup-only transactions, e.g. pre-demotion placements). *)
 let begin_window t =
   let before = copy t in
-  t.f.tx_write_kb_max <- 0.0;
+  t.tx_write_bytes_max <- 0;
   t.tx_assoc_max <- 0;
   before
 
@@ -222,8 +184,8 @@ let diff ~now ~before =
   let t = create () in
   Array.iteri (fun i x -> t.instrs.(i) <- x - before.instrs.(i)) now.instrs;
   Array.iteri (fun i x -> t.checks.(i) <- x - before.checks.(i)) now.checks;
-  t.f.cycles <- now.f.cycles -. before.f.cycles;
-  t.f.tx_cycles <- now.f.tx_cycles -. before.f.tx_cycles;
+  t.mcycles <- now.mcycles - before.mcycles;
+  t.tx_mcycles <- now.tx_mcycles - before.tx_mcycles;
   t.deopts <- now.deopts - before.deopts;
   t.ftl_calls <- now.ftl_calls - before.ftl_calls;
   t.dfg_calls <- now.dfg_calls - before.dfg_calls;
@@ -232,12 +194,12 @@ let diff ~now ~before =
   Array.iteri
     (fun i x -> t.abort_reasons.(i) <- x - before.abort_reasons.(i))
     now.abort_reasons;
-  t.f.tx_write_kb_sum <- now.f.tx_write_kb_sum -. before.f.tx_write_kb_sum;
-  t.f.tx_write_kb_max <- now.f.tx_write_kb_max;
-  t.f.tx_assoc_sum <- now.f.tx_assoc_sum -. before.f.tx_assoc_sum;
+  t.tx_write_bytes_sum <- now.tx_write_bytes_sum - before.tx_write_bytes_sum;
+  t.tx_write_bytes_max <- now.tx_write_bytes_max;
+  t.tx_assoc_sum <- now.tx_assoc_sum - before.tx_assoc_sum;
   t.tx_assoc_max <- now.tx_assoc_max;
   t.tx_samples <- now.tx_samples - before.tx_samples;
-  t.f.stm_cycles <- now.f.stm_cycles -. before.f.stm_cycles;
+  t.stm_mcycles <- now.stm_mcycles - before.stm_mcycles;
   t.stm_commits <- now.stm_commits - before.stm_commits;
   t.stm_aborts <- now.stm_aborts - before.stm_aborts;
   t.stm_reads <- now.stm_reads - before.stm_reads;
@@ -249,7 +211,8 @@ let diff ~now ~before =
   t
 
 (** Canonical one-line rendering of the full counter table.  Cycles are
-    hex-floats so the comparison is exact to the last bit.  Shared by the
+    integer milli-cycles and the Table IV sums hex-floats, so the
+    comparison is exact to the last bit.  Shared by the
     determinism golden (test/determinism.expected) and the fuzzer's engine
     axis, where the exact and fused modes must match bit-for-bit. *)
 let to_canonical_string (c : t) =
@@ -265,11 +228,11 @@ let to_canonical_string (c : t) =
   let stm =
     if
       c.stm_commits = 0 && c.stm_aborts = 0 && c.stm_reads = 0
-      && c.stm_writes = 0 && c.f.stm_cycles = 0.0
+      && c.stm_writes = 0 && c.stm_mcycles = 0
     then ""
     else
-      Printf.sprintf " stm={commits=%d aborts=%d reads=%d writes=%d cycles=%h}"
-        c.stm_commits c.stm_aborts c.stm_reads c.stm_writes c.f.stm_cycles
+      Printf.sprintf " stm={commits=%d aborts=%d reads=%d writes=%d mcycles=%d}"
+        c.stm_commits c.stm_aborts c.stm_reads c.stm_writes c.stm_mcycles
   in
   (* Same trick for shared-segment traffic: workloads that never touch a
      segment — every pre-existing golden row — print unchanged. *)
@@ -283,9 +246,9 @@ let to_canonical_string (c : t) =
         c.shared_loads c.shared_stores c.shared_rmws c.shared_fences
   in
   Printf.sprintf
-    "instrs=[%s] checks=[%s] cycles=%h tx_cycles=%h deopts=%d ftl=%d dfg=%d \
+    "instrs=[%s] checks=[%s] mcycles=%d tx_mcycles=%d deopts=%d ftl=%d dfg=%d \
      commits=%d aborts=%d reasons={%s} wkb_sum=%h wkb_max=%h assoc_sum=%h \
      assoc_max=%d samples=%d%s%s"
-    (ints c.instrs) (ints c.checks) c.f.cycles c.f.tx_cycles c.deopts c.ftl_calls
-    c.dfg_calls c.tx_commits c.tx_aborts reasons c.f.tx_write_kb_sum
-    c.f.tx_write_kb_max c.f.tx_assoc_sum c.tx_assoc_max c.tx_samples stm shared
+    (ints c.instrs) (ints c.checks) c.mcycles c.tx_mcycles c.deopts c.ftl_calls
+    c.dfg_calls c.tx_commits c.tx_aborts reasons (tx_write_kb_sum c) (tx_write_kb_max c)
+    (tx_assoc_sum c) c.tx_assoc_max c.tx_samples stm shared

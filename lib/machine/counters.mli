@@ -17,24 +17,11 @@ val categories : category list
 val check_index : Nomap_lir.Lir.check_kind -> int
 val check_kinds : Nomap_lir.Lir.check_kind list
 
-(** The float metrics live in an all-float sub-record so OCaml gives them
-    the flat (unboxed) representation: [add_cycles] runs once per charged
-    instruction and must not allocate. *)
-type fstats = {
-  mutable cycles : float;
-  mutable tx_cycles : float;  (** cycles inside transactions (TMTime) *)
-  mutable tx_write_kb_sum : float;
-  mutable tx_write_kb_max : float;
-  mutable tx_assoc_sum : float;
-  mutable stm_cycles : float;
-      (** subset of [tx_cycles]: modeled software-transaction overhead of
-          hybrid transactions that fell back (DESIGN.md §15) *)
-}
-
 type t = {
   instrs : int array;  (** per category *)
   checks : int array;  (** executed FTL checks per kind *)
-  f : fstats;
+  mutable mcycles : int;  (** simulated milli-cycles ([Timing]'s unit) *)
+  mutable tx_mcycles : int;  (** milli-cycles inside transactions (TMTime) *)
   mutable deopts : int;
   mutable ftl_calls : int;
   mutable dfg_calls : int;
@@ -42,6 +29,10 @@ type t = {
   mutable tx_aborts : int;
   abort_reasons : int array;
       (** aborts per reason; read through [abort_count]/[abort_breakdown] *)
+  (* Committed-transaction write-set characterization (Table IV). *)
+  mutable tx_write_bytes_sum : int;
+  mutable tx_write_bytes_max : int;
+  mutable tx_assoc_sum : int;
   mutable tx_assoc_max : int;
   mutable tx_samples : int;
   (* Hybrid RTM+STM fallback activity (DESIGN.md §15).  A fallen-back
@@ -51,6 +42,9 @@ type t = {
   mutable stm_aborts : int;
   mutable stm_reads : int;
   mutable stm_writes : int;
+  mutable stm_mcycles : int;
+      (** subset of [tx_mcycles]: modeled software-transaction overhead of
+          hybrid transactions that fell back (DESIGN.md §15) *)
   (* Shared-segment traffic (DESIGN.md §16): completed [Shared]/[Atomics]
      operations, uniform across tiers and engines. *)
   mutable shared_loads : int;
@@ -61,7 +55,8 @@ type t = {
 
 val create : unit -> t
 
-(** Read accessors for the flat float metrics (see [fstats]). *)
+(** Cycles, and the Table IV write-set sums in KB, as floats for the
+    figures; the record keeps them as exact integers. *)
 val cycles : t -> float
 
 val tx_cycles : t -> float
@@ -78,13 +73,10 @@ val add_instrs : t -> category -> int -> unit
 val bump_instrs : t -> int -> int -> unit
 
 val bump_check : t -> int -> unit
-val add_cycles : t -> in_tx:bool -> float -> unit
 
-(** [add_cycle_run t ~in_tx deltas n] is [add_cycles t ~in_tx] of
-    [deltas.(0)], ..., [deltas.(n-1)] in that order: the same IEEE
-    additions in the same order, so the result is bit-identical, but the
-    running sums stay in registers and are stored once. *)
-val add_cycle_run : t -> in_tx:bool -> float array -> int -> unit
+(** Charge milli-cycles; [in_tx] also counts them as transactional time. *)
+val add_cycles : t -> in_tx:bool -> int -> unit
+
 val record_abort : t -> Nomap_htm.Htm.abort_reason -> unit
 
 (** Aborts recorded for one reason. *)
@@ -94,7 +86,7 @@ val abort_count : t -> Nomap_htm.Htm.abort_reason -> int
 val abort_breakdown : t -> (string * int) list
 
 (** Record a committed transaction's write-set characterization (Table IV). *)
-val record_commit : t -> write_kb:float -> assoc:int -> unit
+val record_commit : t -> write_bytes:int -> assoc:int -> unit
 
 (** Fraction of total instructions in a category. *)
 val category_fraction : t -> category -> float
@@ -105,7 +97,7 @@ val checks_per_100 : t -> Nomap_lir.Lir.check_kind -> float
 val copy : t -> t
 
 (** Snapshot the counters and open a measurement window: the running maxima
-    ([tx_write_kb_max], [tx_assoc_max]) are reset so a later [diff] against
+    ([tx_write_bytes_max], [tx_assoc_max]) are reset so a later [diff] against
     the returned snapshot reports maxima over the window only, not over
     warmup. *)
 val begin_window : t -> t
@@ -115,7 +107,8 @@ val begin_window : t -> t
     breakdown; maxima are window maxima (see [begin_window]). *)
 val diff : now:t -> before:t -> t
 
-(** Canonical one-line rendering of the full counter table (hex-float
-    cycles, sorted abort reasons) — the bit-exact equality format used by
-    the determinism golden and the fuzzer's engine axis. *)
+(** Canonical one-line rendering of the full counter table (integer
+    milli-cycles, hex-float write-set sums, sorted abort reasons) — the
+    bit-exact equality format used by the determinism golden and the
+    fuzzer's engine axis. *)
 val to_canonical_string : t -> string

@@ -56,7 +56,6 @@ type env = {
   stm_fallback : bool;
       (** hybrid RTM+STM: a capacity overflow upgrades the transaction to a
           modeled software transaction instead of aborting (DESIGN.md §15) *)
-  stm_factor : float;  (** STM per-access slowdown factor (Config.stm_factor) *)
   call : fid:int -> this:Value.t -> args:Value.t list -> Value.t;
   deopt_resume : fid:int -> resume_pc:int -> values:(int * Value.t) list -> Value.t;
   mutable tx : Htm.tx option;
@@ -71,9 +70,25 @@ type env = {
       (** VM adaptation hook: capacity aborts shrink/remove transactions *)
 }
 
+(** The fixed per-transaction costs, which [capacity_scale] divides. *)
+let scaled_costs =
+  [ ("xbegin", Timing.xbegin); ("xend_rot", Timing.xend_rot); ("xend_rtm", Timing.xend_rtm);
+    ("stm_begin", Timing.stm_begin); ("stm_commit", Timing.stm_commit) ]
+
+(** Raises [Invalid_argument] if [capacity_scale] does not divide every
+    fixed transactional cost into whole milli-cycles. *)
 let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
-    ?(tx_watchdog = 30_000_000) ?(host_ic = true) ?(stm_fallback = false)
-    ?(stm_factor = 4.0) ~call ~deopt_resume () =
+    ?(tx_watchdog = 30_000_000) ?(host_ic = true) ?(stm_fallback = false) ~call
+    ~deopt_resume () =
+  List.iter
+    (fun (name, c) ->
+      if c mod capacity_scale <> 0 then
+        invalid_arg
+          (Printf.sprintf
+             "Machine.create_env: Timing.%s (%d milli-cycles) is not divisible by \
+              capacity_scale %d"
+             name c capacity_scale))
+    scaled_costs;
   {
     instance;
     counters;
@@ -83,7 +98,6 @@ let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
     tx_watchdog;
     host_ic;
     stm_fallback;
-    stm_factor;
     call;
     deopt_resume;
     tx = None;
@@ -97,7 +111,7 @@ let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
 (* ------------------------------------------------------------------ *)
 (* The per-instruction protocol.  Both modes run these once or more per
    executed LIR instruction, so each helper here and in its home module
-   ([Value.int_]/[bool_]/[number], [Hot.get]/[set]/[fget],
+   ([Value.int_]/[bool_]/[number], [Hot.get]/[set]/[iget]/[iset],
    [Instance.burn], [Counters.bump_check]/[bump_instrs]/[add_cycles]) is
    [@inline]: without -opaque (the default release build) every call site
    compiles to direct loads and stores, and float arguments stay unboxed. *)
@@ -138,18 +152,18 @@ let[@inline] category_ix env frame =
       if frame = env.ghost_owner then ix_tm_opt else ix_tm_unopt
     else ix_no_tm
 
-(** Charge [n] instructions of category index [ix] costing [cycles]. *)
-let[@inline] charge_ix env ix n cycles =
+(** Charge [n] instructions of category index [ix] costing [mcycles]. *)
+let[@inline] charge_ix env ix n mcycles =
   Counters.bump_instrs env.counters ix n;
-  Counters.add_cycles env.counters ~in_tx:(in_region env) cycles
+  Counters.add_cycles env.counters ~in_tx:(in_region env) mcycles
 
 (** Charge [n] compiled-code instructions at the tier's [cpi]. *)
 let[@inline] charge env ~frame ~cpi n =
-  if n > 0 then charge_ix env (category_ix env frame) n (float_of_int n *. cpi)
+  if n > 0 then charge_ix env (category_ix env frame) n (n * cpi)
 
 (** Charge [n] NoFTL runtime-helper instructions. *)
 let[@inline] charge_runtime env n =
-  if n > 0 then charge_ix env ix_no_ftl n (float_of_int n *. Timing.cpi_runtime)
+  if n > 0 then charge_ix env ix_no_ftl n (n * Timing.cpi_runtime)
 
 let wrap_int32 = Ops.wrap_int32
 
@@ -173,21 +187,16 @@ let overflow_int env raw =
 (** RTM transactional reads are ~20% slower (paper §VI-B).  The HTM load
     hook counts every in-transaction read in [tx.reads]; the penalty is
     charged in one multiply when the transaction finishes (commit or abort)
-    — cycle-identical to per-read charging, but the hot hook stays a bare
+    — the same sum as per-read charging, but the hot hook stays a bare
     increment. *)
 let charge_rtm_reads env (tx : Htm.tx) =
   if tx.Htm.mode = Htm.Rtm && tx.Htm.reads > 0 then
-    Counters.add_cycles env.counters ~in_tx:true
-      (float_of_int tx.Htm.reads *. Timing.rtm_read_penalty)
+    Counters.add_cycles env.counters ~in_tx:true (tx.Htm.reads * Timing.rtm_read_penalty)
 
 (** Overhead of a hybrid transaction that fell back to the modeled software
-    transaction (DESIGN.md §15), computed in ONE fixed-order accumulation at
-    the transaction's single finish point (the outermost [Tx_end], or
-    [handle_abort]).  Charging here instead of inside the heap hooks keeps
-    the floating-point accumulation order independent of how an engine
-    mode interleaves its instruction charges (exact charges per
-    instruction, fused batches per segment), which the bit-exact cross-mode
-    counter contract requires.  The terms, in order:
+    transaction (DESIGN.md §15), charged at the transaction's single finish
+    point (the outermost [Tx_end], or [handle_abort]), so the heap hooks
+    stay bare counters.  The terms:
     - the hardware abort that triggered the fallback, plus the RTM read
       latency the doomed prefix had already paid;
     - STM setup (descriptor + log allocation);
@@ -199,16 +208,14 @@ let charge_rtm_reads env (tx : Htm.tx) =
     - commit write-back/validation (commit only).
     Fixed per-tx costs scale with [capacity_scale] like XBegin/XEnd do. *)
 let stm_overhead_cycles env (tx : Htm.tx) ~committed =
-  let scale = float_of_int env.capacity_scale in
-  let pr = float_of_int tx.Htm.stm_prefix_reads
-  and pw = float_of_int tx.Htm.stm_prefix_writes in
-  let ar = float_of_int tx.Htm.reads and aw = float_of_int tx.Htm.writes in
-  Timing.abort_cycles
-  +. (pr *. Timing.rtm_read_penalty)
-  +. (Timing.stm_begin_cycles /. scale)
-  +. ((pr +. pw) *. env.stm_factor *. Timing.stm_access_cycles)
-  +. (((ar -. pr) +. (aw -. pw)) *. (env.stm_factor -. 1.0) *. Timing.stm_access_cycles)
-  +. (if committed then Timing.stm_commit_cycles /. scale else 0.0)
+  let scale = env.capacity_scale in
+  let pr = tx.Htm.stm_prefix_reads and pw = tx.Htm.stm_prefix_writes in
+  Timing.abort
+  + (pr * Timing.rtm_read_penalty)
+  + (Timing.stm_begin / scale)
+  + ((pr + pw) * Timing.stm_factor * Timing.stm_access)
+  + ((tx.Htm.reads - pr + (tx.Htm.writes - pw)) * (Timing.stm_factor - 1) * Timing.stm_access)
+  + if committed then Timing.stm_commit / scale else 0
 
 (** Commit-time (or abort-time) bookkeeping for a fallen-back transaction:
     the averted capacity abort was already recorded (reason + [tx_aborts])
@@ -223,7 +230,7 @@ let charge_stm_finish env (tx : Htm.tx) ~committed =
   (* An aborted software transaction's overhead lands outside tx time, like
      the hardware abort penalty does. *)
   Counters.add_cycles c ~in_tx:committed over;
-  c.Counters.f.Counters.stm_cycles <- c.Counters.f.Counters.stm_cycles +. over
+  c.Counters.stm_mcycles <- c.Counters.stm_mcycles + over
 
 (* ------------------------------------------------------------------ *)
 (* Cost tables (simulated machine instructions per LIR instruction). *)
@@ -459,8 +466,7 @@ let exec_tx_begin env ~(snapshot : unit -> (int * Value.t) list) ~frame (smp : L
       (* Transaction lengths scale with the workloads; scale the
          fixed begin/end costs equally so the overhead-to-work
          ratio stays in the paper's regime (DESIGN.md §6). *)
-      Counters.add_cycles env.counters ~in_tx:true
-        (Timing.xbegin_cycles /. float_of_int env.capacity_scale))
+      Counters.add_cycles env.counters ~in_tx:true (Timing.xbegin / env.capacity_scale))
 
 (** The [Tx_end] semantics (cost/tick already charged by the engine). *)
 let exec_tx_end env =
@@ -491,12 +497,10 @@ let exec_tx_end env =
         | _ ->
           charge_rtm_reads env tx;
           Counters.add_cycles env.counters ~in_tx:true
-            ((match tx.Htm.mode with
-             | Htm.Rtm -> Timing.xend_rtm_cycles
-             | _ -> Timing.xend_rot_cycles)
-            /. float_of_int env.capacity_scale));
+            ((match tx.Htm.mode with Htm.Rtm -> Timing.xend_rtm | _ -> Timing.xend_rot)
+            / env.capacity_scale));
         Counters.record_commit env.counters
-          ~write_kb:(Footprint.kb tx.Htm.write_fp)
+          ~write_bytes:(Footprint.bytes tx.Htm.write_fp)
           ~assoc:(Footprint.max_ways tx.Htm.write_fp);
         Htm.commit tx;
         env.tx <- None
@@ -513,7 +517,7 @@ let handle_abort env ~fid reason (tx : Htm.tx) =
   (match env.shared_agent with Some ag -> Agent.tx_abort ag | None -> ());
   env.tx <- None;
   Counters.record_abort env.counters reason;
-  Counters.add_cycles env.counters ~in_tx:false Timing.abort_cycles;
+  Counters.add_cycles env.counters ~in_tx:false Timing.abort;
   env.on_abort ~fid reason;
   env.deopt_resume ~fid ~resume_pc:tx.Htm.resume_pc ~values:tx.Htm.snapshot
 
@@ -525,7 +529,7 @@ let run_with_exits env ~fid ~frame run =
   try run () with
   | Deopt_exit (resume_pc, vals) ->
     env.counters.Counters.deopts <- env.counters.Counters.deopts + 1;
-    Counters.add_cycles env.counters ~in_tx:(in_region env) Timing.deopt_cycles;
+    Counters.add_cycles env.counters ~in_tx:(in_region env) Timing.deopt;
     env.deopt_resume ~fid ~resume_pc ~values:vals
   | Htm.Abort reason -> (
     match env.tx with

@@ -35,14 +35,12 @@
       could cross the transaction watchdog, so a watchdog abort still fires
       at the precise instruction it would have in exact mode).
     - The semantics then run back to back as a chain of closures.
-    - The segment's [bump_instrs]/[add_cycles] charges are applied once at
-      the end: a single [bump_instrs] of the summed cost (integer adds
-      commute exactly) and the per-instruction cycle deltas accumulated in
-      original program order, in registers, by [Counters.add_cycle_run]
-      (the FP additions into [cycles] are the same operations on the same
-      values in the same order, so the result is bit-identical).  Category
-      and in-region flag are invariant across the segment — it contains no
-      calls and no tx markers — so computing them once is exact.
+    - The segment's charges are applied once at the end: one [charge_ix]
+      of the summed cost and of that cost times the CPI (cycles are
+      integer milli-cycles, so one add equals the per-instruction adds).
+      Category and in-region flag are invariant across the segment — it
+      contains no calls and no tx markers — so computing them once is
+      exact.
     - Deferral is safe because no instruction inside a segment *observes*
       the counters; the only way the reordering could show is if the
       segment ends early.  Instructions that can raise or abort (checks →
@@ -106,8 +104,7 @@
     Calls, intrinsics, runtime calls and tx markers (which change the
     category/in-region state or re-enter the VM) stay [solo] closures in
     both modes, with the free / zero-cost / charged decision resolved once
-    and the CPI multiplication pre-computed ([float_of_int cost *. cpi] at
-    compile time is the same IEEE operation as at run time).
+    and the CPI multiplication pre-computed.
 
     The compiled chain is cached on [Specialize.compiled] via the
     extensible [Specialize.artifact] slot; adaptation discarding a version
@@ -837,7 +834,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
   let solo (di : D.dinstr) (next : code) : code =
     let free = di.D.elided || (di.D.is_tx_marker && env.htm_mode = Htm.Ghost) in
     let cost = di.D.cost in
-    let delta = float_of_int cost *. cpi in
+    let delta = cost * cpi in
     let sem = sem_only di next in
     if free then
       fun st ->
@@ -944,10 +941,9 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
      A segment that runs to the end of the block, even a one-instruction
      one, additionally absorbs the terminator's 1-instruction charge into
      its batched [settle] ([fold_term]): terminators charge but never burn
-     fuel or tick the transaction, the category/in-tx flag cannot change
-     between the segment's last instruction and the terminator (no calls
-     or tx markers in between), and appending the terminator's cycle delta
-     last preserves exact mode's accumulation order.  The watchdog
+     fuel or tick the transaction, and the category/in-tx flag cannot
+     change between the segment's last instruction and the terminator (no
+     calls or tx markers in between).  The watchdog
      fallback and any mid-segment raise never reach the terminator, so
      those paths keep the self-charging [term]. *)
   let rec compile_seq (body : D.dinstr array) i ~(term : code) ~(term_free : code) :
@@ -980,30 +976,13 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
           end)
         run;
       let n_tick = !n_tick and total_cost = !total_cost + if fold_term then 1 else 0 in
-      (* The charged instructions' cycle deltas in program order, then the
-         folded terminator's [cpi]. *)
-      let charged di = (not di.D.elided) && di.D.cost > 0 in
-      let n_charged = Array.fold_left (fun c di -> if charged di then c + 1 else c) 0 run in
-      let n_deltas = n_charged + if fold_term then 1 else 0 in
-      let deltas = Array.make n_deltas cpi in
-      let k = ref 0 in
-      Array.iter
-        (fun di ->
-          if charged di then begin
-            deltas.(!k) <- float_of_int di.D.cost *. cpi;
-            incr k
-          end)
-        run;
-      (* cost_prefix.(k) / dcount_prefix.(k): summed cost and cycle-delta
-         count charged in exact mode after the segment's first
-         [k] instructions — what reconciliation owes at [st.due = k]. *)
+      (* cost_prefix.(k): summed cost charged in exact mode after the
+         segment's first [k] instructions — what reconciliation owes at
+         [st.due = k]. *)
       let cost_prefix = Array.make (n + 1) 0 in
-      let dcount_prefix = Array.make (n + 1) 0 in
       for k = 0 to n - 1 do
         let di = get run k in
-        let c = if di.D.elided then 0 else di.D.cost in
-        cost_prefix.(k + 1) <- cost_prefix.(k) + c;
-        dcount_prefix.(k + 1) <- (dcount_prefix.(k) + if c > 0 then 1 else 0)
+        cost_prefix.(k + 1) <- (cost_prefix.(k) + if di.D.elided then 0 else di.D.cost)
       done;
       let any_raiser = Array.exists (fun di -> not di.D.pure) run in
       (* The semantic chain: raisers record their due prefix first; pure
@@ -1026,16 +1005,13 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
       in
       let sems = build 0 in
       let slow = Array.fold_right solo run slow_next in
-      (* Charge the first [dk] cycle deltas, in order, and their summed
-         [cost]: the whole segment on completion, the due prefix when an
-         instruction raises ([reconcile]). *)
-      let settle st cost dk =
-        if cost > 0 then begin
-          Counters.bump_instrs cnt (category_ix env st.frame) cost;
-          Counters.add_cycle_run cnt ~in_tx:(in_region env) deltas dk
-        end
+      (* Charge [cost] instructions and their cycles: the whole segment on
+         completion, the due prefix when an instruction raises
+         ([reconcile]). *)
+      let settle st cost =
+        if cost > 0 then charge_ix env (category_ix env st.frame) cost (cost * cpi)
       in
-      let reconcile st = settle st (get cost_prefix st.due) (get dcount_prefix st.due) in
+      let reconcile st = settle st (get cost_prefix st.due) in
       if not any_raiser then
         fun st ->
           match env.tx with
@@ -1045,13 +1021,13 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
               Instance.burn inst n;
               tx.Htm.instr_count <- tx.Htm.instr_count + n_tick;
               sems st;
-              settle st total_cost n_deltas;
+              settle st total_cost;
               next st
             end
           | _ ->
             Instance.burn inst n;
             sems st;
-            settle st total_cost n_deltas;
+            settle st total_cost;
             next st
       else
         fun st ->
@@ -1066,7 +1042,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
                with e ->
                  reconcile st;
                  raise e);
-              settle st total_cost n_deltas;
+              settle st total_cost;
               next st
             end
           | _ ->
@@ -1076,7 +1052,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
              with e ->
                reconcile st;
                raise e);
-            settle st total_cost n_deltas;
+            settle st total_cost;
             next st
     end
   in

@@ -12,7 +12,7 @@ type arch =
       (** NoMap_RTM whose capacity aborts fall back to a modeled software
           transaction instead of deoptimizing — the region keeps running
           its check-elided code and pays a per-access STM overhead
-          ([stm_factor]) instead of a Baseline re-execution *)
+          ([Timing.stm_factor]) instead of a Baseline re-execution *)
 
 (* Append-only: the list order is the nomapd wire format for arch codes and
    the row order of test/determinism.expected. *)
@@ -27,21 +27,9 @@ let name = function
   | NoMap_RTM -> "NoMap_RTM"
   | NoMap_RTM_STM -> "NoMap_RTM_STM"
 
-type t = {
-  arch : arch;
-  stm_factor : float;
-      (** single-thread slowdown of an STM-instrumented transactional
-          access relative to a plain one (only meaningful for
-          [NoMap_RTM_STM]); clamped to the 3-10x range the STM literature
-          reports for single-thread overhead *)
-}
+type t = { arch : arch }
 
-let default_stm_factor = 4.0
-let min_stm_factor = 3.0
-let max_stm_factor = 10.0
-
-let create ?(stm_factor = default_stm_factor) arch =
-  { arch; stm_factor = Float.min max_stm_factor (Float.max min_stm_factor stm_factor) }
+let create arch = { arch }
 
 let htm_mode t : Nomap_htm.Htm.mode =
   match t.arch with

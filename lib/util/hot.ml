@@ -8,14 +8,6 @@ let checked =
 let[@inline] get a i = if checked then Array.get a i else Array.unsafe_get a i
 let[@inline] set a i v = if checked then Array.set a i v else Array.unsafe_set a i v
 
-(* Monomorphic float-array accessors: the polymorphic [get] compiles to a
-   generic array read, which re-boxes the float on every access.  The
-   annotated versions specialize to flat float-array reads the compiler
-   keeps unboxed at inlined call sites. *)
-let[@inline] fget (a : float array) i = if checked then Array.get a i else Array.unsafe_get a i
-let[@inline] fset (a : float array) i (v : float) =
-  if checked then Array.set a i v else Array.unsafe_set a i v
-
 (* Monomorphic int-array accessors: at a known int element type a read is
    one load and a write one store, with no float-tag test and no write
    barrier. *)

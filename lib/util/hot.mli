@@ -18,13 +18,6 @@ val checked : bool
 val get : 'a array -> int -> 'a
 val set : 'a array -> int -> 'a -> unit
 
-(** Monomorphic float-array accessors — the polymorphic versions go through
-    the generic array path, which re-boxes the float on every read; these
-    stay unboxed.  Same audit contract as [get]/[set]. *)
-val fget : float array -> int -> float
-
-val fset : float array -> int -> float -> unit
-
 (** Monomorphic int-array accessors: no float-tag test and no write
     barrier.  Same audit contract as [get]/[set]. *)
 val iget : int array -> int -> int

@@ -122,8 +122,7 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
   let env =
     Machine.create_env ~instance ~counters ~htm_mode:(Config.htm_mode config)
       ~sof_enabled:(Config.sof_enabled config) ~capacity_scale:Config.capacity_scale
-      ~host_ic ~stm_fallback:(Config.stm_fallback config)
-      ~stm_factor:config.Config.stm_factor ~call ~deopt_resume ()
+      ~host_ic ~stm_fallback:(Config.stm_fallback config) ~call ~deopt_resume ()
   in
   (* The interpreter tiers charge NoFTL instructions through the machine,
      so an op run inside a transaction region counts toward TMTime. *)

@@ -38,6 +38,15 @@ let run_program ?(mode = Interp.Interp_tier) ?(fuel = 50_000_000) ?(seed = 42) s
   in
   (inst, !count, profile)
 
+(** Fail [label] if it used more than half of a test file's fuel [budget],
+    so a heavier case asks for a larger budget instead of running out
+    mid-run.  Budgets are a few times each file's measured heaviest use, so
+    a miscompiled loop that never exits runs out within seconds. *)
+let check_fuel ~budget label inst =
+  let used = budget - inst.Instance.fuel in
+  if 2 * used > budget then
+    Alcotest.failf "%s: used %d of the %d fuel budget; raise [fuel_budget]" label used budget
+
 (** Run [src] and return the JS string rendering of global [result]. *)
 let run_result ?mode ?fuel ?seed src =
   let inst, _, _ = run_program ?mode ?fuel ?seed src in

@@ -4,8 +4,8 @@
     protocol (lowered tier-up thresholds so all tiers engage, then a fixed
     number of benchmark calls) must reproduce the committed golden counter
     table bit-for-bit: instruction categories, executed checks, cycles
-    (hex-float, so exact), commits/aborts with reason breakdown, and the
-    Table IV write-set statistics.  Both engine modes must match it: the
+    (integer milli-cycles, so exact), commits/aborts with reason breakdown,
+    and the Table IV write-set statistics.  Both engine modes must match it: the
     fused default and the exact reference.  Any change to simulated
     metrics — an optimization of the simulator that is supposed to be
     observation-preserving, or an accidental cost-model change — shows up

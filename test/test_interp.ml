@@ -68,6 +68,44 @@ let test_arrays () =
   check_result "var a = []; a.push(1); a.push(2); result = a.pop() + a.length;" "3";
   check_result "var a = ['x', 'y']; result = a.join('-');" "x-y"
 
+(* The AST interpreter's [result] after running [src]. *)
+let ast_result src =
+  let module A = Nomap_interp.Ast_interp in
+  let ast = Nomap_jsir.Parser.parse_program_exn ~name:"test" src in
+  let env = A.create ~flavour:A.Php_like ~charge:ignore ast in
+  A.run_program env ast;
+  Nomap_runtime.Value.to_js_string
+    (Option.value ~default:Nomap_runtime.Value.Undef (Hashtbl.find_opt env.A.globals "result"))
+
+(* Indices that are not exactly an int32: an array reads undefined and
+   drops the write, and a string raises.  The AST interpreter must agree
+   with both bytecode modes. *)
+let test_non_integral_index () =
+  List.iter
+    (fun (src, expected) ->
+      check_result src expected;
+      Alcotest.(check string) "ast interp" expected (ast_result src))
+    [
+      ( "var a = [7, 8, 9]; result = a[1.5] + ',' + a['x'] + ',' + a['1'];",
+        "undefined,undefined,8" );
+      ( "var a = [7, 8, 9]; a[1.5] = 5; a['x'] = 6; result = a[0] + ',' + a[1] + ',' + a.length;",
+        "7,8,3" );
+    ];
+  let src = "var s = 'abc'; result = s[1]; result = s[1.5];" in
+  let raises run =
+    match run src with
+    | _ -> "no error"
+    | exception Nomap_interp.Interp.Runtime_error m -> m
+    | exception Nomap_interp.Ast_interp.Runtime_error m -> m
+  in
+  List.iter
+    (fun (name, run) -> Alcotest.(check string) name "cannot index string" (raises run))
+    [
+      ("interp", fun src -> Helpers.run_result ~mode:Nomap_interp.Interp.Interp_tier src);
+      ("baseline", fun src -> Helpers.run_result ~mode:Nomap_interp.Interp.Baseline_tier src);
+      ("ast interp", ast_result);
+    ]
+
 let test_int_overflow_semantics () =
   check_result "result = 2147483647 + 1;" "2147483648";
   check_result "var x = 2147483647; x += 2; result = x;" "2147483649";
@@ -185,6 +223,7 @@ let tests =
     Alcotest.test_case "objects" `Quick test_objects;
     Alcotest.test_case "object methods" `Quick test_methods_on_objects;
     Alcotest.test_case "arrays" `Quick test_arrays;
+    Alcotest.test_case "non-integral index" `Quick test_non_integral_index;
     Alcotest.test_case "int overflow semantics" `Quick test_int_overflow_semantics;
     Alcotest.test_case "bitops" `Quick test_bitops;
     Alcotest.test_case "incr/decr" `Quick test_incr_decr;

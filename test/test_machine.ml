@@ -1,10 +1,11 @@
 (** Machine-level behaviour: instruction-category accounting, chunked
-    transactions, RTM timing, and the irrevocable deopt-inside-transaction
-    path. *)
+    transactions, RTM timing, the irrevocable deopt-inside-transaction
+    path, and the integer cycle arithmetic. *)
 
 module Vm = Nomap_vm.Vm
 module Config = Nomap_nomap.Config
 module Counters = Nomap_machine.Counters
+module Machine = Nomap_machine.Machine
 module Htm = Nomap_htm.Htm
 module Value = Nomap_runtime.Value
 
@@ -159,6 +160,38 @@ let test_ghost_regions_cost_nothing () =
   Alcotest.(check int) "no transactional state in Base" 0 c.Counters.tx_commits;
   Alcotest.(check bool) "cycles consistent" true (Counters.cycles c > 0.0)
 
+(* A bare machine environment, for charging cycles directly. *)
+let bare_env ?capacity_scale () =
+  let instance = Nomap_interp.Instance.create ~fuel:1_000 (Helpers.compile "var result = 0;") in
+  Machine.create_env ~instance ~counters:(Counters.create ()) ~htm_mode:Htm.Rot
+    ~sof_enabled:false ?capacity_scale
+    ~call:(fun ~fid:_ ~this:_ ~args:_ -> Value.Undef)
+    ~deopt_resume:(fun ~fid:_ ~resume_pc:_ ~values:_ -> Value.Undef)
+    ()
+
+(* Fixed transactional costs are divided by the capacity scale, so a scale
+   that leaves a fraction of a milli-cycle is refused up front. *)
+let test_capacity_scale_divides_costs () =
+  (match bare_env ~capacity_scale:7 () with
+  | _ -> Alcotest.fail "capacity_scale 7 accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "names xbegin"
+      "Machine.create_env: Timing.xbegin (30000 milli-cycles) is not divisible by \
+       capacity_scale 7"
+      msg);
+  List.iter (fun capacity_scale -> ignore (bare_env ~capacity_scale ())) [ 1; 8 ]
+
+(* Cycles are integer milli-cycles, so the order of the charges cannot move
+   the sums.  When cycles were float sums of [n *. 0.55], these two orders
+   gave 0x1.08p+3 and 0x1.0800000000001p+3 cycles, and this test failed. *)
+let test_cycle_order_independent () =
+  let run runs =
+    let env = bare_env () in
+    List.iter (Machine.charge env ~frame:0 ~cpi:(Machine.cpi_of Machine.Ftl)) runs;
+    Counters.to_canonical_string env.Machine.counters
+  in
+  Alcotest.(check string) "same table in either order" (run [ 1; 6; 4; 4 ]) (run [ 4; 4; 6; 1 ])
+
 let tests =
   [
     Alcotest.test_case "leaf kernel categories" `Quick test_leaf_categories;
@@ -170,4 +203,7 @@ let tests =
     Alcotest.test_case "print in tx is irrevocable" `Quick test_print_in_tx_is_irrevocable;
     Alcotest.test_case "Math.random rolls back" `Quick test_math_random_rolls_back;
     Alcotest.test_case "ghost regions cost nothing" `Quick test_ghost_regions_cost_nothing;
+    Alcotest.test_case "capacity scale divides fixed costs" `Quick
+      test_capacity_scale_divides_costs;
+    Alcotest.test_case "cycle sums are order independent" `Quick test_cycle_order_independent;
   ]

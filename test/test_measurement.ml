@@ -52,10 +52,10 @@ let test_abort_reasons_indexed () =
 let test_diff_window_maxima () =
   let c = Counters.create () in
   (* A huge warmup transaction (e.g. first iteration building tables). *)
-  Counters.record_commit c ~write_kb:27.5 ~assoc:14;
+  Counters.record_commit c ~write_bytes:28_160 ~assoc:14;
   let before = Counters.begin_window c in
-  Counters.record_commit c ~write_kb:2.0 ~assoc:3;
-  Counters.record_commit c ~write_kb:4.5 ~assoc:5;
+  Counters.record_commit c ~write_bytes:2_048 ~assoc:3;
+  Counters.record_commit c ~write_bytes:4_608 ~assoc:5;
   let w = Counters.diff ~now:c ~before in
   Alcotest.(check int) "window samples" 2 w.Counters.tx_samples;
   Alcotest.(check (float 1e-9)) "max write-set is window max" 4.5 (Counters.tx_write_kb_max w);

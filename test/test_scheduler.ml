@@ -47,7 +47,7 @@ let test_prefetch_dedup () =
   Alcotest.(check bool) "identical requests share the measurement" true (m == m')
 
 (* The golden table in test/determinism.expected was produced serially; the
-   domain-parallel sweep must reproduce it bit-for-bit (hex-float cycles
+   domain-parallel sweep must reproduce it bit-for-bit (milli-cycles
    included).  Together with test_determinism (which runs at the session's
    default -j), this pins -j 1 ≡ -j 4. *)
 let test_parallel_matches_golden () = Test_determinism.check_against_golden ~jobs:4 ()

@@ -10,12 +10,19 @@ module Shape = Nomap_runtime.Shape
 module Heap = Nomap_runtime.Heap
 module Instance = Nomap_interp.Instance
 
-let run_vm ?(arch = Config.Base) ?(cap = Vm.Cap_ftl) ?(fuel = 200_000_000) src =
+(* Fuel for every VM and reference run in this file (see
+   [Helpers.check_fuel]).  The heaviest case, [sum_kernel] under Base at
+   FTL, burns 320K; the budget is about 4x that. *)
+let fuel_budget = 1_300_000
+let check_fuel label vm = Helpers.check_fuel ~budget:fuel_budget label (Vm.instance vm)
+
+let run_vm ?(arch = Config.Base) ?(cap = Vm.Cap_ftl) src =
   let prog = Helpers.compile src in
   let t =
-    Vm.create ~fuel ~verify_lir:true ~config:(Config.create arch) ~tier_cap:cap prog
+    Vm.create ~fuel:fuel_budget ~verify_lir:true ~config:(Config.create arch) ~tier_cap:cap prog
   in
   ignore (Vm.run_main t);
+  check_fuel (Printf.sprintf "%s at %s" (Config.name arch) (Vm.cap_name cap)) t;
   t
 
 let result_of t =
@@ -28,11 +35,13 @@ let hot kernel = Printf.sprintf "%s var it; for (it = 0; it < 60; it++) { result
 
 let all_archs = Config.all
 
-let check_all_archs ?fuel name src =
-  let expected = Helpers.run_result ~fuel:200_000_000 src in
+let check_all_archs name src =
+  let inst, _, _ = Helpers.run_program ~fuel:fuel_budget src in
+  Helpers.check_fuel ~budget:fuel_budget (name ^ ": reference") inst;
+  let expected = Value.to_js_string (Helpers.global_value inst "result") in
   List.iter
     (fun arch ->
-      let t = run_vm ?fuel ~arch src in
+      let t = run_vm ~arch src in
       Alcotest.(check string)
         (Printf.sprintf "%s under %s" name (Config.name arch))
         expected (result_of t);
@@ -274,11 +283,12 @@ let test_host_ic_counters_identical () =
     (fun tier_cap ->
       let run host_ic =
         let t =
-          Vm.create ~fuel:200_000_000 ~verify_lir:true ~host_ic
+          Vm.create ~fuel:fuel_budget ~verify_lir:true ~host_ic
             ~engine:Nomap_machine.Engine.Threaded ~config:(Config.create Config.NoMap_full)
             ~tier_cap prog
         in
         ignore (Vm.run_main t);
+        check_fuel (Printf.sprintf "%s, host ICs %b" (Vm.cap_name tier_cap) host_ic) t;
         (result_of t, Counters.to_canonical_string (Vm.counters t))
       in
       let r_on, c_on = run true in
@@ -329,10 +339,11 @@ let test_ic_rules () =
         (fun tier_cap ->
           let run host_ic =
             let t =
-              Vm.create ~fuel:50_000_000 ~host_ic ~config:(Config.create Config.Base) ~tier_cap
+              Vm.create ~fuel:fuel_budget ~host_ic ~config:(Config.create Config.Base) ~tier_cap
                 prog
             in
             let outcome = try ignore (Vm.run_main t); "ok" with e -> Printexc.to_string e in
+            check_fuel (Printf.sprintf "%s, %s, host ICs %b" name (Vm.cap_name tier_cap) host_ic) t;
             ( outcome ^ " " ^ result_of t,
               Nomap_vm.Heap_checksum.checksum (Vm.instance t),
               Counters.to_canonical_string (Vm.counters t) )
