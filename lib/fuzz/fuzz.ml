@@ -17,18 +17,20 @@ type failure = {
           have been bit-identical (empty [divergences] is possible — a
           determinism leak needn't miscompute anything solo) *)
   shrunk : Ast.program option;
+  compared : bool;  (** the oracle reached a verdict, so the AST axis ran *)
 }
 
 type summary = {
   tested : int;
   agreed : int;
   skipped : int;
-      (** reference itself crashed or ran out of fuel, on BOTH the normal
-          and the boosted-fuel attempt *)
+      (** reference itself crashed or ran out of fuel, or [Ast_interp] ran
+          out of fuel, on BOTH the normal and the boosted-fuel attempt *)
   retried : int;  (** seeds that skipped once and were retried with boosted fuel *)
   recovered : int;  (** retried seeds that reached a verdict on the retry *)
   skip_seeds : (int * string) list;  (** seed × reason for every final skip *)
   failures : failure list;
+  compared : int;  (** cases checked against [Ast_interp]: every one not skipped *)
 }
 
 (** Per-case seed: decorrelate neighbouring indices (golden-ratio stride)
@@ -70,11 +72,16 @@ let run_case ?cfgs ?(fuel_boost = 1) ?ftl_mutate ?(agents = 0) ~shrink ~shrink_c
            to compare against. *)
         let diverging =
           Oracle.with_ic_partners
-            (Oracle.with_engine_partners (List.map (fun d -> d.Oracle.cfg) divergences))
+            (Oracle.with_engine_partners
+               (List.filter_map
+                  (fun d ->
+                    match d.Oracle.subject with Oracle.Cfg c -> Some c | Oracle.Ast_axis -> None)
+                  divergences))
         in
         Some (shrink_failure ?ftl_mutate ~max_checks:shrink_checks ~cfgs:diverging program)
     in
-    `Diverge { seed; program; divergences; agents = agents_div; shrunk }
+    let compared = match verdict with Oracle.Skip _ -> false | _ -> true in
+    `Diverge { seed; program; divergences; agents = agents_div; shrunk; compared }
 
 (** Run a campaign.  [on_case] (if given) is called after each case with
     (index, outcome) for progress reporting; with [jobs > 1] calls arrive
@@ -118,6 +125,7 @@ let run ?cfgs ?ftl_mutate ?agents ?(jobs = 1) ?(shrink = true) ?(shrink_checks =
     List.filter_map (fun (_, o) -> match o with `Diverge f -> Some f | _ -> None) final
   in
   let retried = List.length first_skips in
+  let compared = agreed + List.length (List.filter (fun (f : failure) -> f.compared) failures) in
   {
     tested = iters;
     agreed;
@@ -126,6 +134,7 @@ let run ?cfgs ?ftl_mutate ?agents ?(jobs = 1) ?(shrink = true) ?(shrink_checks =
     recovered = retried - List.length skip_seeds;
     skip_seeds;
     failures;
+    compared;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -161,8 +170,8 @@ let summary_to_string s =
           (List.map (fun (seed, msg) -> Printf.sprintf "\n  seed %d: %s" seed msg)
              s.skip_seeds)
   in
-  Printf.sprintf "%d tested: %d agreed, %d skipped%s, %d diverged%s" s.tested s.agreed
-    s.skipped retry (List.length s.failures) skip_detail
+  Printf.sprintf "%d tested: %d agreed, %d skipped%s, %d diverged; %d compared against Ast_interp%s"
+    s.tested s.agreed s.skipped retry (List.length s.failures) s.compared skip_detail
 
 (* ------------------------------------------------------------------ *)
 (* Deliberate miscompile, for self-test (--sabotage and the acceptance

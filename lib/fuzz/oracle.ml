@@ -1,9 +1,17 @@
 (** The differential oracle.
 
-    One generated program is executed through every (tier cap, architecture,
-    engine) configuration; all of them must observe exactly what the
-    reference interpreter observes — the same [result] global and the same
-    heap checksum — or the optimizing tiers miscompiled it.  Performance
+    First the reference interpreter is checked against [Ast_interp], which
+    walks the parsed program instead of running the bytecode compiler's
+    output: they must agree on the [result] global, the heap checksum and
+    the shared-segment checksum, or the bytecode compiler (or the engine
+    running its output) is wrong — the AST axis, the one axis whose
+    reference shares no code with the bytecode tiers beyond the lexer,
+    the parser and the runtime.
+
+    Then one generated program is executed through every (tier cap,
+    architecture, engine) configuration; all of them must observe exactly
+    what the reference interpreter observes — the same [result] global and
+    the same heap checksum — or the optimizing tiers miscompiled it.  Performance
     counters may differ between (tier, arch) configurations (DESIGN.md §4):
     different code runs.  They may NOT differ between the engine's exact
     ([decoded]) and fused ([threaded]) modes at the same (tier, arch) — the
@@ -23,6 +31,9 @@ module Shape = Nomap_runtime.Shape
 module Instance = Nomap_interp.Instance
 module Engine = Nomap_machine.Engine
 module Counters = Nomap_machine.Counters
+module Ast_interp = Nomap_interp.Ast_interp
+module Agent = Nomap_shared.Agent
+module Segment = Nomap_shared.Segment
 
 type cfg = {
   tier : Vm.tier_cap;
@@ -169,14 +180,62 @@ let run_cfg ?(fuel_boost = 1) ?ftl_mutate ~src (c : cfg) : observation =
   | exception e -> Crash (Printexc.to_string e)
 
 (* ------------------------------------------------------------------ *)
+(* The AST axis *)
+
+(** [Ast_interp] burns one fuel per AST node evaluated, not per bytecode
+    op.  Over seed 42's first 500 cases it used at most 0.97x the fuel the
+    reference used on the same program, so the reference's budget runs
+    [Ast_interp] through every case the reference completes. *)
+let ast_fuel = reference_fuel
+
+(** Run [src] on [Ast_interp] (charges ignored) with a solo shared
+    segment installed on its heap, as [Vm.create] does, and observe it as
+    the reference is observed: [result] and the heap checksum over
+    [globals], the bytecode program's globals.  [None]: out of fuel. *)
+let run_ast ?(fuel_boost = 1) ~src (globals : string array) : observation option =
+  match
+    let ast = Nomap_jsir.Parser.parse_program_exn src in
+    let env =
+      Ast_interp.create ~fuel:(fuel_boost * ast_fuel) ~flavour:Ast_interp.Php_like
+        ~charge:ignore ast
+    in
+    let agent = Agent.solo () in
+    Agent.install agent env.Ast_interp.heap;
+    Ast_interp.run_program env ast;
+    let value name =
+      Option.value ~default:Value.Undef (Hashtbl.find_opt env.Ast_interp.globals name)
+    in
+    Outcome
+      {
+        result =
+          (if Array.mem "result" globals then Value.to_js_string (value "result")
+           else "<no result>");
+        heap =
+          Nomap_vm.Heap_checksum.of_globals
+            (List.map (fun name -> (name, value name)) (Array.to_list globals));
+        shared = Nomap_util.Fnv.to_hex (Segment.checksum (Agent.segment (Agent.registry agent)));
+        counters = "";
+      }
+  with
+  | o -> Some o
+  | exception Instance.Out_of_fuel -> None
+  | exception e -> Some (Crash (Printexc.to_string e))
+
+(* ------------------------------------------------------------------ *)
 (* The differential property *)
 
-type divergence = { cfg : cfg; expected : observation; got : observation }
+(** Who diverged: a configuration (from the reference, or from its engine
+    or host-IC partner), or the reference itself from [Ast_interp]. *)
+type subject = Cfg of cfg | Ast_axis
+
+type divergence = { subject : subject; expected : observation; got : observation }
 
 type verdict =
-  | Agree  (** every configuration matched the reference *)
-  | Skip of string  (** the reference itself failed (e.g. out of fuel) *)
-  | Diverge of divergence list
+  | Agree  (** [Ast_interp] and every configuration matched the reference *)
+  | Skip of string
+      (** the reference itself failed (e.g. out of fuel), or [Ast_interp]
+          ran out of fuel *)
+  | Diverge of divergence list  (** the AST axis ran, and something diverged *)
 
 (* Against the reference only result + heap + segment matter: counters
    legitimately differ across tiers and architectures. *)
@@ -187,66 +246,79 @@ let agrees_with_reference ~expected ~got =
   | Crash a, Crash b -> a = b
   | _ -> false
 
+(* Every configuration's divergences from the reference's observation
+   [expected], then from its engine and host-IC partners. *)
+let config_divergences ~cfgs ~fuel_boost ?ftl_mutate ~src expected =
+  let obs = List.map (fun c -> (c, run_cfg ~fuel_boost ?ftl_mutate ~src c)) cfgs in
+  let ref_divs =
+    List.filter_map
+      (fun (c, got) ->
+        if agrees_with_reference ~expected ~got then None
+        else Some { subject = Cfg c; expected; got })
+      obs
+  in
+  (* Engine axis: the same (tier, arch) under both engines must agree on
+     result, heap AND the full counter table (structural equality on the
+     whole observation, canonical counters string included). *)
+  let engine_divs =
+    List.filter_map
+      (fun (c, got) ->
+        if c.engine = Engine.Decoded || not (engine_matters c) then None
+        else
+          match
+            List.find_opt
+              (fun (c', _) ->
+                c'.engine = Engine.Decoded && c'.tier = c.tier && c'.arch = c.arch
+                && c'.host_ic = c.host_ic)
+              obs
+          with
+          | Some (_, (Outcome _ as expected')) when got <> expected' ->
+            Some { subject = Cfg c; expected = expected'; got }
+          | _ -> None)
+      obs
+  in
+  (* IC axis: an ic-off configuration must match its ic-on partner at the
+     same (tier, arch, engine) on the full observation — host inline
+     caches are invisible to every counter.  The reference run is the
+     Interpreter's ic-on partner. *)
+  let ic_divs =
+    List.filter_map
+      (fun (c, got) ->
+        if c.host_ic then None
+        else
+          match
+            List.find_opt
+              (fun (c', _) ->
+                c'.host_ic && c'.tier = c.tier && c'.arch = c.arch
+                && c'.engine = c.engine)
+              ((reference, expected) :: obs)
+          with
+          | Some (_, (Outcome _ as expected')) when got <> expected' ->
+            Some { subject = Cfg c; expected = expected'; got }
+          | _ -> None)
+      obs
+  in
+  let dedup extra divs =
+    divs @ List.filter (fun d -> not (List.exists (fun r -> r.subject = d.subject) divs)) extra
+  in
+  dedup ic_divs (dedup engine_divs ref_divs)
+
 let check ?(cfgs = default_cfgs) ?(fuel_boost = 1) ?ftl_mutate
     (prog : Ast.program) : verdict =
   let src = Gen.to_source prog in
   match run_cfg ~fuel_boost ~src reference with
   | Crash msg -> Skip msg
-  | Outcome _ as expected ->
-    let obs = List.map (fun c -> (c, run_cfg ~fuel_boost ?ftl_mutate ~src c)) cfgs in
-    let ref_divs =
-      List.filter_map
-        (fun (c, got) ->
-          if agrees_with_reference ~expected ~got then None
-          else Some { cfg = c; expected; got })
-        obs
-    in
-    (* Engine axis: the same (tier, arch) under both engines must agree on
-       result, heap AND the full counter table (structural equality on the
-       whole observation, canonical counters string included). *)
-    let engine_divs =
-      List.filter_map
-        (fun (c, got) ->
-          if c.engine = Engine.Decoded || not (engine_matters c) then None
-          else
-            match
-              List.find_opt
-                (fun (c', _) ->
-                  c'.engine = Engine.Decoded && c'.tier = c.tier && c'.arch = c.arch
-                  && c'.host_ic = c.host_ic)
-                obs
-            with
-            | Some (_, (Outcome _ as expected')) when got <> expected' ->
-              Some { cfg = c; expected = expected'; got }
-            | _ -> None)
-        obs
-    in
-    (* IC axis: an ic-off configuration must match its ic-on partner at the
-       same (tier, arch, engine) on the full observation — host inline
-       caches are invisible to every counter.  The reference run is the
-       Interpreter's ic-on partner. *)
-    let ic_divs =
-      List.filter_map
-        (fun (c, got) ->
-          if c.host_ic then None
-          else
-            match
-              List.find_opt
-                (fun (c', _) ->
-                  c'.host_ic && c'.tier = c.tier && c'.arch = c.arch
-                  && c'.engine = c.engine)
-                ((reference, expected) :: obs)
-            with
-            | Some (_, (Outcome _ as expected')) when got <> expected' ->
-              Some { cfg = c; expected = expected'; got }
-            | _ -> None)
-        obs
-    in
-    let dedup extra divs =
-      divs @ List.filter (fun d -> not (List.exists (fun r -> r.cfg = d.cfg) divs)) extra
-    in
-    let divs = dedup ic_divs (dedup engine_divs ref_divs) in
-    if divs = [] then Agree else Diverge divs
+  | Outcome _ as expected -> (
+    let globals = (Nomap_bytecode.Compile.compile_source src).Nomap_bytecode.Opcode.globals in
+    match run_ast ~fuel_boost ~src globals with
+    | None -> Skip "Ast_interp: out of fuel"
+    | Some ast ->
+      let ast_divs =
+        if agrees_with_reference ~expected:ast ~got:expected then []
+        else [ { subject = Ast_axis; expected = ast; got = expected } ]
+      in
+      let divs = ast_divs @ config_divergences ~cfgs ~fuel_boost ?ftl_mutate ~src expected in
+      if divs = [] then Agree else Diverge divs)
 
 (* ------------------------------------------------------------------ *)
 (* The multi-agent axis: determinism, not tier equivalence.
@@ -303,9 +375,13 @@ let check_agents ?agents ?tier ?arch ~schedule_seed (prog : Ast.program) :
   let b = agents_observation ?agents ?tier ?arch ~schedule_seed src in
   if a = b then None else Some (a, b)
 
+let subject_name = function
+  | Cfg c -> cfg_name c
+  | Ast_axis -> cfg_name reference ^ " vs Ast_interp"
+
 let divergence_to_string d =
   let base =
-    Printf.sprintf "  %-24s expected %s\n  %-24s got      %s" (cfg_name d.cfg)
+    Printf.sprintf "  %-24s expected %s\n  %-24s got      %s" (subject_name d.subject)
       (observation_to_string d.expected) "" (observation_to_string d.got)
   in
   (* A counters-only engine divergence prints identically above; show the

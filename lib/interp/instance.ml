@@ -1,10 +1,19 @@
 (** A program instantiated against a heap: materialized constants, global
-    storage, the bytecode tiers' host inline caches, and the execution
-    watchdog.  Shared by every execution engine (interpreter, baseline,
-    optimized machine code). *)
+    storage, the bytecode tiers' host inline caches and compiled code, and
+    the execution watchdog.  Shared by every execution engine (interpreter,
+    baseline, optimized machine code). *)
 
 open Nomap_runtime
 module Opcode = Nomap_bytecode.Opcode
+
+(** The bytecode engine's modes ([Interp] documents what each charges);
+    they key the code table. *)
+type mode = Interp_tier | Baseline_tier | Native_tier
+
+(** Code the bytecode compiler ([Interp]) made for one function in one
+    mode.  The type is extensible so the compiler can cache its closures
+    here without this module depending on it. *)
+type code = ..
 
 type t = {
   prog : Opcode.program;
@@ -17,8 +26,17 @@ type t = {
           instance was created with [~host_ic:false].  Caches are mutable
           and keyed on this heap's shape ids, so they live here, per
           instance, never on the shared program (DESIGN.md §14). *)
+  code : code option array;
+      (** per function and mode ([code_slot]): the bytecode compiler's
+          closures, compiled on first call and kept for the instance's
+          life unless the compiler drops them *)
   mutable fuel : int;  (** remaining bytecode ops / LIR instrs; guards runaways *)
 }
+
+let modes = 3
+
+let code_slot mode fid =
+  (modes * fid) + match mode with Interp_tier -> 0 | Baseline_tier -> 1 | Native_tier -> 2
 
 exception Out_of_fuel
 
@@ -50,6 +68,7 @@ let create ?(seed = 42) ?(fuel = max_int) ?(host_ic = true) (prog : Opcode.progr
         (fun (f : Opcode.func) ->
           if host_ic then Array.map site_ic f.code else Array.make (Array.length f.code) None)
         prog.funcs;
+    code = Array.make (modes * Array.length prog.funcs) None;
     fuel;
   }
 

@@ -6,8 +6,6 @@
     calls [record_*] at profiled sites (one site per bytecode index), and
     the optimizing tiers query the accumulated [site] data. *)
 
-module Hot = Nomap_util.Hot
-
 type value_class =
   | Cls_int
   | Cls_num  (** non-int32 double *)
@@ -70,9 +68,11 @@ type func_profile = {
   mutable call_count : int;
   mutable ftl_call_count : int;  (** calls executed in optimized code *)
   loop_entries : int array;
-      (** per pc: times the loop headed there was entered; -1 at a pc that
-          heads no loop *)
-  loop_iters : int array;  (** per pc: back edges taken to the loop headed there *)
+      (** per pc: times the loop headed there was entered (an edge from a
+          lower pc, or function entry); -1 at a pc that heads no loop *)
+  loop_iters : int array;
+      (** per pc: back edges (from the same or a higher pc) taken to the
+          loop headed there *)
 }
 
 let create_func_profile (f : Nomap_bytecode.Opcode.func) =
@@ -145,16 +145,6 @@ let record_overflow site = site.overflowed <- true
 let record_hole site = site.saw_hole <- true
 let record_oob site = site.saw_oob <- true
 let record_elongation site = site.saw_elongation <- true
-
-(** Count control reaching [target] from [from] ([from] = -1: function
-    entry): a back edge ([from >= target]) is one more iteration of the
-    loop headed at [target], any other edge one more entry.  Edges to a
-    pc that heads no loop are ignored. *)
-let[@inline] record_edge fp ~from ~target =
-  let entries = Hot.iget fp.loop_entries target in
-  if entries >= 0 then
-    if from >= target then Hot.iset fp.loop_iters target (Hot.iget fp.loop_iters target + 1)
-    else Hot.iset fp.loop_entries target (entries + 1)
 
 (** Average iterations per entry for the loop headed at [header]; the NoMap
     transaction-placement pass uses this for footprint estimation. *)

@@ -3,7 +3,7 @@ module Value = Nomap_runtime.Value
 module Shape = Nomap_runtime.Shape
 module Instance = Nomap_interp.Instance
 
-let checksum (inst : Instance.t) =
+let of_globals globals =
   let seen_obj = Hashtbl.create 16 and seen_arr = Hashtbl.create 16 in
   let h = ref Fnv.basis in
   (* Terminator byte so "ab","c" and "a","bc" hash differently. *)
@@ -45,9 +45,16 @@ let checksum (inst : Instance.t) =
         tag "]"
       end
   in
-  Array.iteri
-    (fun idx name ->
+  List.iter
+    (fun (name, v) ->
       tag name;
-      walk inst.Instance.globals.(idx))
-    inst.Instance.prog.Nomap_bytecode.Opcode.globals;
+      walk v)
+    globals;
   Fnv.to_hex !h
+
+let checksum (inst : Instance.t) =
+  of_globals
+    (Array.to_list
+       (Array.mapi
+          (fun idx name -> (name, inst.Instance.globals.(idx)))
+          inst.Instance.prog.Nomap_bytecode.Opcode.globals))

@@ -239,9 +239,15 @@ and dispatch t ~fid ~this ~args =
     let c = ensure_ftl t fid in
     exec t c ~tier:Machine.Ftl ~this ~args
   | (Cap_ftl | Cap_dfg) when n > th.dfg_at ->
+    (* From here on, Baseline code runs only when a deopt resumes it, and
+       [deopt_resume] compiles it again then. *)
+    if n = th.dfg_at + 1 then Interp.discard t.instance ~fid Interp.Baseline_tier;
     let c = ensure_dfg t fid in
     exec t c ~tier:Machine.Dfg ~this ~args
   | (Cap_ftl | Cap_dfg | Cap_baseline) when n > th.baseline_at ->
+    (* Call counts only grow and resumes enter Baseline code, so the
+       function's Interpreter code is dead from its first Baseline call. *)
+    if n = th.baseline_at + 1 then Interp.discard t.instance ~fid Interp.Interp_tier;
     let regs = Interp.make_frame t.instance ~fid ~this ~args in
     Interp.run_from t.baseline_env ~fid ~entry_pc:0 ~regs
   | _ ->

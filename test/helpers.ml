@@ -42,10 +42,12 @@ let run_program ?(mode = Interp.Interp_tier) ?(fuel = 50_000_000) ?(seed = 42) s
     so a heavier case asks for a larger budget instead of running out
     mid-run.  Budgets are a few times each file's measured heaviest use, so
     a miscompiled loop that never exits runs out within seconds. *)
-let check_fuel ~budget label inst =
-  let used = budget - inst.Instance.fuel in
+let check_fuel_left ~budget label left =
+  let used = budget - left in
   if 2 * used > budget then
     Alcotest.failf "%s: used %d of the %d fuel budget; raise [fuel_budget]" label used budget
+
+let check_fuel ~budget label inst = check_fuel_left ~budget label inst.Instance.fuel
 
 (** Run [src] and return the JS string rendering of global [result]. *)
 let run_result ?mode ?fuel ?seed src =

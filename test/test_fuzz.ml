@@ -95,16 +95,26 @@ let gen_program = Gen.no_shrink gen_program_shrinkable
 
 (* --- the differential property --------------------------------------- *)
 
+(* Fuel for every VM and reference run of the property (see
+   [Helpers.check_fuel]).  Its programs are random per run: the heaviest of
+   4,000 sampled burns 307K, on the reference interpreter; the budget is
+   about 6x that. *)
+let fuel_budget = 2_000_000
+
 let run_arch src arch =
   let prog = Nomap_bytecode.Compile.compile_source src in
   let vm =
-    Vm.create ~fuel:300_000_000 ~verify_lir:true ~config:(Config.create arch)
+    Vm.create ~fuel:fuel_budget ~verify_lir:true ~config:(Config.create arch)
       ~tier_cap:Vm.Cap_ftl prog
   in
   ignore (Vm.run_main vm);
+  Helpers.check_fuel ~budget:fuel_budget ("program under " ^ Config.name arch) (Vm.instance vm);
   match Vm.global vm "result" with Some v -> Value.to_js_string v | None -> "?"
 
-let reference src = Helpers.run_result ~fuel:300_000_000 src
+let reference src =
+  let inst, _, _ = Helpers.run_program ~fuel:fuel_budget src in
+  Helpers.check_fuel ~budget:fuel_budget "reference" inst;
+  Value.to_js_string (Helpers.global_value inst "result")
 
 let agree_under archs =
   Gen.map (fun src -> (src, ())) gen_program |> ignore;

@@ -187,6 +187,122 @@ let test_runtime_error () =
        false
      with Nomap_interp.Interp.Runtime_error _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* The compiled engine's own contract: tail calls, batched fuel, charge
+   order around hooks, profiling edges. *)
+
+let both_modes = Nomap_interp.Interp.[ ("interp", Interp_tier); ("baseline", Baseline_tier) ]
+
+(* Every transfer in the closure chain is a tail call: a million-iteration
+   loop runs in a 64K-word stack, where a frame per executed op or block
+   would overflow it. *)
+let test_loop_runs_in_constant_stack () =
+  let src = "var s = 0; for (var i = 0; i < 1000000; i++) { s = s + 1; } result = s;" in
+  let saved = Gc.get () in
+  Fun.protect
+    ~finally:(fun () -> Gc.set saved)
+    (fun () ->
+      Gc.set { saved with Gc.stack_limit = 65_536 };
+      List.iter
+        (fun (name, mode) ->
+          Alcotest.(check string) name "1000000" (Helpers.run_result ~mode src))
+        both_modes)
+
+(* Pure ops burn their fuel at the next settle point, and every op that can
+   raise burns its own fuel and the pending fuel first: below the fuel the
+   program burns through its faulting op it runs out of fuel, from there on
+   it raises the op's own error, in both modes and at every budget. *)
+let test_crash_identity_at_every_fuel () =
+  let src = "var x = 1; var y = x; var o = 2; o.p = 3; var z = 4; var w = 5;" in
+  let prog = Helpers.compile src in
+  let main = prog.Nomap_bytecode.Opcode.funcs.(prog.Nomap_bytecode.Opcode.main_fid) in
+  let faulting =
+    let rec find pc =
+      match main.Nomap_bytecode.Opcode.code.(pc) with
+      | Nomap_bytecode.Opcode.Set_prop _ -> pc
+      | _ -> find (pc + 1)
+    in
+    find 0
+  in
+  (* Straight-line code: the ops through the faulting one each burn one. *)
+  let burned = faulting + 1 in
+  List.iter
+    (fun (name, mode) ->
+      for fuel = 0 to burned + 3 do
+        let outcome =
+          match Helpers.run_program ~mode ~fuel src with
+          | _ -> "completed"
+          | exception Nomap_interp.Instance.Out_of_fuel -> "out of fuel"
+          | exception Nomap_interp.Interp.Runtime_error _ -> "runtime error"
+        in
+        Alcotest.(check string)
+          (Printf.sprintf "%s, fuel %d" name fuel)
+          (if fuel < burned then "out of fuel" else "runtime error")
+          outcome
+      done)
+    both_modes
+
+(* [Get_elem] fires its element loads before its own charge, so the pure
+   ops before it must be charged before those hooks run: a hook that
+   raises there finds every earlier op charged and the element read not. *)
+let test_settle_before_get_elem_hooks () =
+  let src = "var a = new Array(2); var x = 1; var y = x; result = a[0];" in
+  let prog = Helpers.compile src in
+  let main = prog.Nomap_bytecode.Opcode.funcs.(prog.Nomap_bytecode.Opcode.main_fid) in
+  let code = main.Nomap_bytecode.Opcode.code in
+  let rec get_elem pc =
+    match code.(pc) with Nomap_bytecode.Opcode.Get_elem _ -> pc | _ -> get_elem (pc + 1)
+  in
+  let before = Array.sub code 0 (get_elem 0) in
+  let expected = Array.fold_left (fun n op -> n + Nomap_interp.Interp.interp_cost op) 0 before in
+  let inst = Nomap_interp.Instance.create prog in
+  let hooks = inst.Nomap_interp.Instance.heap.Nomap_runtime.Heap.hooks in
+  hooks.Nomap_runtime.Heap.active <- true;
+  hooks.Nomap_runtime.Heap.load <- (fun _ _ -> raise Exit);
+  let charged = ref 0 in
+  let rec env =
+    {
+      Nomap_interp.Interp.instance = inst;
+      mode = Nomap_interp.Interp.Interp_tier;
+      profile = None;
+      charge = (fun n -> charged := !charged + n);
+      call = (fun ~fid ~this ~args -> Nomap_interp.Interp.call_function env ~fid ~this ~args);
+    }
+  in
+  (match
+     Nomap_interp.Interp.call_function env ~fid:prog.Nomap_bytecode.Opcode.main_fid
+       ~this:Nomap_runtime.Value.Undef ~args:[]
+   with
+  | _ -> Alcotest.fail "the load hook must fire"
+  | exception Exit -> ());
+  Alcotest.(check int) "charged through the op before Get_elem" expected !charged
+
+(* Baseline's loop counters, by hand.  [g]'s first loop heads pc 0, so
+   function entry enters it; the second is entered by the then-branch's
+   jump over the else-branch and by the else-branch falling through; the
+   nested third is entered by falling through from [j = 0]. *)
+let test_loop_counts () =
+  let src =
+    "function g(n, c) { while (n > 0) { n = n - 1; } var i = 0; if (c) { i = 1; } else { i =      0; } while (i < 3) { var j = 0; while (j < 2) { j = j + 1; } i = i + 1; } return i; }      result = g(2, true) + g(1, false);"
+  in
+  let _, _, profile = Helpers.run_program ~mode:Nomap_interp.Interp.Baseline_tier src in
+  let fp = Nomap_profile.Feedback.func_profile (Option.get profile) 0 in
+  let f = (Helpers.compile src).Nomap_bytecode.Opcode.funcs.(0) in
+  let counts h =
+    (fp.Nomap_profile.Feedback.loop_entries.(h), fp.Nomap_profile.Feedback.loop_iters.(h))
+  in
+  Alcotest.(check (list (pair int int)))
+    "(entries, iterations) per loop"
+    [
+      (* n = 2, then n = 1: one entry per call, 2 + 1 back edges *)
+      (2, 3);
+      (* i starts at 1 (jump), then at 0 (fall-through): 2 + 3 back edges *)
+      (2, 5);
+      (* one entry per outer iteration (5), two back edges each *)
+      (5, 10);
+    ]
+    (List.map counts f.Nomap_bytecode.Opcode.loop_headers)
+
 (* Differential property test: random arithmetic expressions evaluate the
    same under interpreter and baseline. *)
 let gen_expr =
@@ -234,5 +350,9 @@ let tests =
     Alcotest.test_case "baseline cheaper than interp" `Quick test_interp_cheaper_than_baseline_is_false;
     Alcotest.test_case "fuel guard" `Quick test_fuel_guard;
     Alcotest.test_case "runtime error" `Quick test_runtime_error;
+    Alcotest.test_case "loop runs in constant stack" `Quick test_loop_runs_in_constant_stack;
+    Alcotest.test_case "crash identity at every fuel" `Quick test_crash_identity_at_every_fuel;
+    Alcotest.test_case "settle before Get_elem hooks" `Quick test_settle_before_get_elem_hooks;
+    Alcotest.test_case "loop counts" `Quick test_loop_counts;
     QCheck_alcotest.to_alcotest qcheck_interp_baseline_agree;
   ]

@@ -9,10 +9,19 @@ module Machine = Nomap_machine.Machine
 module Htm = Nomap_htm.Htm
 module Value = Nomap_runtime.Value
 
-let run ?(arch = Config.NoMap_full) ?(fuel = 500_000_000) src =
+(* Fuel for every VM in this file (see [Helpers.check_fuel]).  The
+   heaviest case, the chunked-transaction kernel, burns 1.26M; the budget
+   is about 4x that. *)
+let fuel_budget = 5_000_000
+
+let run ?(arch = Config.NoMap_full) src =
   let prog = Helpers.compile src in
-  let t = Vm.create ~fuel ~verify_lir:true ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl prog in
+  let t =
+    Vm.create ~fuel:fuel_budget ~verify_lir:true ~config:(Config.create arch)
+      ~tier_cap:Vm.Cap_ftl prog
+  in
   ignore (Vm.run_main t);
+  Helpers.check_fuel ~budget:fuel_budget ("machine run under " ^ Config.name arch) (Vm.instance t);
   t
 
 let result_of t =

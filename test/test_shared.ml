@@ -11,14 +11,31 @@ module Interleave = Nomap_shared.Interleave
 module Agent = Nomap_shared.Agent
 module Segment = Nomap_shared.Segment
 
+(* Fuel for every VM in this file, each agent's included (see
+   [Helpers.check_fuel]).  The heaviest case, the solo tier-invariance
+   kernel at the Interpreter and Baseline caps, burns 67K; the budget is
+   about 4x that. *)
+let fuel_budget = 270_000
+let check_fuel label vm = Helpers.check_fuel ~budget:fuel_budget label (Vm.instance vm)
+
 let run_vm ?(arch = Config.Base) ?(cap = Vm.Cap_ftl) src =
   let prog = Helpers.compile src in
   let t =
-    Vm.create ~fuel:200_000_000 ~verify_lir:true ~config:(Config.create arch)
+    Vm.create ~fuel:fuel_budget ~verify_lir:true ~config:(Config.create arch)
       ~tier_cap:cap prog
   in
   ignore (Vm.run_main t);
+  check_fuel (Printf.sprintf "%s at %s" (Config.name arch) (Vm.cap_name cap)) t;
   t
+
+(* [Agents.run] under the file's budget, checking every agent's use. *)
+let run_agents ~policy ~config ~tier_cap programs =
+  let r = Agents.run ~policy ~fuel:fuel_budget ~config ~tier_cap programs in
+  Array.iteri
+    (fun i (o : Agents.outcome) ->
+      Option.iter (check_fuel (Printf.sprintf "agent %d" i)) o.Agents.vm)
+    r.Agents.outcomes;
+  r
 
 let result_of t =
   match Vm.global t "result" with
@@ -104,7 +121,7 @@ let test_index_wrap () =
 let test_two_agents_interp () =
   let src = "var i; for (i = 0; i < 200; i++) { Atomics.add(0, 1); }" in
   let r =
-    Agents.run
+    run_agents
       ~policy:(Interleave.Seeded 0)
       ~config:(Config.create Config.Base) ~tier_cap:Vm.Cap_interp
       (Array.map Helpers.compile [| src; src |])
@@ -125,7 +142,7 @@ let contended_run ?(arch = Config.NoMap_RTM) ~seed () =
      Atomics.load(0); } var it; var result = 0; for (it = 0; it < 30; it++) { result = \
      bench(); }"
   in
-  Agents.run
+  run_agents
     ~policy:(Interleave.Seeded seed)
     ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl
     (Array.map Helpers.compile [| src; src |])

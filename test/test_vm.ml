@@ -356,6 +356,55 @@ let test_ic_rules () =
         [ Vm.Cap_interp; Vm.Cap_baseline ])
     ic_rule_cases
 
+(* The Interpreter's charges, summed by hand from its cost table
+   (dispatch 7 plus the op's work).  The program compiles to:
+   - 8 straight-line ops: 7 moves of 9 and one Binop of 27 = 90;
+   - the loop header (two moves, a Binop, a branch of 10 = 55), 5 times;
+   - the body (six moves, two Binops, a jump = 118), 4 times;
+   - the exit (two moves and a return of 12 = 30).
+   The compiled engine charges each straight-line run once; the total and
+   its milli-cycles at the NoFTL CPI of 1000 must not change, and neither
+   must the fuel, one per op executed (8 + 4 x 5 + 9 x 4 + 3). *)
+let test_exact_interpreter_charges () =
+  let src = "var a = 3; var b = a * 2; var i = 0; while (i < 4) { b = b + i; i = i + 1; } result = b;" in
+  let t = run_vm ~cap:Vm.Cap_interp src in
+  let c = Vm.counters t in
+  let expected = 90 + (5 * 55) + (4 * 118) + 30 in
+  Alcotest.(check string) "result" "12" (result_of t);
+  Alcotest.(check int) "NoFTL instructions" expected
+    c.Counters.instrs.(Counters.category_index Counters.No_ftl);
+  Alcotest.(check int) "milli-cycles" (expected * 1000) c.Counters.mcycles;
+  Alcotest.(check int) "fuel" (8 + (4 * 5) + (9 * 4) + 3)
+    (fuel_budget - (Vm.instance t).Instance.fuel)
+
+(* A deopt from FTL code resumes Baseline code in mid-block: [f] is one
+   block, trained on ints, and then multiplies a double.  The run must
+   match the Interpreter's result and heap, and the resume must really
+   have entered [f] past its first op without a block starting there. *)
+let test_deopt_resumes_mid_block () =
+  let src =
+    "function f(x) { var y = x * 2; var z = y + 1; return z; } var s = 0; for (var i = 0; i <      50; i++) { s = s + f(i); } var d = f(2.5); result = s + d;"
+  in
+  let reference = run_vm ~cap:Vm.Cap_interp src in
+  let t = run_vm ~cap:Vm.Cap_ftl src in
+  Alcotest.(check string) "result" (result_of reference) (result_of t);
+  Alcotest.(check string) "heap"
+    (Nomap_vm.Heap_checksum.checksum (Vm.instance reference))
+    (Nomap_vm.Heap_checksum.checksum (Vm.instance t));
+  Alcotest.(check bool) "deopted" true ((Vm.counters t).Counters.deopts > 0);
+  let fid =
+    (Option.get (Nomap_bytecode.Opcode.func_by_name (Vm.instance t).Instance.prog "f"))
+      .Nomap_bytecode.Opcode.fid
+  in
+  let entries =
+    Nomap_interp.Interp.entered_at (Vm.instance t) ~fid Nomap_interp.Interp.Baseline_tier
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "entered mid-block (entries: %s)"
+       (String.concat ", " (List.map (fun (pc, b) -> Printf.sprintf "%d%s" pc (if b then "*" else "")) entries)))
+    true
+    (List.exists (fun (_, block_start) -> not block_start) entries)
+
 let tests =
   [
     Alcotest.test_case "sum loop, all archs" `Quick test_sum_loop;
@@ -382,4 +431,6 @@ let tests =
     Alcotest.test_case "shape universe determinism" `Quick test_shape_universe_determinism;
     Alcotest.test_case "host ICs move no counter" `Quick test_host_ic_counters_identical;
     Alcotest.test_case "host IC rules, bytecode tiers" `Quick test_ic_rules;
+    Alcotest.test_case "exact Interpreter charges" `Quick test_exact_interpreter_charges;
+    Alcotest.test_case "deopt resumes mid-block" `Quick test_deopt_resumes_mid_block;
   ]

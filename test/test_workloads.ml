@@ -46,20 +46,23 @@ let test_reference_result_memoized () =
   List.iter (fun r -> Alcotest.(check bool) "physically the same string" true (r == r0)) rs;
   Alcotest.(check bool) "later lookups too" true (Registry.reference_result b == r0)
 
+(* Fuel for every VM and [Ast_interp] run this file makes (see
+   [Helpers.check_fuel]).  The heaviest case, K01 at FTL (main and 28
+   calls), burns 29.0M; the budget is about 4x that.  The reference
+   results come from [Registry.reference_result], under its own budget. *)
+let fuel_budget = 120_000_000
+
 let run_and_check b arch =
   let prog = Registry.compile b in
-  let vm =
-    Vm.create ~fuel:2_000_000_000 ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl prog
-  in
+  let vm = Vm.create ~fuel:fuel_budget ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl prog in
   ignore (Vm.run_main vm);
   let result = ref Value.Undef in
   for _ = 1 to 28 do
     result := Vm.call_function vm "benchmark" []
   done;
-  Alcotest.(check string)
-    (Printf.sprintf "%s under %s" b.Registry.id (Config.name arch))
-    (Registry.reference_result b)
-    (Value.to_js_string !result)
+  let label = Printf.sprintf "%s under %s" b.Registry.id (Config.name arch) in
+  Helpers.check_fuel ~budget:fuel_budget label (Vm.instance vm);
+  Alcotest.(check string) label (Registry.reference_result b) (Value.to_js_string !result)
 
 let representative =
   [ "S01"; "S07"; "S10"; "S13"; "S18"; "S22"; "K01"; "K08"; "K14"; "SH07" ]
@@ -82,13 +85,15 @@ let test_ast_interp_agrees () =
       let b = Option.get (Registry.by_id id) in
       let ast = Nomap_jsir.Parser.parse_program_exn b.Registry.source in
       let env =
-        Nomap_interp.Ast_interp.create ~fuel:500_000_000
+        Nomap_interp.Ast_interp.create ~fuel:fuel_budget
           ~flavour:Nomap_interp.Ast_interp.Php_like
           ~charge:(fun _ -> ())
           ast
       in
       Nomap_interp.Ast_interp.run_program env ast;
       let r = Nomap_interp.Ast_interp.call env "benchmark" [] in
+      Helpers.check_fuel_left ~budget:fuel_budget (id ^ " on Ast_interp")
+        env.Nomap_interp.Ast_interp.fuel;
       Alcotest.(check string) (id ^ " ast==bytecode") (Registry.reference_result b)
         (Value.to_js_string r))
     representative
