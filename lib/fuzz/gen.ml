@@ -17,6 +17,9 @@
       loops, so callees tier up mid-caller and deopt/OSR paths fire;
     - persistent global arrays/objects mutated across benchmark calls, so
       the heap checksum observes state the return value cannot;
+    - a persistent numeric global ([gs]) that [bench] and the helpers read
+      and write: a global variable lives outside the heap, so a
+      transaction's rollback must undo its stores by other means;
     - [Shared]/[Atomics] segment operations on a handful of low indices
       (so multi-agent runs actually collide on cache lines): tier-invariant
       solo, and the raw material for the multi-agent determinism axis.
@@ -359,7 +362,9 @@ and counted_loop ctx ~depth =
 (* Whole programs *)
 
 let helper_fun ctx name =
-  let inner = { ctx with scalars = [ "x"; "y"; "r" ]; assignable = [ "x"; "y"; "r" ] } in
+  let inner =
+    { ctx with scalars = [ "x"; "y"; "r"; "gs" ]; assignable = [ "x"; "y"; "r"; "gs" ] }
+  in
   let body =
     pick_w ctx.p
       [
@@ -402,8 +407,8 @@ let program p : Ast.program =
   let ctx =
     {
       p;
-      scalars = [ "s"; "t" ];
-      assignable = [ "s"; "t" ];
+      scalars = [ "s"; "t"; "gs" ];
+      assignable = [ "s"; "t"; "gs" ];
       arrays = [ ("a", la_len); ("ga", ga_len) ];
       objects = [ "o"; "q"; "go" ];
       helpers = helper_names;
@@ -428,6 +433,7 @@ let program p : Ast.program =
       [
         Ast.Var "s";
         Ast.Var "t";
+        Ast.Var "gs";
         Ast.Prop (Ast.Var "o", "x");
         Ast.Prop (Ast.Var "q", "y");
         Ast.Index (Ast.Var "a", int_lit 0);
@@ -441,6 +447,7 @@ let program p : Ast.program =
     [
       Ast.Stmt (Ast.Var_decl [ ("ga", Some (int_array_lit p ga_len)) ]);
       Ast.Stmt (Ast.Var_decl [ ("go", Some (obj_lit p [ "x"; "y" ])) ]);
+      Ast.Stmt (Ast.Var_decl [ ("gs", Some (int_lit 0)) ]);
     ]
   in
   let driver =

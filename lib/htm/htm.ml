@@ -24,10 +24,12 @@
     Rollback is an undo log captured via the heap's store hook: the paper's
     hardware buffers speculative lines in the cache; we restore mutated
     locations instead, which is observationally identical for a
-    single-threaded run.  The STM mode reuses the identical undo log (our
-    host-side journal stands in for the STM's redo log — both make the
-    region's writes revocable, and for a single-threaded run commit/abort
-    outcomes are indistinguishable). *)
+    single-threaded run.  Global variables live outside the footprint
+    model, but their stores join the same log through the heap's
+    [journal] hook, so an abort restores them too.  The STM mode reuses
+    the identical undo log (our host-side journal stands in for the STM's
+    redo log — both make the region's writes revocable, and for a
+    single-threaded run commit/abort outcomes are indistinguishable). *)
 
 module Heap = Nomap_runtime.Heap
 module Value = Nomap_runtime.Value
@@ -69,7 +71,9 @@ type tx = {
   saved_load : int -> int -> unit;
   saved_store : int -> int -> (unit -> unit) -> unit;
   saved_io : unit -> unit;
-  mutable undo : (unit -> unit) list;  (** newest first *)
+  saved_journal : (unit -> unit) -> unit;
+  mutable undo : (unit -> unit) list;
+      (** newest first: the heap stores' undos and the global stores' *)
   write_fp : Footprint.t;
   read_fp : Footprint.t option;  (** RTM only *)
   mutable sof : bool;  (** sticky overflow flag (ROT + SOF hardware) *)
@@ -87,6 +91,10 @@ type tx = {
   mutable stm_prefix_writes : int;  (** [writes] at the upgrade point *)
 }
 
+(* Global stores join the undo log, outside the footprint model: they
+   touch no line and count no access. *)
+let journal tx undo = tx.undo <- undo :: tx.undo
+
 (* Software-mode hooks: identical journaling, no capacity raise.  The write
    footprint keeps being recorded ([Footprint.touch] accumulates lines past
    overflow; its boolean is simply ignored) so Table-IV-style write-set
@@ -100,6 +108,7 @@ let install_stm_hooks tx =
       ignore (Footprint.touch tx.write_fp ~addr ~bytes));
   heap.Heap.hooks.load <- (fun _ _ -> tx.reads <- tx.reads + 1);
   heap.Heap.hooks.io <- (fun () -> raise (Abort Irrevocable));
+  heap.Heap.hooks.journal <- journal tx;
   heap.Heap.hooks.active <- true
 
 (** Upgrade a hardware transaction to the modeled software transaction
@@ -134,6 +143,7 @@ let begin_tx ?(capacity_scale = 1) ?stm_fallback heap ~mode ~snapshot ~resume_pc
       saved_load = heap.Heap.hooks.load;
       saved_store = heap.Heap.hooks.store;
       saved_io = heap.Heap.hooks.io;
+      saved_journal = heap.Heap.hooks.journal;
       undo = [];
       write_fp =
         (match mode with
@@ -176,6 +186,7 @@ let begin_tx ?(capacity_scale = 1) ?stm_fallback heap ~mode ~snapshot ~resume_pc
         | Some fp -> if not (Footprint.touch fp ~addr ~bytes) then capacity Capacity_read
         | None -> ());
     heap.Heap.hooks.io <- (fun () -> raise (Abort Irrevocable));
+    heap.Heap.hooks.journal <- journal tx;
     heap.Heap.hooks.active <- true);
   tx
 
@@ -183,7 +194,8 @@ let restore_hooks tx =
   tx.heap.Heap.hooks.active <- tx.saved_active;
   tx.heap.Heap.hooks.load <- tx.saved_load;
   tx.heap.Heap.hooks.store <- tx.saved_store;
-  tx.heap.Heap.hooks.io <- tx.saved_io
+  tx.heap.Heap.hooks.io <- tx.saved_io;
+  tx.heap.Heap.hooks.journal <- tx.saved_journal
 
 (** Commit: speculative writes become permanent.  (The 5-cycle SW-bit
     flash-clear / 13-cycle RTM drain — and the STM write-back/validation —

@@ -47,7 +47,9 @@ type tx = {
   saved_load : int -> int -> unit;
   saved_store : int -> int -> (unit -> unit) -> unit;
   saved_io : unit -> unit;
-  mutable undo : (unit -> unit) list;  (** newest first *)
+  saved_journal : (unit -> unit) -> unit;
+  mutable undo : (unit -> unit) list;
+      (** newest first: the heap stores' undos and the global stores' *)
   write_fp : Footprint.t;
   read_fp : Footprint.t option;  (** RTM only *)
   mutable sof : bool;  (** sticky overflow flag *)

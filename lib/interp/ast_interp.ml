@@ -24,14 +24,26 @@ type env = {
   flavour : flavour;
   charge : int -> unit;
   globals : (string, Value.t) Hashtbl.t;
-  functions : (string, Ast.func) Hashtbl.t;
+  functions : (string, int) Hashtbl.t;
+      (** a function's index in [Ast.functions], its [Value.Fun] id, as
+          [Compile] numbers them *)
+  funcs : Ast.func array;  (** by index *)
   mutable fuel : int;
 }
 
 let create ?(seed = 42) ?(fuel = max_int) ~flavour ~charge (prog : Ast.program) =
+  let funcs = Array.of_list (Ast.functions prog) in
   let functions = Hashtbl.create 16 in
-  List.iter (fun (f : Ast.func) -> Hashtbl.replace functions f.Ast.fname f) (Ast.functions prog);
-  { heap = Heap.create ~seed (); flavour; charge; globals = Hashtbl.create 32; functions; fuel }
+  Array.iteri (fun i (f : Ast.func) -> Hashtbl.replace functions f.Ast.fname i) funcs;
+  {
+    heap = Heap.create ~seed ();
+    flavour;
+    charge;
+    globals = Hashtbl.create 32;
+    functions;
+    funcs;
+    fuel;
+  }
 
 (* Cost model: every node pays tree-dispatch; Ruby additionally models
    operators as method sends.  Values informally calibrated so the Figure-1
@@ -60,17 +72,15 @@ let array_index vi =
   let idx = Value.to_int32 vi in
   if float_of_int idx = Value.to_number vi then Some idx else None
 
+(* Locals, then functions, then globals: [Compile]'s resolution order. *)
 let lookup_var env frame x =
   var_cost env;
   match Hashtbl.find_opt frame.locals x with
   | Some v -> v
   | None -> (
-    match Hashtbl.find_opt env.globals x with
-    | Some v -> v
-    | None -> (
-      match Hashtbl.find_opt env.functions x with
-      | Some _ -> Value.Fun 0 (* resolved by name at call sites *)
-      | None -> Value.Undef))
+    match Hashtbl.find_opt env.functions x with
+    | Some fid -> Value.Fun fid
+    | None -> Option.value ~default:Value.Undef (Hashtbl.find_opt env.globals x))
 
 let assign_var env frame x v =
   var_cost env;
@@ -164,14 +174,13 @@ let rec eval env frame (e : Ast.expr) : Value.t =
        with Intrinsics.Type_error m -> raise (Runtime_error m))
     | None -> (
       match vrecv with
-      | Value.Obj obj -> (
+      | Value.Obj obj when Shape.has_property env.heap.Heap.shapes obj.Value.shape meth -> (
         match Heap.get_prop env.heap obj meth with
-        | Value.Fun _ ->
-          (* Function values are stored by name at definition sites in this
-             engine; re-dispatch through the property's original name. *)
-          raise (Runtime_error "ast interpreter does not support function-valued properties")
-        | Value.Str s -> call_named env s.Value.sdata vrecv vargs
-        | _ -> raise (Runtime_error ("no method " ^ meth)))
+        | Value.Fun fid -> call_func env fid vrecv vargs
+        | v ->
+          raise
+            (Runtime_error (Printf.sprintf "%s is not a function (%s)" meth (Value.type_name v))))
+      | Value.Obj _ -> raise (Runtime_error ("no method " ^ meth))
       | v -> raise (Runtime_error (Printf.sprintf "no method %s on %s" meth (Value.type_name v)))))
   | Ast.New (name, args) -> (
     let vargs = List.map (eval env frame) args in
@@ -181,7 +190,7 @@ let rec eval env frame (e : Ast.expr) : Value.t =
     | v -> v)
   | Ast.New_array n ->
     let len = Value.to_int32 (eval env frame n) in
-    if len < 0 then raise (Runtime_error "negative array length");
+    if not (Heap.array_length_ok len) then raise (Runtime_error Heap.bad_array_length);
     Value.Arr (Heap.alloc_array env.heap len)
   | Ast.Unop (op, e) ->
     let v = eval env frame e in
@@ -200,22 +209,18 @@ let rec eval env frame (e : Ast.expr) : Value.t =
     if Value.truthy va then va else eval env frame b
   | Ast.Cond (c, a, b) ->
     if Value.truthy (eval env frame c) then eval env frame a else eval env frame b
-  | Ast.Assign (lv, e) ->
-    let v = eval env frame e in
-    assign env frame lv v;
-    v
+  | Ast.Assign (lv, e) -> assign env frame lv (fun () -> eval env frame e)
   | Ast.Op_assign (op, lv, e) ->
     let cur = read_lvalue env frame lv in
     let v = eval env frame e in
     send_cost env;
     let nv = Ops.apply_binop env.heap op cur v in
-    assign env frame lv nv;
-    nv
+    assign env frame lv (fun () -> nv)
   | Ast.Incr (lv, delta, kind) ->
     let cur = read_lvalue env frame lv in
     send_cost env;
     let nv = Ops.js_add env.heap cur (Value.Int delta) in
-    assign env frame lv nv;
+    ignore (assign env frame lv (fun () -> nv));
     (match kind with `Pre -> nv | `Post -> cur)
 
 and read_lvalue env frame = function
@@ -223,21 +228,31 @@ and read_lvalue env frame = function
   | Ast.Lindex (a, i) -> eval env frame (Ast.Index (a, i))
   | Ast.Lprop (o, p) -> eval env frame (Ast.Prop (o, p))
 
-and assign env frame lv v =
+(* Store [value ()] into [lv] and return it.  The lvalue's base and index
+   are evaluated before the value, as [Compile] orders them: a value that
+   writes a variable the index reads must not move the store. *)
+and assign env frame lv value =
   match lv with
-  | Ast.Lvar x -> assign_var env frame x v
-  | Ast.Lindex (a, i) -> (
+  | Ast.Lvar x ->
+    let v = value () in
+    assign_var env frame x v;
+    v
+  | Ast.Lindex (a, i) ->
     let va = eval env frame a and vi = eval env frame i in
+    let v = value () in
     send_cost env;
-    match va with
+    (match va with
     | Value.Arr arr -> Option.iter (fun idx -> Heap.set_elem env.heap arr idx v) (array_index vi)
-    | v' -> raise (Runtime_error ("cannot index-assign " ^ Value.type_name v')))
-  | Ast.Lprop (o, p) -> (
+    | v' -> raise (Runtime_error ("cannot index-assign " ^ Value.type_name v')));
+    v
+  | Ast.Lprop (o, p) ->
     let vo = eval env frame o in
+    let v = value () in
     send_cost env;
-    match vo with
+    (match vo with
     | Value.Obj obj -> Heap.set_prop env.heap obj p v
-    | v' -> raise (Runtime_error ("cannot set property on " ^ Value.type_name v')))
+    | v' -> raise (Runtime_error ("cannot set property on " ^ Value.type_name v')));
+    v
 
 and call_named env name this args =
   match Hashtbl.find_opt env.functions name with
@@ -248,20 +263,23 @@ and call_named env name this args =
       (try Intrinsics.eval env.heap intr Value.Undef args
        with Intrinsics.Type_error m -> raise (Runtime_error m))
     | None -> raise (Runtime_error ("undefined function " ^ name)))
-  | Some f ->
-    (* Frame setup: Ruby pays more for argument binding / method lookup. *)
-    env.charge (match env.flavour with Php_like -> 40 | Ruby_like -> 80);
-    let frame = { locals = Hashtbl.create 8; this } in
-    List.iteri
-      (fun i p ->
-        Hashtbl.replace frame.locals p
-          (match List.nth_opt args i with Some v -> v | None -> Value.Undef))
-      f.Ast.params;
-    declare_vars frame f.Ast.body;
-    (try
-       exec_block env frame f.Ast.body;
-       Value.Undef
-     with Return_exc v -> v)
+  | Some fid -> call_func env fid this args
+
+and call_func env fid this args =
+  let f = env.funcs.(fid) in
+  (* Frame setup: Ruby pays more for argument binding / method lookup. *)
+  env.charge (match env.flavour with Php_like -> 40 | Ruby_like -> 80);
+  let frame = { locals = Hashtbl.create 8; this } in
+  List.iteri
+    (fun i p ->
+      Hashtbl.replace frame.locals p
+        (match List.nth_opt args i with Some v -> v | None -> Value.Undef))
+    f.Ast.params;
+  declare_vars frame f.Ast.body;
+  (try
+     exec_block env frame f.Ast.body;
+     Value.Undef
+   with Return_exc v -> v)
 
 and exec_stmt env frame (s : Ast.stmt) =
   burn env;

@@ -76,4 +76,16 @@ let[@inline] burn t n =
   t.fuel <- t.fuel - n;
   if t.fuel < 0 then raise Out_of_fuel
 
+(** Store [v] in global [g].  Globals live outside the heap and its
+    footprint model, yet an aborted transaction must not leave its global
+    stores behind: inside one, the old value is journaled through the
+    heap's [journal] hook, which the rollback runs. *)
+let[@inline] store_global t g (v : Value.t) =
+  let globals = t.globals and hooks = t.heap.Heap.hooks in
+  if hooks.Heap.active then begin
+    let old = globals.(g) in
+    hooks.Heap.journal (fun () -> globals.(g) <- old)
+  end;
+  if Nomap_util.Hot.checked then globals.(g) <- v else Array.unsafe_set globals g v
+
 let func t fid = t.prog.funcs.(fid)

@@ -12,13 +12,18 @@
     {b One-pass compiler.}  Like V8's Sparkplug, the engine compiles each
     (function, mode) once, in one linear pass with no IR, into per-op OCaml
     closures that tail-call each other; there is no op loop.  Registers,
-    constants, IC records and feedback sites are resolved at compile time,
-    and Interpreter and Native closures contain no profiling code.  The
-    code is cached on the [Instance], valid only for the [env] it was
-    compiled against (DESIGN.md §13a).
+    constants, IC records, argument lists, feedback sites and costs
+    ([cost]) are resolved at compile time.  Each op is built by one
+    closure for every mode: a profiled op captures its feedback site as a
+    [site option], [Some] only in Baseline mode, and runs each
+    [Feedback.record_*] under one [match] on it.  Only [Binop] and [Unop]
+    have two shapes, a pure one and Baseline's settle point.  The code is
+    cached on the [Instance], valid only for the [env] it was compiled
+    against (DESIGN.md §13a).
 
     {b Settle points.}  An op is pure when it cannot raise, fires no heap
-    hook, does not re-enter the VM and has a static cost: [Load_const],
+    hook that can raise or count (a global store's rollback journal does
+    neither), does not re-enter the VM and has a static cost: [Load_const],
     [Move], [Load_global], [Store_global] and [New_object], and outside
     Baseline also [Binop] and [Unop].  A pure op adds its fuel and cost to
     a pending sum fixed at compile time; every other op, every terminator
@@ -121,51 +126,14 @@ let native_cost (op : Opcode.op) =
   | Jump _ | Jump_if_false _ | Jump_if_true _ -> 1
   | Return _ -> 2
 
-(* Cost classes.  Every op in a class costs the same under each model
-   above, so the compiler reads [fast.(k)] or [slow.(k)] for an op's class
-   [k] from tables resolved once per mode, instead of calling a cost
-   function per op. *)
-
-let k_move = 0 (* Load_const, Move, Load_global, Store_global *)
-let k_binop = 1
-let k_unop = 2
-let k_get_prop = 3
-let k_set_prop = 4
-let k_get_elem = 5
-let k_set_elem = 6
-let k_get_length = 7
-let k_alloc = 8 (* New_object, New_array *)
-let k_call = 9 (* Call, New_call *)
-let k_call_method = 10
-let k_call_intrinsic = 11
-let k_jump = 12 (* Jump, Jump_if_false, Jump_if_true *)
-let k_return = 13
-
-(* One op per class, in class order. *)
-let class_ops : Opcode.op array =
-  [|
-    Move (0, 0); Binop (Add, 0, 0, 0); Unop (Neg, 0, 0); Get_prop (0, 0, "");
-    Set_prop (0, "", 0); Get_elem (0, 0, 0); Set_elem (0, 0, 0); Get_length (0, 0);
-    New_object 0; Call (0, 0, []); Call_method (0, 0, "", []);
-    Call_intrinsic (0, Intrinsics.Math_floor, []); Jump 0; Return None;
-  |]
-
-let interp_costs = Array.map interp_cost class_ops
-let baseline_fast_costs = Array.map baseline_fast class_ops
-let baseline_slow_costs = Array.map baseline_slow class_ops
-let native_costs = Array.map native_cost class_ops
-
-(** Per-class cost of an op that took its fast path (an IC hit, an int
-    operand pair); only Baseline charges a slow path differently. *)
-let fast_costs = function
-  | Interp_tier -> interp_costs
-  | Baseline_tier -> baseline_fast_costs
-  | Native_tier -> native_costs
-
-let slow_costs = function
-  | Interp_tier -> interp_costs
-  | Baseline_tier -> baseline_slow_costs
-  | Native_tier -> native_costs
+(** An op's cost in [mode]: its fast path's ([hit]: an inline-cache hit,
+    an int operand pair) or its slow path's; only Baseline prices the two
+    differently.  The compiler calls it once per op and mode. *)
+let cost mode ~hit op =
+  match mode with
+  | Interp_tier -> interp_cost op
+  | Baseline_tier -> if hit then baseline_fast op else baseline_slow op
+  | Native_tier -> native_cost op
 
 (* The compiled code's unchecked register-file reads and writes, typed:
    the polymorphic [Hot.get]/[set] test every array for the float tag,
@@ -192,24 +160,26 @@ let binop_has_fast_path (op : Nomap_jsir.Ast.binop) =
   | Add | Sub | Mul | Lt | Le | Gt | Ge | Eq | Ne | Band | Bor | Bxor | Shl | Shr | Ushr -> true
   | Div | Mod -> false
 
-(** A call's argument values, read from the frame in order. *)
-let rec arg_values (regs : Value.t array) = function
-  | [] -> []
-  | r :: rest -> reg regs r :: arg_values regs rest
+(** A call's argument values: [regs] read at [ids], in order. *)
+let arg_values (regs : Value.t array) (ids : int array) =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (reg regs (Hot.iget ids i) :: acc) in
+  go (Array.length ids - 1) []
 
-(** Known-arity intrinsic evaluation: the 0/1/2-argument calls build no
-    argument list ([Intrinsics.eval0/1/2] replicate [eval] exactly). *)
-let eval_intrinsic heap intr (recv : Value.t) (regs : Value.t array) args =
+(** Known-arity intrinsic evaluation over [regs] read at [ids]: the
+    0/1/2-argument calls build no argument list ([Intrinsics.eval0/1/2]
+    replicate [eval] exactly). *)
+let eval_intrinsic heap intr (recv : Value.t) (regs : Value.t array) (ids : int array) =
   try
-    match args with
-    | [] -> Intrinsics.eval0 heap intr recv
-    | [ a ] -> Intrinsics.eval1 heap intr recv (reg regs a)
-    | [ a; b ] -> Intrinsics.eval2 heap intr recv (reg regs a) (reg regs b)
-    | _ -> Intrinsics.eval heap intr recv (arg_values regs args)
+    match Array.length ids with
+    | 0 -> Intrinsics.eval0 heap intr recv
+    | 1 -> Intrinsics.eval1 heap intr recv (reg regs (Hot.iget ids 0))
+    | 2 -> Intrinsics.eval2 heap intr recv (reg regs (Hot.iget ids 0)) (reg regs (Hot.iget ids 1))
+    | _ -> Intrinsics.eval heap intr recv (arg_values regs ids)
   with Intrinsics.Type_error m -> raise (Runtime_error m)
 
-(* An array read at a non-int32 index: the element when the index is
-   exactly an int32, else undefined. *)
+(** An array read at a non-int32 index: the element when the index is
+    exactly an int32, else undefined.  This, [set_elem_at_number] and
+    [char_at] also serve the LIR engine's runtime helpers. *)
 let elem_at_number heap (arr : Value.arr) vi =
   let idx = Value.to_int32 vi in
   if float_of_int idx = Value.to_number vi then Heap.get_elem heap arr idx else Value.Undef
@@ -271,14 +241,15 @@ let compile env fid =
   let code = f.Opcode.code in
   let n = Array.length code in
   let consts = inst.Instance.consts.(fid) and ics = inst.Instance.ics.(fid) in
-  let charge = env.charge and call = env.call in
-  let fast = fast_costs env.mode and slow = slow_costs env.mode in
+  let charge = env.charge and call = env.call and cost = cost env.mode in
   let fp =
     match (env.mode, env.profile) with
     | Baseline_tier, Some p -> Some (Feedback.func_profile p fid)
     | Baseline_tier, None -> invalid_arg "Interp: Baseline mode needs a profile"
     | (Interp_tier | Native_tier), _ -> None
   in
+  (* The feedback site of the op at [pc]: [Some] only in Baseline mode. *)
+  let site pc = Option.map (fun fp -> fp.Feedback.sites.(pc)) fp in
   let leader = Array.make (n + 1) false in
   leader.(0) <- true;
   Array.iteri
@@ -307,10 +278,7 @@ let compile env fid =
       { run = (fun regs -> Hot.iset counts t (Hot.iget counts t + 1); b.run regs) }
     | _ -> blocks.(t)
   in
-  let c_move = fast.(k_move) and c_alloc = fast.(k_alloc) in
-  let c_call = fast.(k_call) and c_jump = fast.(k_jump) in
   let branch ~fuel ~due c ~if_true ~if_false =
-    let due = due + c_jump in
     fun regs ->
       Instance.burn inst fuel;
       charge due;
@@ -318,45 +286,47 @@ let compile env fid =
   in
   (* The ops from [pc] to the end of its block. *)
   let rec from pc ~fuel ~due : k =
-    let pure c = cont (pc + 1) ~fuel:(fuel + 1) ~due:(due + c) in
+    let op = code.(pc) in
+    let hit = cost ~hit:true op and miss = cost ~hit:false op in
+    let pure () = cont (pc + 1) ~fuel:(fuel + 1) ~due:(due + hit) in
     let fuel = fuel + 1 in
-    match code.(pc) with
+    match op with
     | Load_const (d, i) ->
-      let v = consts.(i) and next = pure c_move in
+      let v = consts.(i) and next = pure () in
       fun regs ->
         set_reg regs d v;
         next regs
     | Move (d, s) ->
-      let next = pure c_move in
+      let next = pure () in
       fun regs ->
         set_reg regs d (reg regs s);
         next regs
     | Load_global (d, g) ->
-      let next = pure c_move in
+      let next = pure () in
       fun regs ->
         set_reg regs d (reg globals g);
         next regs
     | Store_global (g, s) ->
-      let next = pure c_move in
+      let next = pure () in
       fun regs ->
-        set_reg globals g (reg regs s);
+        Instance.store_global inst g (reg regs s);
         next regs
     | New_object d ->
-      let next = pure c_alloc in
+      let next = pure () in
       fun regs ->
         set_reg regs d (Value.Obj (Heap.alloc_object heap));
         next regs
     | Binop (bop, d, a, b) -> (
-      match fp with
+      match site pc with
       | None ->
-        let next = pure (fast.(k_binop)) in
+        let next = pure () in
         fun regs ->
           set_reg regs d (Ops.apply_binop heap bop (reg regs a) (reg regs b));
           next regs
-      | Some fp ->
-        let s = fp.Feedback.sites.(pc) and next = settled pc in
+      | Some s ->
+        let next = settled pc in
         let has_fast_path = binop_has_fast_path bop in
-        let hit = due + fast.(k_binop) and miss = due + slow.(k_binop) in
+        let hit = due + hit and miss = due + miss in
         fun regs ->
           Instance.burn inst fuel;
           let va = reg regs a and vb = reg regs b in
@@ -370,15 +340,15 @@ let compile env fid =
           set_reg regs d r;
           next regs)
     | Unop (uop, d, a) -> (
-      match fp with
+      match site pc with
       | None ->
-        let next = pure (fast.(k_unop)) in
+        let next = pure () in
         fun regs ->
           set_reg regs d (Ops.apply_unop uop (reg regs a));
           next regs
-      | Some fp ->
-        let s = fp.Feedback.sites.(pc) and next = settled pc in
-        let hit = due + fast.(k_unop) and miss = due + slow.(k_unop) in
+      | Some s ->
+        let next = settled pc in
+        let hit = due + hit and miss = due + miss in
         fun regs ->
           Instance.burn inst fuel;
           let va = reg regs a in
@@ -386,308 +356,210 @@ let compile env fid =
           Feedback.record_class s va;
           set_reg regs d (Ops.apply_unop uop va);
           next regs)
-    | Get_prop (d, o, name) -> (
-      let ic = ics.(pc) and next = settled pc in
-      let hit = fast.(k_get_prop) and miss = slow.(k_get_prop) in
-      match fp with
-      | None ->
-        fun regs ->
-          settle inst charge fuel due;
-          (match reg regs o with
-          | Value.Obj obj ->
-            (* The slot load only: no shape-word read on this path. *)
-            let slot = Ic.find_slot heap ic obj name in
-            if slot >= 0 then begin
-              charge hit;
-              set_reg regs d (Heap.load_slot heap obj slot)
-            end
-            else begin
-              charge miss;
-              set_reg regs d Value.Undef
-            end
-          | _ ->
-            (* Property reads on non-objects: only .length-bearing types
-               give anything; everything else is undefined. *)
+    | Get_prop (d, o, name) ->
+      let ic = ics.(pc) and site = site pc and next = settled pc in
+      fun regs ->
+        settle inst charge fuel due;
+        (match reg regs o with
+        | Value.Obj obj ->
+          (* The slot load only: no shape-word read on this path. *)
+          let slot = Ic.find_slot heap ic obj name in
+          if slot >= 0 then begin
+            charge hit;
+            (match site with
+            | Some s -> Feedback.record_load_slot s obj.Value.shape.Shape.id slot
+            | None -> ());
+            set_reg regs d (Heap.load_slot heap obj slot)
+          end
+          else begin
             charge miss;
-            set_reg regs d Value.Undef);
-          next regs
-      | Some fp ->
-        let s = fp.Feedback.sites.(pc) in
-        fun regs ->
-          settle inst charge fuel due;
-          (match reg regs o with
-          | Value.Obj obj ->
-            let slot = Ic.find_slot heap ic obj name in
-            if slot >= 0 then begin
-              charge hit;
-              Feedback.record_load_slot s obj.Value.shape.Shape.id slot;
-              set_reg regs d (Heap.load_slot heap obj slot)
-            end
-            else begin
-              charge miss;
-              set_reg regs d Value.Undef
-            end
-          | v ->
-            charge miss;
-            Feedback.record_class s v;
-            set_reg regs d Value.Undef);
-          next regs)
-    | Set_prop (o, name, v) -> (
-      let ic = ics.(pc) and next = settled pc in
-      let hit = fast.(k_set_prop) and miss = slow.(k_set_prop) in
-      let not_object v' = raise (Runtime_error ("cannot set property on " ^ Value.type_name v')) in
-      match fp with
-      | None ->
-        fun regs ->
-          settle inst charge fuel due;
-          (match reg regs o with
-          | Value.Obj obj ->
-            let slot = Ic.set_slot heap ic obj name in
-            charge (if slot >= 0 then hit else miss);
-            Ic.store heap ic obj name slot (reg regs v)
-          | v' -> not_object v');
-          next regs
-      | Some fp ->
-        let s = fp.Feedback.sites.(pc) in
-        fun regs ->
-          settle inst charge fuel due;
-          (match reg regs o with
-          | Value.Obj obj ->
-            let sh = obj.Value.shape in
-            let slot = Ic.set_slot heap ic obj name in
-            charge (if slot >= 0 then hit else miss);
-            Ic.store heap ic obj name slot (reg regs v);
+            set_reg regs d Value.Undef
+          end
+        | v ->
+          (* Property reads on non-objects: only .length-bearing types
+             give anything; everything else is undefined. *)
+          charge miss;
+          (match site with Some s -> Feedback.record_class s v | None -> ());
+          set_reg regs d Value.Undef);
+        next regs
+    | Set_prop (o, name, v) ->
+      let ic = ics.(pc) and site = site pc and next = settled pc in
+      fun regs ->
+        settle inst charge fuel due;
+        (match reg regs o with
+        | Value.Obj obj -> (
+          let sh = obj.Value.shape in
+          let slot = Ic.set_slot heap ic obj name in
+          charge (if slot >= 0 then hit else miss);
+          Ic.store heap ic obj name slot (reg regs v);
+          match site with
+          | Some s ->
             if slot >= 0 then Feedback.record_store_slot s sh.Shape.id slot
             else
               let nsh = obj.Value.shape in
               Feedback.record_transition s sh.Shape.id ~target:nsh.Shape.id
                 (nsh.Shape.prop_count - 1)
-          | v' -> not_object v');
-          next regs)
-    | Get_elem (d, a, i) -> (
-      let next = settled pc in
-      let hit = fast.(k_get_elem) and miss = slow.(k_get_elem) in
-      let not_indexable v = raise (Runtime_error ("cannot index " ^ Value.type_name v)) in
-      match fp with
-      | None ->
-        fun regs ->
-          settle inst charge fuel due;
-          (match (reg regs a, reg regs i) with
-          | Value.Arr arr, Value.Int idx ->
-            let oob = idx < 0 || idx >= arr.Value.alen in
-            let v = Heap.get_elem heap arr idx in
-            (* The hole test is a second element load. *)
-            let hole = (not oob) && is_hole (Heap.load_elem heap arr idx) in
-            charge (if oob || hole then miss else hit);
-            set_reg regs d v
-          | Value.Arr arr, vi ->
-            charge miss;
-            set_reg regs d (elem_at_number heap arr vi)
-          | Value.Str str, Value.Int idx ->
-            charge miss;
-            set_reg regs d (char_at heap str idx)
-          | v, _ -> not_indexable v);
-          next regs
-      | Some fp ->
-        let s = fp.Feedback.sites.(pc) in
-        fun regs ->
-          settle inst charge fuel due;
-          (match (reg regs a, reg regs i) with
-          | (Value.Arr arr as va), (Value.Int idx as vi) ->
-            let oob = idx < 0 || idx >= arr.Value.alen in
-            let v = Heap.get_elem heap arr idx in
-            let hole = (not oob) && is_hole (Heap.load_elem heap arr idx) in
-            charge (if oob || hole then miss else hit);
+          | None -> ())
+        | v' -> raise (Runtime_error ("cannot set property on " ^ Value.type_name v')));
+        next regs
+    | Get_elem (d, a, i) ->
+      let site = site pc and next = settled pc in
+      fun regs ->
+        settle inst charge fuel due;
+        (match (reg regs a, reg regs i) with
+        | (Value.Arr arr as va), (Value.Int idx as vi) ->
+          let oob = idx < 0 || idx >= arr.Value.alen in
+          let v = Heap.get_elem heap arr idx in
+          (* The hole test is a second element load. *)
+          let hole = (not oob) && is_hole (Heap.load_elem heap arr idx) in
+          charge (if oob || hole then miss else hit);
+          (match site with
+          | Some s ->
             Feedback.record_class s va;
             Feedback.record_class s vi;
             if oob then Feedback.record_oob s;
             if hole then Feedback.record_hole s;
-            Feedback.record_result s v;
-            set_reg regs d v
-          | (Value.Arr arr as va), vi ->
-            charge miss;
-            Feedback.record_class s va;
-            Feedback.record_class s vi;
-            set_reg regs d (elem_at_number heap arr vi)
-          | (Value.Str str as va), Value.Int idx ->
-            charge miss;
-            Feedback.record_class s va;
-            set_reg regs d (char_at heap str idx)
-          | v, _ -> not_indexable v);
-          next regs)
-    | Set_elem (a, i, v) -> (
-      let next = settled pc in
-      let hit = fast.(k_set_elem) and miss = slow.(k_set_elem) in
-      let not_indexable v' = raise (Runtime_error ("cannot index-assign " ^ Value.type_name v')) in
-      match fp with
-      | None ->
-        fun regs ->
-          settle inst charge fuel due;
-          (match (reg regs a, reg regs i) with
-          | Value.Arr arr, Value.Int idx ->
-            charge (if idx >= arr.Value.alen then miss else hit);
-            Heap.set_elem heap arr idx (reg regs v)
-          | Value.Arr arr, vi ->
-            charge miss;
-            set_elem_at_number heap arr vi (reg regs v)
-          | v', _ -> not_indexable v');
-          next regs
-      | Some fp ->
-        let s = fp.Feedback.sites.(pc) in
-        fun regs ->
-          settle inst charge fuel due;
-          (match (reg regs a, reg regs i) with
-          | (Value.Arr arr as va), (Value.Int idx as vi) ->
-            let elongates = idx >= arr.Value.alen in
-            charge (if elongates then miss else hit);
-            Feedback.record_class s va;
-            Feedback.record_class s vi;
-            if elongates then Feedback.record_elongation s;
-            Heap.set_elem heap arr idx (reg regs v)
-          | Value.Arr arr, vi ->
-            charge miss;
-            set_elem_at_number heap arr vi (reg regs v)
-          | v', _ -> not_indexable v');
-          next regs)
-    | Get_length (d, x) -> (
-      let ic = ics.(pc) and next = settled pc in
-      let hit = fast.(k_get_length) and miss = slow.(k_get_length) in
-      let length vx =
-        match vx with
-        | Value.Str s ->
-          charge hit;
-          Value.int_ (String.length s.Value.sdata)
-        | Value.Arr a ->
-          charge hit;
-          Value.int_ a.Value.alen
-        | Value.Obj obj ->
+            Feedback.record_result s v
+          | None -> ());
+          set_reg regs d v
+        | (Value.Arr arr as va), vi ->
           charge miss;
-          Ic.get_prop heap ic obj "length"
-        | v -> raise (Runtime_error ("no length on " ^ Value.type_name v))
-      in
-      match fp with
-      | None ->
-        fun regs ->
-          settle inst charge fuel due;
-          set_reg regs d (length (reg regs x));
-          next regs
-      | Some fp ->
-        let s = fp.Feedback.sites.(pc) in
-        fun regs ->
-          settle inst charge fuel due;
-          let vx = reg regs x in
-          Feedback.record_class s vx;
-          set_reg regs d (length vx);
-          next regs)
+          (match site with
+          | Some s ->
+            Feedback.record_class s va;
+            Feedback.record_class s vi
+          | None -> ());
+          set_reg regs d (elem_at_number heap arr vi)
+        | (Value.Str str as va), Value.Int idx ->
+          charge miss;
+          (match site with Some s -> Feedback.record_class s va | None -> ());
+          set_reg regs d (char_at heap str idx)
+        | v, _ -> raise (Runtime_error ("cannot index " ^ Value.type_name v)));
+        next regs
+    | Set_elem (a, i, v) ->
+      let site = site pc and next = settled pc in
+      fun regs ->
+        settle inst charge fuel due;
+        (match (reg regs a, reg regs i) with
+        | (Value.Arr arr as va), (Value.Int idx as vi) ->
+          let elongates = idx >= arr.Value.alen in
+          charge (if elongates then miss else hit);
+          (match site with
+          | Some s ->
+            Feedback.record_class s va;
+            Feedback.record_class s vi;
+            if elongates then Feedback.record_elongation s
+          | None -> ());
+          Heap.set_elem heap arr idx (reg regs v)
+        | Value.Arr arr, vi ->
+          charge miss;
+          set_elem_at_number heap arr vi (reg regs v)
+        | v', _ -> raise (Runtime_error ("cannot index-assign " ^ Value.type_name v')));
+        next regs
+    | Get_length (d, x) ->
+      let ic = ics.(pc) and site = site pc and next = settled pc in
+      fun regs ->
+        settle inst charge fuel due;
+        let vx = reg regs x in
+        (match site with Some s -> Feedback.record_class s vx | None -> ());
+        set_reg regs d
+          (match vx with
+          | Value.Str s ->
+            charge hit;
+            Value.int_ (String.length s.Value.sdata)
+          | Value.Arr a ->
+            charge hit;
+            Value.int_ a.Value.alen
+          | Value.Obj obj ->
+            charge miss;
+            Ic.get_prop heap ic obj "length"
+          | v -> raise (Runtime_error ("no length on " ^ Value.type_name v)));
+        next regs
     | New_array (d, len) ->
-      let next = settled pc and due = due + c_alloc in
+      let next = settled pc and due = due + hit in
       fun regs ->
         Instance.burn inst fuel;
         charge due;
         let len = Value.to_int32 (reg regs len) in
-        if len < 0 then raise (Runtime_error "negative array length");
+        if not (Heap.array_length_ok len) then raise (Runtime_error Heap.bad_array_length);
         set_reg regs d (Value.Arr (Heap.alloc_array heap len));
         next regs
     | Call (d, callee, args) ->
-      let next = settled pc and due = due + c_call in
+      let next = settled pc and due = due + hit and ids = Array.of_list args in
       fun regs ->
         Instance.burn inst fuel;
         charge due;
-        set_reg regs d (call ~fid:callee ~this:Value.Undef ~args:(arg_values regs args));
+        set_reg regs d (call ~fid:callee ~this:Value.Undef ~args:(arg_values regs ids));
         next regs
     | New_call (d, callee, args) ->
-      let next = settled pc and due = due + c_call in
+      let next = settled pc and due = due + hit and ids = Array.of_list args in
       fun regs ->
         Instance.burn inst fuel;
         charge due;
         let obj = Value.Obj (Heap.alloc_object heap) in
-        let r = call ~fid:callee ~this:obj ~args:(arg_values regs args) in
+        let r = call ~fid:callee ~this:obj ~args:(arg_values regs ids) in
         set_reg regs d (match r with Value.Undef -> obj | v -> v);
         next regs
-    | Call_method (d, recv, name, args) -> (
-      let ic = ics.(pc) and next = settled pc in
-      let c_method = fast.(k_call_method) and argc = List.length args in
-      let intrinsic_cost intr vrecv =
-        c_method + Intrinsics.cost intr + Intrinsics.dynamic_cost_argc intr vrecv ~argc
-      in
-      let method_slot obj =
-        (* Method dispatch reads the slot only, like [Get_prop]. *)
-        let slot = Ic.find_slot heap ic obj name in
-        if slot < 0 then raise (Runtime_error ("no method " ^ name));
-        slot
-      in
-      let not_function v =
-        raise
-          (Runtime_error (Printf.sprintf "%s is not a function (%s)" name (Value.type_name v)))
-      in
-      let no_method v =
-        raise (Runtime_error (Printf.sprintf "no method %s on %s" name (Value.type_name v)))
-      in
-      match fp with
-      | None ->
-        fun regs ->
-          settle inst charge fuel due;
-          let vrecv = reg regs recv in
-          (match Ic.method_of ic vrecv name with
-          | Some intr ->
-            charge (intrinsic_cost intr vrecv);
-            set_reg regs d (eval_intrinsic heap intr vrecv regs args)
-          | None -> (
-            match vrecv with
-            | Value.Obj obj -> (
-              match Heap.load_slot heap obj (method_slot obj) with
-              | Value.Fun fid' ->
-                charge c_method;
-                set_reg regs d (call ~fid:fid' ~this:vrecv ~args:(arg_values regs args))
-              | v -> not_function v)
-            | v -> no_method v));
-          next regs
-      | Some fp ->
-        let s = fp.Feedback.sites.(pc) in
-        fun regs ->
-          settle inst charge fuel due;
-          let vrecv = reg regs recv in
-          (match Ic.method_of ic vrecv name with
-          | Some intr ->
-            charge (intrinsic_cost intr vrecv);
-            Feedback.record_class s vrecv;
-            set_reg regs d (eval_intrinsic heap intr vrecv regs args)
-          | None -> (
-            match vrecv with
-            | Value.Obj obj -> (
-              let slot = method_slot obj in
-              match Heap.load_slot heap obj slot with
-              | Value.Fun fid' ->
-                charge c_method;
+    | Call_method (d, recv, name, args) ->
+      let ic = ics.(pc) and site = site pc and next = settled pc in
+      let ids = Array.of_list args in
+      let argc = Array.length ids in
+      fun regs ->
+        settle inst charge fuel due;
+        let vrecv = reg regs recv in
+        (match Ic.method_of ic vrecv name with
+        | Some intr ->
+          charge (hit + Intrinsics.cost intr + Intrinsics.dynamic_cost_argc intr vrecv ~argc);
+          (match site with Some s -> Feedback.record_class s vrecv | None -> ());
+          set_reg regs d (eval_intrinsic heap intr vrecv regs ids)
+        | None -> (
+          match vrecv with
+          | Value.Obj obj -> (
+            (* Method dispatch reads the slot only, like [Get_prop]. *)
+            let slot = Ic.find_slot heap ic obj name in
+            if slot < 0 then raise (Runtime_error ("no method " ^ name));
+            match Heap.load_slot heap obj slot with
+            | Value.Fun fid' ->
+              charge hit;
+              (match site with
+              | Some s ->
                 Feedback.record_load_slot s obj.Value.shape.Shape.id slot;
-                Feedback.record_callee s fid';
-                set_reg regs d (call ~fid:fid' ~this:vrecv ~args:(arg_values regs args))
-              | v -> not_function v)
-            | v -> no_method v));
-          next regs)
+                Feedback.record_callee s fid'
+              | None -> ());
+              set_reg regs d (call ~fid:fid' ~this:vrecv ~args:(arg_values regs ids))
+            | v ->
+              raise
+                (Runtime_error
+                   (Printf.sprintf "%s is not a function (%s)" name (Value.type_name v))))
+          | v ->
+            raise
+              (Runtime_error (Printf.sprintf "no method %s on %s" name (Value.type_name v)))));
+        next regs
     | Call_intrinsic (d, intr, args) ->
-      let next = settled pc in
+      let next = settled pc and ids = Array.of_list args in
       let due =
-        due + fast.(k_call_intrinsic) + Intrinsics.cost intr
-        + Intrinsics.dynamic_cost_argc intr Value.Undef ~argc:(List.length args)
+        due + hit + Intrinsics.cost intr
+        + Intrinsics.dynamic_cost_argc intr Value.Undef ~argc:(Array.length ids)
       in
       fun regs ->
         Instance.burn inst fuel;
         charge due;
-        set_reg regs d (eval_intrinsic heap intr Value.Undef regs args);
+        set_reg regs d (eval_intrinsic heap intr Value.Undef regs ids);
         next regs
     | Jump t ->
-      let b = target ~from:pc t and due = due + c_jump in
+      let b = target ~from:pc t and due = due + hit in
       fun regs ->
         Instance.burn inst fuel;
         charge due;
         b.run regs
     | Jump_if_false (c, t) ->
-      branch ~fuel ~due c ~if_true:(target ~from:pc (pc + 1)) ~if_false:(target ~from:pc t)
+      branch ~fuel ~due:(due + hit) c ~if_true:(target ~from:pc (pc + 1))
+        ~if_false:(target ~from:pc t)
     | Jump_if_true (c, t) ->
-      branch ~fuel ~due c ~if_true:(target ~from:pc t) ~if_false:(target ~from:pc (pc + 1))
+      branch ~fuel ~due:(due + hit) c ~if_true:(target ~from:pc t)
+        ~if_false:(target ~from:pc (pc + 1))
     | Return r -> (
-      let due = due + fast.(k_return) in
+      let due = due + hit in
       match r with
       | Some r ->
         fun regs ->

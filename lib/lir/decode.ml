@@ -192,10 +192,13 @@ let free_map (f : Lir.func) =
     engine may execute the run as one superinstruction provided it
     replicates the per-instruction cycle-accumulation order bit-exactly.
 
-    Note [Load_global]/[Store_global] qualify: the global table is not
-    routed through heap hooks (globals live outside the transactional
-    footprint model).  [Str_length] reads a cached length, no hook;
-    [Load_char_code] does fire a load hook and stays out. *)
+    Note [Load_global]/[Store_global] qualify: globals live outside the
+    transactional footprint model, so the global table has no footprint
+    hooks.  Inside a transaction [Store_global] journals the old value
+    through the heap's [journal] hook ([Instance.store_global]), which
+    neither raises nor counts, so an abort restores it.  [Str_length]
+    reads a cached length, no hook; [Load_char_code] does fire a load
+    hook and stays out. *)
 let pure_kind = function
   | Lir.Nop | Lir.Phi _ | Lir.Param _ | Lir.Const _ | Lir.Iadd _ | Lir.Isub _ | Lir.Imul _
   | Lir.Ineg _ | Lir.Iadd_wrap _ | Lir.Isub_wrap _ | Lir.Fadd _ | Lir.Fsub _

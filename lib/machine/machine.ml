@@ -31,6 +31,7 @@ module Ops = Nomap_runtime.Ops
 module Intrinsics = Nomap_runtime.Intrinsics
 module Ic = Nomap_runtime.Ic
 module Instance = Nomap_interp.Instance
+module Interp = Nomap_interp.Interp
 module L = Nomap_lir.Lir
 module D = Nomap_lir.Decode
 module Htm = Nomap_htm.Htm
@@ -49,7 +50,6 @@ type env = {
   htm_mode : Htm.mode;  (** hardware a Tx_begin targets *)
   sof_enabled : bool;  (** Sticky Overflow Flag hardware present *)
   capacity_scale : int;  (** HTM capacity scaling (matches workload scaling) *)
-  tx_watchdog : int;  (** max LIR instrs per transaction before forced abort *)
   host_ic : bool;
       (** enable per-site host inline caches (host memoization only — no
           simulated counter depends on this; the fuzzer's ic axis checks) *)
@@ -70,6 +70,13 @@ type env = {
       (** VM adaptation hook: capacity aborts shrink/remove transactions *)
 }
 
+(** The most LIR instructions one transaction may run before the
+    simulator aborts it with [Htm.Watchdog]: a region whose checks NoMap
+    removed can loop on garbage (an int32 overflow that only the commit's
+    SOF test would catch), which hardware would cut off with an
+    interrupt. *)
+let tx_watchdog = 30_000_000
+
 (** The fixed per-transaction costs, which [capacity_scale] divides. *)
 let scaled_costs =
   [ ("xbegin", Timing.xbegin); ("xend_rot", Timing.xend_rot); ("xend_rtm", Timing.xend_rtm);
@@ -78,8 +85,7 @@ let scaled_costs =
 (** Raises [Invalid_argument] if [capacity_scale] does not divide every
     fixed transactional cost into whole milli-cycles. *)
 let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
-    ?(tx_watchdog = 30_000_000) ?(host_ic = true) ?(stm_fallback = false) ~call
-    ~deopt_resume () =
+    ?(host_ic = true) ?(stm_fallback = false) ~call ~deopt_resume () =
   List.iter
     (fun (name, c) ->
       if c mod capacity_scale <> 0 then
@@ -95,7 +101,6 @@ let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
     htm_mode;
     sof_enabled;
     capacity_scale;
-    tx_watchdog;
     host_ic;
     stm_fallback;
     call;
@@ -125,7 +130,7 @@ let[@inline] tx_tick env =
   match env.tx with
   | Some tx ->
     tx.Htm.instr_count <- tx.Htm.instr_count + 1;
-    if tx.Htm.instr_count > env.tx_watchdog then raise (Htm.Abort Htm.Watchdog)
+    if tx.Htm.instr_count > tx_watchdog then raise (Htm.Abort Htm.Watchdog)
   | None -> ()
 
 (* [Counters] array indices, resolved once so a charge or an executed
@@ -275,33 +280,6 @@ let intrinsic_cost = function
    so we coerce benignly instead of crashing the simulator. *)
 let as_obj = function Value.Obj o -> Some o | _ -> None
 
-(* ------------------------------------------------------------------ *)
-(* Hot-path helpers, hoisted to the top level so executing a function
-   allocates no closures per instruction (they used to be rebuilt on every
-   call).  All take the per-activation state they touch explicitly. *)
-
-(** Build a call's argument list from pre-resolved value ids. *)
-let arg_values (values : Value.t array) (ids : int array) =
-  let rec go i acc =
-    if i < 0 then acc else go (i - 1) (Hot.get values (Hot.get ids i) :: acc)
-  in
-  go (Array.length ids - 1) []
-
-(** Known-arity intrinsic evaluation: skips building the argument list for
-    the 0/1/2-arg calls that dominate ([Intrinsics.eval0/1/2] replicate
-    [eval] exactly). *)
-let eval_intrinsic heap intr (recv : Value.t) (ids : int array) (values : Value.t array) =
-  try
-    match Array.length ids with
-    | 0 -> Intrinsics.eval0 heap intr recv
-    | 1 -> Intrinsics.eval1 heap intr recv (Hot.get values (Hot.get ids 0))
-    | 2 ->
-      Intrinsics.eval2 heap intr recv
-        (Hot.get values (Hot.get ids 0))
-        (Hot.get values (Hot.get ids 1))
-    | _ -> Intrinsics.eval heap intr recv (arg_values values ids)
-  with Intrinsics.Type_error m -> raise (Nomap_interp.Interp.Runtime_error m)
-
 (** A site's host inline cache, or [None] (the generic helpers) when the
     VM runs with host ICs off.  The probes and their rules live in
     [Nomap_runtime.Ic] (DESIGN.md §14). *)
@@ -311,7 +289,8 @@ let[@inline] site_ic env (ic : Ic.t option) = if env.host_ic then ic else None
     runtime cost (same table as always: binop 30, unop 16, get_prop 35,
     set_prop 40, get_elem 30, set_elem 34, get_length 16, method 44,
     intrinsic 6 + static + dynamic) before executing, then reads its
-    operands straight out of the value array — no [List.nth].  [ic] is the
+    operands from [values] at [ids] and shares its element, call and
+    intrinsic helpers with the bytecode tiers ([Interp]).  [ic] is the
     call site's host inline cache (property/method sites only); it changes
     no hook sequence and no charge. *)
 let exec_runtime env ~(ic : Ic.t option) rt (recv : Value.t)
@@ -337,31 +316,21 @@ let exec_runtime env ~(ic : Ic.t option) rt (recv : Value.t)
     | Some o ->
       Ic.set_prop heap ic o name (arg 0);
       Value.Undef
-    | None -> raise (Nomap_interp.Interp.Runtime_error "set property on non-object"))
+    | None -> raise (Interp.Runtime_error "set property on non-object"))
   | L.Rt_get_elem -> (
     charge_runtime env 30;
-    let vi = arg 0 in
-    match (recv, vi) with
+    match (recv, arg 0) with
     | Value.Arr arr, Value.Int idx -> Heap.get_elem heap arr idx
-    | Value.Arr arr, _ ->
-      let idx = Value.to_int32 vi in
-      if float_of_int idx = Value.to_number vi then Heap.get_elem heap arr idx
-      else Value.Undef
-    | Value.Str s, Value.Int idx ->
-      let data = s.Value.sdata in
-      if idx >= 0 && idx < String.length data then Heap.str heap (String.make 1 data.[idx])
-      else Value.Undef
-    | v, _ ->
-      raise (Nomap_interp.Interp.Runtime_error ("cannot index " ^ Value.type_name v)))
+    | Value.Arr arr, vi -> Interp.elem_at_number heap arr vi
+    | Value.Str s, Value.Int idx -> Interp.char_at heap s idx
+    | v, _ -> raise (Interp.Runtime_error ("cannot index " ^ Value.type_name v)))
   | L.Rt_set_elem -> (
     charge_runtime env 34;
-    let vi = arg 0 and vx = arg 1 in
     match recv with
     | Value.Arr arr ->
-      let idx = as_int vi in
-      if float_of_int idx = Value.to_number vi then Heap.set_elem heap arr idx vx;
+      Interp.set_elem_at_number heap arr (arg 0) (arg 1);
       Value.Undef
-    | v -> raise (Nomap_interp.Interp.Runtime_error ("cannot index-assign " ^ Value.type_name v)))
+    | v -> raise (Interp.Runtime_error ("cannot index-assign " ^ Value.type_name v)))
   | L.Rt_get_length -> (
     charge_runtime env 16;
     match Ops.js_length recv with
@@ -369,12 +338,11 @@ let exec_runtime env ~(ic : Ic.t option) rt (recv : Value.t)
     | None -> (
       match as_obj recv with
       | Some o -> Ic.get_prop heap ic o "length"
-      | None ->
-        raise (Nomap_interp.Interp.Runtime_error ("no length on " ^ Value.type_name recv))))
+      | None -> raise (Interp.Runtime_error ("no length on " ^ Value.type_name recv))))
   | L.Rt_method name -> (
     charge_runtime env 44;
     match Ic.method_of ic recv name with
-    | Some intr -> eval_intrinsic heap intr recv ids values
+    | Some intr -> Interp.eval_intrinsic heap intr recv values ids
     | None -> (
       match as_obj recv with
       | Some o ->
@@ -383,21 +351,21 @@ let exec_runtime env ~(ic : Ic.t option) rt (recv : Value.t)
         let slot = Ic.find_slot heap ic o name in
         if slot >= 0 then
           match Heap.load_slot heap o slot with
-          | Value.Fun fid -> env.call ~fid ~this:recv ~args:(arg_values values ids)
+          | Value.Fun fid -> env.call ~fid ~this:recv ~args:(Interp.arg_values values ids)
           | v ->
             raise
-              (Nomap_interp.Interp.Runtime_error
+              (Interp.Runtime_error
                  (Printf.sprintf "%s is not a function (%s)" name (Value.type_name v)))
-        else raise (Nomap_interp.Interp.Runtime_error ("no method " ^ name))
+        else raise (Interp.Runtime_error ("no method " ^ name))
       | None ->
         raise
-          (Nomap_interp.Interp.Runtime_error
+          (Interp.Runtime_error
              (Printf.sprintf "no method %s on %s" name (Value.type_name recv)))))
   | L.Rt_intrinsic intr ->
     charge_runtime env
       (6 + Intrinsics.cost intr
       + Intrinsics.dynamic_cost_argc intr recv ~argc:(Array.length ids));
-    eval_intrinsic heap intr recv ids values
+    Interp.eval_intrinsic heap intr recv values ids
 
 (** The pre-decoded form of [c], built on first execution — after every
     transform/optimizer pass has run — and cached on the compiled record. *)

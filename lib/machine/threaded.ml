@@ -339,7 +339,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
     | None -> raise (Deopt_exit (e.L.smp.L.resume_pc, materialize st lay e.L.smp.L.live))
   in
   (* A call site's arguments, as the ids into [arg_file] that
-     [Machine.arg_values]/[exec_runtime]/[eval_intrinsic] read. *)
+     [Interp.arg_values]/[eval_intrinsic] and [exec_runtime] read. *)
   let args_of (args : int array) =
     let reps = Array.map (fun v -> lay.D.rep.(v)) args
     and slots = Array.map (fun v -> lay.D.slot.(v)) args in
@@ -620,7 +620,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
     | L.Store_global (g, x) ->
       let rx, sx = opnd x in
       fun st ->
-        inst.Instance.globals.(g) <- rd_val st rx sx;
+        Instance.store_global inst g (rd_val st rx sx);
         next st
     (* Elided checks (NoMap_BC) guard exactly as charged ones do, but
        model zero hardware instructions: no check-category count, no
@@ -772,19 +772,19 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
       let ids, boxing = args_of di.D.args in
       fun st ->
         set st.vals sv
-          (env.call ~fid ~this:Value.Undef ~args:(arg_values (arg_file st boxing) ids));
+          (env.call ~fid ~this:Value.Undef ~args:(Interp.arg_values (arg_file st boxing) ids));
         next st
     | L.Call_method (fid, thisv, _) ->
       let ids, boxing = args_of di.D.args and rt, stv = opnd thisv in
       fun st ->
-        set st.vals sv
-          (env.call ~fid ~this:(rd_val st rt stv) ~args:(arg_values (arg_file st boxing) ids));
+        let args = Interp.arg_values (arg_file st boxing) ids in
+        set st.vals sv (env.call ~fid ~this:(rd_val st rt stv) ~args);
         next st
     | L.Ctor_call (fid, _) ->
       let ids, boxing = args_of di.D.args in
       fun st ->
         let obj = Value.Obj (Heap.alloc_object heap) in
-        let r = env.call ~fid ~this:obj ~args:(arg_values (arg_file st boxing) ids) in
+        let r = env.call ~fid ~this:obj ~args:(Interp.arg_values (arg_file st boxing) ids) in
         set st.vals sv (match r with Value.Undef -> obj | x -> x);
         next st
     | L.Call_runtime (rt, recv, _) ->
@@ -801,7 +801,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
           charge env ~frame:st.frame ~cpi ftl_c;
           charge_runtime env rt_c
         end;
-        set st.vals sv (eval_intrinsic heap intr Value.Undef ids (arg_file st boxing));
+        set st.vals sv (Interp.eval_intrinsic heap intr Value.Undef (arg_file st boxing) ids);
         next st
     | L.Alloc_object ->
       fun st ->
@@ -811,10 +811,14 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
       let rl, sl = opnd len in
       fun st ->
         let n = rd_int st rl sl in
-        if n < 0 || n > 1 lsl 24 then begin
+        if not (Heap.array_length_ok n) then begin
+          (* Inside a transaction the length may be garbage from a doomed
+             region, and raising the error there would be irrevocable, so
+             the transaction aborts and Baseline, re-executing the region,
+             raises it if the length is really bad. *)
           match env.tx with
-          | Some _ -> raise (Htm.Abort Htm.Watchdog)
-          | None -> raise (Nomap_interp.Interp.Runtime_error "bad array length")
+          | Some _ -> raise (Htm.Abort Htm.Irrevocable)
+          | None -> raise (Interp.Runtime_error Heap.bad_array_length)
         end;
         set st.vals sv (Value.Arr (Heap.alloc_array heap n));
         next st
@@ -1016,7 +1020,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
         fun st ->
           match env.tx with
           | Some tx when n_tick > 0 ->
-            if tx.Htm.instr_count + n_tick > env.tx_watchdog then slow st
+            if tx.Htm.instr_count + n_tick > tx_watchdog then slow st
             else begin
               Instance.burn inst n;
               tx.Htm.instr_count <- tx.Htm.instr_count + n_tick;
@@ -1033,7 +1037,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
         fun st ->
           match env.tx with
           | Some tx when n_tick > 0 ->
-            if tx.Htm.instr_count + n_tick > env.tx_watchdog then slow st
+            if tx.Htm.instr_count + n_tick > tx_watchdog then slow st
             else begin
               Instance.burn inst n;
               tx.Htm.instr_count <- tx.Htm.instr_count + n_tick;
@@ -1195,7 +1199,7 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
       fun st -> st.result <- rd_val st rr sr
     | L.Ret None -> unit_code
     | L.Unreachable ->
-      fun _ -> raise (Nomap_interp.Interp.Runtime_error "reached unreachable block")
+      fun _ -> raise (Interp.Runtime_error "reached unreachable block")
   in
   Array.iteri
     (fun bid (b : D.dblock) ->

@@ -23,6 +23,10 @@ type hooks = {
   mutable io : unit -> unit;
       (** called before any observable I/O; a transaction installs an
           irrevocability guard here (paper V-A) *)
+  mutable journal : (unit -> unit) -> unit;
+      (** an undo for a store outside the heap (a global variable): it
+          joins the transaction's rollback but touches no footprint line
+          and no counter *)
 }
 
 (** Operations on the VM's attached shared segment (SharedArrayBuffer-style;
@@ -56,7 +60,13 @@ type t = {
 }
 
 let no_hooks () =
-  { active = false; load = (fun _ _ -> ()); store = (fun _ _ _ -> ()); io = (fun () -> ()) }
+  {
+    active = false;
+    load = (fun _ _ -> ());
+    store = (fun _ _ _ -> ());
+    io = (fun () -> ());
+    journal = (fun _ -> ());
+  }
 
 let create ?(seed = 42) () =
   {
@@ -187,6 +197,13 @@ let set_prop t (o : Value.obj) name v = set_prop_sym t o (Shape.intern t.shapes 
 
 (* ------------------------------------------------------------------ *)
 (* Arrays *)
+
+(** The array-length rule of [new Array(n)], which every tier applies
+    before [alloc_array]: [n] must lie in [0, 2^24]; otherwise the tier
+    raises its runtime error with [bad_array_length]. *)
+let array_length_ok n = n >= 0 && n <= 1 lsl 24
+
+let bad_array_length = "invalid array length"
 
 let alloc_array t len : Value.arr =
   let aid = t.next_aid in

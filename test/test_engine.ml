@@ -723,6 +723,87 @@ let test_tail_run_fold () =
   in
   Alcotest.(check string) "canonical tables identical" (List.nth tables 0) (List.nth tables 1)
 
+(* ------------------------------------------------------------------ *)
+(* Transactional rollback of global stores *)
+
+(* The transaction around [f]'s loop stores the global [g] on every
+   iteration and aborts when [f(100)] reads past [arr]'s end; Baseline
+   then re-executes the region, so the aborted stores must be undone or
+   [g] counts them twice. *)
+let global_rollback_kernel =
+  "var g = 0; var arr = []; for (var k = 0; k < 64; k++) { arr[k] = k; } function f(n) { \
+   var s = 0; for (var i = 0; i < n; i++) { g = g + 1; s = s + arr[i]; } return s; } for \
+   (var it = 0; it < 30; it++) { f(40); } f(100); result = g;"
+
+(* The same, with the store made by a bytecode-tier callee running inside
+   the region. *)
+let callee_global_rollback_kernel =
+  "var g = 0; var arr = []; for (var k = 0; k < 64; k++) { arr[k] = k; } function h() { g \
+   = g + 1; return 0; } function f(n) { var s = 0; for (var i = 0; i < n; i++) { if (i == \
+   50) { h(); } s = s + arr[i]; } return s; } for (var it = 0; it < 30; it++) { f(40); } \
+   f(100); result = g;"
+
+let test_global_rollback () =
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun arch ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s aborts" name (Config.name arch))
+            true
+            (snd (count_events ~arch src) > 0))
+        [ Config.NoMap_full; Config.NoMap_RTM; Config.NoMap_RTM_STM ];
+      check_vs_interp ~name src)
+    [ ("global store", global_rollback_kernel);
+      ("callee global store", callee_global_rollback_kernel) ]
+
+(* ------------------------------------------------------------------ *)
+(* The transaction watchdog *)
+
+(* [f(2147483600, 100)] overflows [a + i] inside the outer loop's
+   transaction; SOF defers the overflow check to the commit, so the
+   wrapped negative [x] sends the inner loop counting up toward zero,
+   about 2^31 iterations, until the watchdog cuts the transaction off.
+   Baseline then re-executes the region with doubles and finds nothing
+   to count. *)
+let watchdog_kernel =
+  "function f(a, n) { var c = 0; for (var i = 0; i < n; i++) { var x = a + i; while (x < \
+   0) { x = x + 1; c = c + 1; } } return c; } for (var it = 0; it < 30; it++) { f(1000, \
+   50); } result = f(2147483600, 100);"
+
+(* The run burns 30,011,605 fuel in both modes: the watchdog's limit of
+   30M instructions in the one transaction, and a little more. *)
+let watchdog_fuel_budget = 64_000_000
+
+let test_watchdog () =
+  let prog = Nomap_bytecode.Compile.compile_source watchdog_kernel in
+  let reference =
+    observe ~engine:Engine.Decoded ~tier:Vm.Cap_interp ~arch:Config.Base watchdog_kernel
+  in
+  let tables =
+    List.map
+      (fun engine ->
+        let vm =
+          Vm.create ~fuel:watchdog_fuel_budget ~thresholds ~engine
+            ~config:(Config.create Config.NoMap_full) ~tier_cap:Vm.Cap_ftl prog
+        in
+        ignore (Vm.run_main vm);
+        let label s = Printf.sprintf "%s: %s" (Engine.name engine) s in
+        Helpers.check_fuel ~budget:watchdog_fuel_budget (label "watchdog") (Vm.instance vm);
+        let c = Vm.counters vm in
+        Alcotest.(check string) (label "result") reference.result
+          (match Vm.global vm "result" with
+          | Some v -> Value.to_js_string v
+          | None -> "<no result>");
+        Alcotest.(check string) (label "heap") reference.heap
+          (Nomap_vm.Heap_checksum.checksum (Vm.instance vm));
+        Alcotest.(check int) (label "watchdog aborts") 1 (Counters.abort_count c Htm.Watchdog);
+        Alcotest.(check int) (label "demotions") 1 (Vm.tx_demotions vm);
+        Counters.to_canonical_string c)
+      Engine.all
+  in
+  Alcotest.(check string) "canonical tables identical" (List.nth tables 0) (List.nth tables 1)
+
 let tests =
   [
     Alcotest.test_case "corpus equivalence (both engines)" `Quick test_corpus_equivalence;
@@ -748,4 +829,6 @@ let tests =
     Alcotest.test_case "edges: block transfers are tail calls" `Quick test_tail_calls;
     Alcotest.test_case "edges: one-instruction tail run folds its terminator" `Quick
       test_tail_run_fold;
+    Alcotest.test_case "rollback undoes global stores" `Quick test_global_rollback;
+    Alcotest.test_case "watchdog cuts off a runaway transaction" `Quick test_watchdog;
   ]

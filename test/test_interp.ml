@@ -106,6 +106,23 @@ let test_non_integral_index () =
       ("ast interp", ast_result);
     ]
 
+(* Calling a property that holds a string raises, at every tier and in
+   the AST interpreter alike. *)
+let test_call_non_function_property () =
+  let src = "function dbl(x) { return x * 2; } var o = { f: 'dbl' }; result = o.f(21);" in
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check string) name "f is not a function (string)"
+        (match run src with
+        | _ -> "no error"
+        | exception Nomap_interp.Interp.Runtime_error m -> m
+        | exception Nomap_interp.Ast_interp.Runtime_error m -> m))
+    [
+      ("interp", fun src -> Helpers.run_result ~mode:Nomap_interp.Interp.Interp_tier src);
+      ("baseline", fun src -> Helpers.run_result ~mode:Nomap_interp.Interp.Baseline_tier src);
+      ("ast interp", ast_result);
+    ]
+
 let test_int_overflow_semantics () =
   check_result "result = 2147483647 + 1;" "2147483648";
   check_result "var x = 2147483647; x += 2; result = x;" "2147483649";
@@ -355,4 +372,5 @@ let tests =
     Alcotest.test_case "settle before Get_elem hooks" `Quick test_settle_before_get_elem_hooks;
     Alcotest.test_case "loop counts" `Quick test_loop_counts;
     QCheck_alcotest.to_alcotest qcheck_interp_baseline_agree;
+    Alcotest.test_case "calling a string property" `Quick test_call_non_function_property;
   ]

@@ -405,6 +405,51 @@ let test_deopt_resumes_mid_block () =
     true
     (List.exists (fun (_, block_start) -> not block_start) entries)
 
+(* ------------------------------------------------------------------ *)
+(* One array-length rule at every tier *)
+
+let mk_kernel =
+  "function mk(n) { var a = new Array(n); return a.length; } for (var it = 0; it < 30; it++) \
+   { mk(3); }"
+
+(* [fn (n)]'s result, or the message of the runtime error it raises. *)
+let outcome t fn n =
+  match Vm.call_function t fn [ Value.Int n ] with
+  | v -> Value.to_js_string v
+  | exception Nomap_interp.Interp.Runtime_error m -> m
+
+let test_array_length_rule () =
+  List.iter
+    (fun cap ->
+      List.iter
+        (fun arch ->
+          let t = run_vm ~arch ~cap mk_kernel in
+          let label s = Printf.sprintf "%s at %s under %s" s (Vm.cap_name cap) (Config.name arch) in
+          Alcotest.(check string) (label "mk(5)") "5" (outcome t "mk" 5);
+          Alcotest.(check string) (label "mk(-1)") Heap.bad_array_length (outcome t "mk" (-1));
+          Alcotest.(check string) (label "mk(2^24 + 1)") Heap.bad_array_length
+            (outcome t "mk" 16777217);
+          if cap = Vm.Cap_ftl then
+            Alcotest.(check bool) (label "FTL ran") true ((Vm.counters t).Counters.ftl_calls > 0))
+        [ Config.Base; Config.NoMap_full ])
+    [ Vm.Cap_interp; Vm.Cap_baseline; Vm.Cap_dfg; Vm.Cap_ftl ]
+
+(* Inside a transaction a bad length may be garbage from a doomed region,
+   so FTL code aborts instead of raising, with a reason that leaves the
+   placement alone; Baseline re-executes the region and raises. *)
+let test_array_length_in_tx () =
+  let src =
+    "function fill(n) { var s = 0; for (var i = 0; i < 4; i++) { var a = new Array(n - i); \
+     s = s + a.length; } return s; } for (var it = 0; it < 30; it++) { fill(10); }"
+  in
+  let t = run_vm ~arch:Config.NoMap_full src in
+  Alcotest.(check string) "fill(2)" Heap.bad_array_length (outcome t "fill" 2);
+  let c = Vm.counters t in
+  Alcotest.(check int) "one irrevocable abort" 1 (Counters.abort_count c Nomap_htm.Htm.Irrevocable);
+  Alcotest.(check int) "aborts" 1 c.Counters.tx_aborts;
+  Alcotest.(check int) "no demotion" 0 (Vm.tx_demotions t);
+  Alcotest.(check string) "fill(10) still runs" "34" (outcome t "fill" 10)
+
 let tests =
   [
     Alcotest.test_case "sum loop, all archs" `Quick test_sum_loop;
@@ -433,4 +478,7 @@ let tests =
     Alcotest.test_case "host IC rules, bytecode tiers" `Quick test_ic_rules;
     Alcotest.test_case "exact Interpreter charges" `Quick test_exact_interpreter_charges;
     Alcotest.test_case "deopt resumes mid-block" `Quick test_deopt_resumes_mid_block;
+    Alcotest.test_case "array length: one rule at every tier" `Quick test_array_length_rule;
+    Alcotest.test_case "array length: a transaction aborts, not demotes" `Quick
+      test_array_length_in_tx;
   ]
