@@ -19,6 +19,12 @@ module Value = Nomap_runtime.Value
 module Interp = Nomap_interp.Interp
 module Instance = Nomap_interp.Instance
 
+(** Fuel for every VM and interpreter the harness builds: about 4x the
+    heaviest run's use (245,927,813 ops, over [experiments.exe all], the
+    test suite and perfbench's cell-base), so a miscompile that keeps a
+    loop from exiting fails in seconds, not minutes. *)
+let fuel_budget = 1_000_000_000
+
 let default_warmup = 35
 let default_measure = 10
 
@@ -84,7 +90,7 @@ let measure_arch ?(warmup = default_warmup) ?(measure = default_measure) ~arch b
   let label = Config.name arch in
   let prog = Registry.compile bench in
   let vm =
-    Vm.create ~fuel:4_000_000_000 ~engine:!engine ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl prog
+    Vm.create ~fuel:fuel_budget ~engine:!engine ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl prog
   in
   steady_vm ~warmup ~measure ~label bench vm
 
@@ -94,7 +100,7 @@ let measure_ablation ?(warmup = default_warmup) ?(measure = default_measure) ~ar
     ~label bench =
   let prog = Registry.compile bench in
   let vm =
-    Vm.create ~fuel:4_000_000_000 ~engine:!engine ~opt_knobs:knobs ~config:(Config.create arch)
+    Vm.create ~fuel:fuel_budget ~engine:!engine ~opt_knobs:knobs ~config:(Config.create arch)
       ~tier_cap:Vm.Cap_ftl prog
   in
   let m = steady_vm ~warmup ~measure ~label:(Config.name arch ^ "/" ^ label) bench vm in
@@ -105,7 +111,7 @@ let measure_cap ?(warmup = default_warmup) ?(measure = default_measure) ~cap ben
   let label = "cap:" ^ Vm.cap_name cap in
   let prog = Registry.compile bench in
   let vm =
-    Vm.create ~fuel:4_000_000_000 ~engine:!engine ~config:(Config.create Config.Base) ~tier_cap:cap prog
+    Vm.create ~fuel:fuel_budget ~engine:!engine ~config:(Config.create Config.Base) ~tier_cap:cap prog
   in
   steady_vm ~warmup ~measure ~label bench vm
 
@@ -115,7 +121,7 @@ let measure_cap ?(warmup = default_warmup) ?(measure = default_measure) ~cap ben
 let measure_deopt ~iterations bench =
   let prog = Registry.compile bench in
   let vm =
-    Vm.create ~fuel:4_000_000_000 ~engine:!engine ~config:(Config.create Config.Base) ~tier_cap:Vm.Cap_ftl
+    Vm.create ~fuel:fuel_budget ~engine:!engine ~config:(Config.create Config.Base) ~tier_cap:Vm.Cap_ftl
       prog
   in
   ignore (Vm.run_main vm);
@@ -149,7 +155,7 @@ let default_lang_measure = 3
    bytecode interpreter with boxed values and no inline caches). *)
 let run_bytecode_lang ~mode ~cpi ~label bench ~warmup ~measure =
   let prog = Registry.compile bench in
-  let inst = Instance.create ~fuel:4_000_000_000 prog in
+  let inst = Instance.create ~fuel:fuel_budget prog in
   let count = ref 0 in
   let rec env =
     {
@@ -198,7 +204,7 @@ let run_ast_lang ~flavour ~label bench ~warmup ~measure =
   in
   let count = ref 0 in
   let env =
-    Nomap_interp.Ast_interp.create ~fuel:4_000_000_000 ~flavour
+    Nomap_interp.Ast_interp.create ~fuel:fuel_budget ~flavour
       ~charge:(fun n -> count := !count + n)
       ast
   in

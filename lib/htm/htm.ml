@@ -39,7 +39,6 @@ type mode = Rot | Rtm | Stm | Ghost
 
 type abort_reason =
   | Check_failed of Nomap_lir.Lir.check_kind
-  | Deopt_in_tx  (** irrevocable event: a lower-tier deopt fired inside a tx *)
   | Capacity_write
   | Capacity_read
   | Sof_overflow
@@ -52,7 +51,6 @@ type abort_reason =
 
 let abort_reason_name = function
   | Check_failed k -> "check:" ^ Nomap_lir.Lir.check_kind_name k
-  | Deopt_in_tx -> "deopt-in-tx"
   | Capacity_write -> "capacity-write"
   | Capacity_read -> "capacity-read"
   | Sof_overflow -> "sof-overflow"

@@ -22,7 +22,6 @@ type mode = Rot | Rtm | Stm | Ghost
 
 type abort_reason =
   | Check_failed of Nomap_lir.Lir.check_kind
-  | Deopt_in_tx  (** irrevocable: a lower-tier deopt fired inside a tx *)
   | Capacity_write
   | Capacity_read
   | Sof_overflow

@@ -61,12 +61,22 @@ let create ?(seed = 42) ?(fuel = max_int) ?(host_ic = true) (prog : Opcode.progr
     prog;
     heap;
     globals = Array.make (max 1 (Array.length prog.globals)) Value.Undef;
+    (* Both tables are filled in place: [Array.map] starts from its first
+       result, which may be freshly allocated, and an array over 256 slots
+       made from a young element forces a minor collection. *)
     consts =
-      Array.map (fun (f : Opcode.func) -> Array.map (materialize_const heap) f.consts) prog.funcs;
+      Array.map
+        (fun (f : Opcode.func) ->
+          let consts = Array.make (Array.length f.consts) Value.Undef in
+          Array.iteri (fun i c -> consts.(i) <- materialize_const heap c) f.consts;
+          consts)
+        prog.funcs;
     ics =
       Array.map
         (fun (f : Opcode.func) ->
-          if host_ic then Array.map site_ic f.code else Array.make (Array.length f.code) None)
+          let ics = Array.make (Array.length f.code) None in
+          if host_ic then Array.iteri (fun pc op -> ics.(pc) <- site_ic op) f.code;
+          ics)
         prog.funcs;
     code = Array.make (modes * Array.length prog.funcs) None;
     fuel;

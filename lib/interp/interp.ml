@@ -225,6 +225,12 @@ type Instance.code += Compiled of body
 
 let unreached : k = fun _ -> invalid_arg "Interp: block entered before it was compiled"
 
+(* What [compile]'s block table holds at a pc that leads no block; never
+   run or written.  Shared, so that the table is never built from a young
+   element: [Array.make] of one over 256 slots forces a minor collection,
+   which in OCaml 5 stops every domain. *)
+let no_block = { run = unreached }
+
 (** Compile [fid] for [env]'s mode: one pass over the bytecode, blocks
     last to first, so a fall-through finds its successor compiled.
 
@@ -264,8 +270,10 @@ let compile env fid =
   (* Loop headers are jump targets already; marking them keeps every
      counted edge a block transfer regardless. *)
   List.iter (fun h -> leader.(h) <- true) f.Opcode.loop_headers;
-  let none = { run = unreached } in
-  let blocks = Array.init n (fun pc -> if leader.(pc) then { run = unreached } else none) in
+  let blocks = Array.make n no_block in
+  for pc = 0 to n - 1 do
+    if leader.(pc) then blocks.(pc) <- { run = unreached }
+  done;
   (* The block a transfer from [from] to [t] runs: [t]'s own or, in
      Baseline mode when [t] heads a loop, one that first counts the edge:
      a back edge ([from >= t]) as an iteration, any other as an entry.  A

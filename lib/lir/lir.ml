@@ -157,11 +157,18 @@ type func = {
   mutable tx_aware : bool;  (** compiled with NoMap transaction knowledge *)
 }
 
+(* The vectors' padding, shared by every function and never read.  A
+   fresh dummy per function would be young when a vector grows past 256
+   slots, and [Array.make] of a young element that long forces a minor
+   collection, which in OCaml 5 stops every domain. *)
+let dummy_instr = { id = -1; kind = Nop; block = -1; elided = false }
+let dummy_block = { bid = -1; instrs = []; term = Unreachable; preds = [] }
+
 let create_func ~fid =
   {
     fid;
-    instrs = Nomap_util.Vec.create ~dummy:{ id = -1; kind = Nop; block = -1; elided = false };
-    blocks = Nomap_util.Vec.create ~dummy:{ bid = -1; instrs = []; term = Unreachable; preds = [] };
+    instrs = Nomap_util.Vec.create ~dummy:dummy_instr;
+    blocks = Nomap_util.Vec.create ~dummy:dummy_block;
     entry = 0;
     next_smp = 0;
     tx_aware = false;
@@ -219,6 +226,28 @@ let uses = function
   | Call_method (_, this, args) -> this :: args
   | Call_runtime (_, recv, args) -> recv :: args
   | Intrinsic (_, args) -> args
+
+(** [List.exists p (uses k)], without building the list. *)
+let exists_use p = function
+  | Nop | Param _ | Const _ | Load_global _ | Alloc_object | Tx_begin _ | Tx_end -> false
+  | Phi ins -> List.exists (fun (_, v) -> p v) ins
+  | Iadd (a, b) | Isub (a, b) | Imul (a, b) | Iadd_wrap (a, b) | Isub_wrap (a, b)
+  | Fadd (a, b) | Fsub (a, b) | Fmul (a, b) | Fdiv (a, b) | Fmod (a, b)
+  | Band (a, b) | Bor (a, b) | Bxor (a, b)
+  | Shl (a, b) | Shr (a, b) | Ushr (a, b)
+  | Cmp (_, a, b)
+  | Load_elem (a, b)
+  | Load_char_code (a, b)
+  | Store_slot (a, _, b) | Store_transition (a, _, _, b)
+  | Check_bounds (a, b, _) | Check_str_bounds (a, b, _) | Check_not_hole (a, b, _) -> p a || p b
+  | Ineg a | Fneg a | Bnot a | Not a | Load_slot (a, _) | Load_length a | Str_length a
+  | Store_global (_, a) | Alloc_array a
+  | Check_int (a, _) | Check_number (a, _) | Check_string (a, _) | Check_array (a, _)
+  | Check_shape (a, _, _) | Check_fun_eq (a, _, _) | Check_overflow (a, _)
+  | Check_cond (a, _, _) -> p a
+  | Store_elem (a, i, x) -> p a || p i || p x
+  | Call_func (_, args) | Ctor_call (_, args) | Intrinsic (_, args) -> List.exists p args
+  | Call_method (_, recv, args) | Call_runtime (_, recv, args) -> p recv || List.exists p args
 
 (** SSA values an SMP must keep alive (for Deopt exits only: Abort rolls
     back to the transaction entry, so per-check live maps are not needed —
@@ -364,103 +393,83 @@ let iter_instrs f fn =
   iter_blocks f (fun b -> List.iter (fun v -> fn b (instr f v)) b.instrs)
 
 (** Rewrite every use across the function (including SMP live maps) through
-    [subst].  One pass over the whole function: passes with many rewrites
-    must batch them through this rather than calling it per value. *)
+    [subst].  One pass over the whole function that rebuilds only the kinds,
+    stack maps and terminators holding a value [subst] moves: passes with
+    many rewrites must batch them through this rather than calling it per
+    value. *)
 let apply_substitution f subst =
-  let subst_smp smp = smp.live <- List.map (fun (r, v) -> (r, subst v)) smp.live in
-  let subst_exit e = subst_smp e.smp in
+  let moved v = subst v <> v in
+  let moved_pair (_, v) = moved v in
+  let subst_pair ((x, v) as p) = if moved v then (x, subst v) else p in
+  let subst_smp smp = if List.exists moved_pair smp.live then smp.live <- List.map subst_pair smp.live in
+  let rewrite = function
+    | Phi ins -> Phi (List.map subst_pair ins)
+    | Iadd (a, b) -> Iadd (subst a, subst b)
+    | Isub (a, b) -> Isub (subst a, subst b)
+    | Iadd_wrap (a, b) -> Iadd_wrap (subst a, subst b)
+    | Isub_wrap (a, b) -> Isub_wrap (subst a, subst b)
+    | Imul (a, b) -> Imul (subst a, subst b)
+    | Ineg a -> Ineg (subst a)
+    | Fadd (a, b) -> Fadd (subst a, subst b)
+    | Fsub (a, b) -> Fsub (subst a, subst b)
+    | Fmul (a, b) -> Fmul (subst a, subst b)
+    | Fdiv (a, b) -> Fdiv (subst a, subst b)
+    | Fmod (a, b) -> Fmod (subst a, subst b)
+    | Fneg a -> Fneg (subst a)
+    | Band (a, b) -> Band (subst a, subst b)
+    | Bor (a, b) -> Bor (subst a, subst b)
+    | Bxor (a, b) -> Bxor (subst a, subst b)
+    | Bnot a -> Bnot (subst a)
+    | Shl (a, b) -> Shl (subst a, subst b)
+    | Shr (a, b) -> Shr (subst a, subst b)
+    | Ushr (a, b) -> Ushr (subst a, subst b)
+    | Cmp (c, a, b) -> Cmp (c, subst a, subst b)
+    | Not a -> Not (subst a)
+    | Load_slot (o, s) -> Load_slot (subst o, s)
+    | Store_slot (o, s, x) -> Store_slot (subst o, s, subst x)
+    | Store_transition (o, name, s, x) -> Store_transition (subst o, name, s, subst x)
+    | Load_elem (a, i') -> Load_elem (subst a, subst i')
+    | Store_elem (a, i', x) -> Store_elem (subst a, subst i', subst x)
+    | Load_length a -> Load_length (subst a)
+    | Str_length a -> Str_length (subst a)
+    | Load_char_code (a, i') -> Load_char_code (subst a, subst i')
+    | Store_global (g, x) -> Store_global (g, subst x)
+    | Check_int (a, e) -> Check_int (subst a, e)
+    | Check_number (a, e) -> Check_number (subst a, e)
+    | Check_string (a, e) -> Check_string (subst a, e)
+    | Check_array (a, e) -> Check_array (subst a, e)
+    | Check_shape (a, s, e) -> Check_shape (subst a, s, e)
+    | Check_fun_eq (a, fid, e) -> Check_fun_eq (subst a, fid, e)
+    | Check_bounds (a, i', e) -> Check_bounds (subst a, subst i', e)
+    | Check_str_bounds (a, i', e) -> Check_str_bounds (subst a, subst i', e)
+    | Check_not_hole (a, i', e) -> Check_not_hole (subst a, subst i', e)
+    | Check_overflow (a, e) -> Check_overflow (subst a, e)
+    | Check_cond (a, d, e) -> Check_cond (subst a, d, e)
+    | Call_func (fid, args) -> Call_func (fid, List.map subst args)
+    | Ctor_call (fid, args) -> Ctor_call (fid, List.map subst args)
+    | Call_method (fid, this, args) -> Call_method (fid, subst this, List.map subst args)
+    | Call_runtime (rt, recv, args) -> Call_runtime (rt, subst recv, List.map subst args)
+    | Intrinsic (i', args) -> Intrinsic (i', List.map subst args)
+    | Alloc_array n -> Alloc_array (subst n)
+    | (Nop | Param _ | Const _ | Load_global _ | Alloc_object | Tx_begin _ | Tx_end) as k -> k
+  in
   Nomap_util.Vec.iter
     (fun i ->
-      let k =
-        match i.kind with
-        | Nop -> Nop
-        | Param p -> Param p
-        | Const c -> Const c
-        | Phi ins -> Phi (List.map (fun (b, v) -> (b, subst v)) ins)
-        | Iadd (a, b) -> Iadd (subst a, subst b)
-        | Isub (a, b) -> Isub (subst a, subst b)
-        | Iadd_wrap (a, b) -> Iadd_wrap (subst a, subst b)
-        | Isub_wrap (a, b) -> Isub_wrap (subst a, subst b)
-        | Imul (a, b) -> Imul (subst a, subst b)
-        | Ineg a -> Ineg (subst a)
-        | Fadd (a, b) -> Fadd (subst a, subst b)
-        | Fsub (a, b) -> Fsub (subst a, subst b)
-        | Fmul (a, b) -> Fmul (subst a, subst b)
-        | Fdiv (a, b) -> Fdiv (subst a, subst b)
-        | Fmod (a, b) -> Fmod (subst a, subst b)
-        | Fneg a -> Fneg (subst a)
-        | Band (a, b) -> Band (subst a, subst b)
-        | Bor (a, b) -> Bor (subst a, subst b)
-        | Bxor (a, b) -> Bxor (subst a, subst b)
-        | Bnot a -> Bnot (subst a)
-        | Shl (a, b) -> Shl (subst a, subst b)
-        | Shr (a, b) -> Shr (subst a, subst b)
-        | Ushr (a, b) -> Ushr (subst a, subst b)
-        | Cmp (c, a, b) -> Cmp (c, subst a, subst b)
-        | Not a -> Not (subst a)
-        | Load_slot (o, s) -> Load_slot (subst o, s)
-        | Store_slot (o, s, x) -> Store_slot (subst o, s, subst x)
-        | Store_transition (o, name, s, x) -> Store_transition (subst o, name, s, subst x)
-        | Load_elem (a, i') -> Load_elem (subst a, subst i')
-        | Store_elem (a, i', x) -> Store_elem (subst a, subst i', subst x)
-        | Load_length a -> Load_length (subst a)
-        | Str_length a -> Str_length (subst a)
-        | Load_char_code (a, i') -> Load_char_code (subst a, subst i')
-        | Load_global g -> Load_global g
-        | Store_global (g, x) -> Store_global (g, subst x)
-        | Check_int (a, e) ->
-          subst_exit e;
-          Check_int (subst a, e)
-        | Check_number (a, e) ->
-          subst_exit e;
-          Check_number (subst a, e)
-        | Check_string (a, e) ->
-          subst_exit e;
-          Check_string (subst a, e)
-        | Check_array (a, e) ->
-          subst_exit e;
-          Check_array (subst a, e)
-        | Check_shape (a, s, e) ->
-          subst_exit e;
-          Check_shape (subst a, s, e)
-        | Check_fun_eq (a, fid, e) ->
-          subst_exit e;
-          Check_fun_eq (subst a, fid, e)
-        | Check_bounds (a, i', e) ->
-          subst_exit e;
-          Check_bounds (subst a, subst i', e)
-        | Check_str_bounds (a, i', e) ->
-          subst_exit e;
-          Check_str_bounds (subst a, subst i', e)
-        | Check_not_hole (a, i', e) ->
-          subst_exit e;
-          Check_not_hole (subst a, subst i', e)
-        | Check_overflow (a, e) ->
-          subst_exit e;
-          Check_overflow (subst a, e)
-        | Check_cond (a, d, e) ->
-          subst_exit e;
-          Check_cond (subst a, d, e)
-        | Call_func (fid, args) -> Call_func (fid, List.map subst args)
-        | Ctor_call (fid, args) -> Ctor_call (fid, List.map subst args)
-        | Call_method (fid, this, args) -> Call_method (fid, subst this, List.map subst args)
-        | Call_runtime (rt, recv, args) -> Call_runtime (rt, subst recv, List.map subst args)
-        | Intrinsic (i', args) -> Intrinsic (i', List.map subst args)
-        | Alloc_object -> Alloc_object
-        | Alloc_array n -> Alloc_array (subst n)
-        | Tx_begin smp ->
-          subst_smp smp;
-          Tx_begin smp
-        | Tx_end -> Tx_end
-      in
-      i.kind <- k)
+      (match i.kind with
+      | Check_int (_, e) | Check_number (_, e) | Check_string (_, e) | Check_array (_, e)
+      | Check_shape (_, _, e) | Check_fun_eq (_, _, e) | Check_bounds (_, _, e)
+      | Check_str_bounds (_, _, e) | Check_not_hole (_, _, e) | Check_overflow (_, e)
+      | Check_cond (_, _, e) ->
+        subst_smp e.smp
+      | Tx_begin smp -> subst_smp smp
+      | _ -> ());
+      if exists_use moved i.kind then i.kind <- rewrite i.kind)
     f.instrs;
   iter_blocks f (fun b ->
-      b.term <-
-        (match b.term with
-        | Br (c, t, e) -> Br (subst c, t, e)
-        | Ret (Some r) -> Ret (Some (subst r))
-        | t -> t))
+      match b.term with
+      | Br (c, t, e) when moved c -> b.term <- Br (subst c, t, e)
+      | Ret (Some r) when moved r -> b.term <- Ret (Some (subst r))
+      | _ -> ())
 
 (** Rewrite every use of [old_v] to [new_v].  For a single value only —
     batch multiple rewrites through [apply_substitution]. *)

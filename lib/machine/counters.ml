@@ -33,19 +33,17 @@ let check_kinds =
    inverse and supplies the names at render time. *)
 let abort_index : Nomap_htm.Htm.abort_reason -> int = function
   | Check_failed k -> check_index k
-  | Deopt_in_tx -> 6
-  | Capacity_write -> 7
-  | Capacity_read -> 8
-  | Sof_overflow -> 9
-  | Irrevocable -> 10
-  | Watchdog -> 11
-  | Conflict -> 12
+  | Capacity_write -> 6
+  | Capacity_read -> 7
+  | Sof_overflow -> 8
+  | Irrevocable -> 9
+  | Watchdog -> 10
+  | Conflict -> 11
 
 let abort_reason_table : Nomap_htm.Htm.abort_reason array =
   Array.of_list
     (List.map (fun k -> Nomap_htm.Htm.Check_failed k) check_kinds
-    @ [ Deopt_in_tx; Capacity_write; Capacity_read; Sof_overflow; Irrevocable; Watchdog;
-        Conflict ])
+    @ [ Capacity_write; Capacity_read; Sof_overflow; Irrevocable; Watchdog; Conflict ])
 
 type t = {
   instrs : int array;  (** per category *)

@@ -21,79 +21,93 @@ let find leader v =
   let rec go v = if leader.(v) = v then v else go leader.(v) in
   go v
 
+(* Value-numbering keys: an operator and its operands' leaders.  Immediate
+   fields (slot, global, shape and function ids) sit in operand positions;
+   the operator tells them apart. *)
+type op =
+  | Iadd | Isub | Iadd_wrap | Isub_wrap | Imul | Ineg
+  | Fadd | Fsub | Fmul | Fdiv | Fmod | Fneg
+  | Band | Bor | Bxor | Bnot | Shl | Shr | Ushr
+  | Cmp of L.cmp
+  | Not
+  | Check_int | Check_number | Check_string | Check_array | Check_fun_eq | Check_overflow
+  | Load_slot | Load_elem | Load_length | Str_length | Load_char_code | Load_global
+  | Check_shape | Check_bounds | Check_str_bounds | Check_not_hole
+
+type key =
+  | Int of int
+  | Num of int64  (** the bits; a NaN keys by its sign alone *)
+  | Bool of bool
+  | Str of string
+  | Undef
+  | Null
+  | Fun of int
+  | Op of op * int * int  (** a unary op pads with 0 *)
+
 (* Key for globally-numberable (pure) expressions. *)
 let pure_key leader kind =
-  let l v = string_of_int (find leader v) in
-  let comm tag a b =
-    let a = find leader a and b = find leader b in
-    let lo = min a b and hi = max a b in
-    Some (Printf.sprintf "%s:%d,%d" tag lo hi)
+  let l v = find leader v in
+  let op1 op a = Some (Op (op, l a, 0)) and op2 op a b = Some (Op (op, l a, l b)) in
+  let comm op a b =
+    let a = l a and b = l b in
+    Some (Op (op, min a b, max a b))
   in
   match kind with
   | L.Const c -> (
     match c with
-    | Nomap_runtime.Value.Int i -> Some (Printf.sprintf "ci:%d" i)
-    | Nomap_runtime.Value.Num fl -> Some (Printf.sprintf "cf:%h" fl)
-    | Nomap_runtime.Value.Bool b -> Some (Printf.sprintf "cb:%b" b)
-    | Nomap_runtime.Value.Str s -> Some (Printf.sprintf "cs:%s" s.Nomap_runtime.Value.sdata)
-    | Nomap_runtime.Value.Undef -> Some "cu"
-    | Nomap_runtime.Value.Null -> Some "cn"
-    | Nomap_runtime.Value.Fun fid -> Some (Printf.sprintf "cfun:%d" fid)
+    | Nomap_runtime.Value.Int i -> Some (Int i)
+    | Nomap_runtime.Value.Num fl ->
+      Some (Num (Int64.bits_of_float (if Float.is_nan fl then Float.copy_sign Float.nan fl else fl)))
+    | Nomap_runtime.Value.Bool b -> Some (Bool b)
+    | Nomap_runtime.Value.Str s -> Some (Str s.Nomap_runtime.Value.sdata)
+    | Nomap_runtime.Value.Undef -> Some Undef
+    | Nomap_runtime.Value.Null -> Some Null
+    | Nomap_runtime.Value.Fun fid -> Some (Fun fid)
     | _ -> None)
-  | L.Iadd (a, b) -> comm "iadd" a b
-  | L.Isub (a, b) -> Some ("isub:" ^ l a ^ "," ^ l b)
-  | L.Iadd_wrap (a, b) -> comm "iaddw" a b
-  | L.Isub_wrap (a, b) -> Some ("isubw:" ^ l a ^ "," ^ l b)
-  | L.Imul (a, b) -> comm "imul" a b
-  | L.Ineg a -> Some ("ineg:" ^ l a)
-  | L.Fadd (a, b) -> comm "fadd" a b
-  | L.Fsub (a, b) -> Some ("fsub:" ^ l a ^ "," ^ l b)
-  | L.Fmul (a, b) -> comm "fmul" a b
-  | L.Fdiv (a, b) -> Some ("fdiv:" ^ l a ^ "," ^ l b)
-  | L.Fmod (a, b) -> Some ("fmod:" ^ l a ^ "," ^ l b)
-  | L.Fneg a -> Some ("fneg:" ^ l a)
-  | L.Band (a, b) -> comm "band" a b
-  | L.Bor (a, b) -> comm "bor" a b
-  | L.Bxor (a, b) -> comm "bxor" a b
-  | L.Bnot a -> Some ("bnot:" ^ l a)
-  | L.Shl (a, b) -> Some ("shl:" ^ l a ^ "," ^ l b)
-  | L.Shr (a, b) -> Some ("shr:" ^ l a ^ "," ^ l b)
-  | L.Ushr (a, b) -> Some ("ushr:" ^ l a ^ "," ^ l b)
-  | L.Cmp (c, a, b) ->
-    let tag =
-      match c with
-      | L.Ceq -> "ceq"
-      | L.Cne -> "cne"
-      | L.Clt -> "clt"
-      | L.Cle -> "cle"
-      | L.Cgt -> "cgt"
-      | L.Cge -> "cge"
-    in
-    Some (tag ^ ":" ^ l a ^ "," ^ l b)
-  | L.Not a -> Some ("not:" ^ l a)
+  | L.Iadd (a, b) -> comm Iadd a b
+  | L.Isub (a, b) -> op2 Isub a b
+  | L.Iadd_wrap (a, b) -> comm Iadd_wrap a b
+  | L.Isub_wrap (a, b) -> op2 Isub_wrap a b
+  | L.Imul (a, b) -> comm Imul a b
+  | L.Ineg a -> op1 Ineg a
+  | L.Fadd (a, b) -> comm Fadd a b
+  | L.Fsub (a, b) -> op2 Fsub a b
+  | L.Fmul (a, b) -> comm Fmul a b
+  | L.Fdiv (a, b) -> op2 Fdiv a b
+  | L.Fmod (a, b) -> op2 Fmod a b
+  | L.Fneg a -> op1 Fneg a
+  | L.Band (a, b) -> comm Band a b
+  | L.Bor (a, b) -> comm Bor a b
+  | L.Bxor (a, b) -> comm Bxor a b
+  | L.Bnot a -> op1 Bnot a
+  | L.Shl (a, b) -> op2 Shl a b
+  | L.Shr (a, b) -> op2 Shr a b
+  | L.Ushr (a, b) -> op2 Ushr a b
+  | L.Cmp (c, a, b) -> op2 (Cmp c) a b
+  | L.Not a -> op1 Not a
   (* Pure value-predicate checks (no memory read). *)
-  | L.Check_int (a, _) -> Some ("cki:" ^ l a)
-  | L.Check_number (a, _) -> Some ("ckn:" ^ l a)
-  | L.Check_string (a, _) -> Some ("cks:" ^ l a)
-  | L.Check_array (a, _) -> Some ("cka:" ^ l a)
-  | L.Check_fun_eq (a, fid, _) -> Some (Printf.sprintf "ckf:%s=%d" (l a) fid)
-  | L.Check_overflow (a, _) -> Some ("cko:" ^ l a)
+  | L.Check_int (a, _) -> op1 Check_int a
+  | L.Check_number (a, _) -> op1 Check_number a
+  | L.Check_string (a, _) -> op1 Check_string a
+  | L.Check_array (a, _) -> op1 Check_array a
+  | L.Check_fun_eq (a, fid, _) -> Some (Op (Check_fun_eq, l a, fid))
+  | L.Check_overflow (a, _) -> op1 Check_overflow a
   | _ -> None
 
 (* Key + alias class for block-locally-numberable memory reads. *)
 let load_key leader kind =
-  let l v = string_of_int (find leader v) in
+  let l v = find leader v in
   match kind with
-  | L.Load_slot (o, s) -> Some (Printf.sprintf "ls:%s.%d" (l o) s, L.A_slot s)
-  | L.Load_elem (a, i) -> Some (Printf.sprintf "le:%s[%s]" (l a) (l i), L.A_elem)
-  | L.Load_length a -> Some ("ll:" ^ l a, L.A_array_header)
-  | L.Str_length a -> Some ("sl:" ^ l a, L.A_string)
-  | L.Load_char_code (s, i) -> Some (Printf.sprintf "lc:%s[%s]" (l s) (l i), L.A_string)
-  | L.Load_global g -> Some (Printf.sprintf "lg:%d" g, L.A_global g)
-  | L.Check_shape (o, sid, _) -> Some (Printf.sprintf "cksh:%s#%d" (l o) sid, L.A_shape)
-  | L.Check_bounds (a, i, _) -> Some (Printf.sprintf "ckb:%s[%s]" (l a) (l i), L.A_array_header)
-  | L.Check_str_bounds (a, i, _) -> Some (Printf.sprintf "cksb:%s[%s]" (l a) (l i), L.A_string)
-  | L.Check_not_hole (a, i, _) -> Some (Printf.sprintf "ckh:%s[%s]" (l a) (l i), L.A_elem)
+  | L.Load_slot (o, s) -> Some (Op (Load_slot, l o, s), L.A_slot s)
+  | L.Load_elem (a, i) -> Some (Op (Load_elem, l a, l i), L.A_elem)
+  | L.Load_length a -> Some (Op (Load_length, l a, 0), L.A_array_header)
+  | L.Str_length a -> Some (Op (Str_length, l a, 0), L.A_string)
+  | L.Load_char_code (s, i) -> Some (Op (Load_char_code, l s, l i), L.A_string)
+  | L.Load_global g -> Some (Op (Load_global, g, 0), L.A_global g)
+  | L.Check_shape (o, sid, _) -> Some (Op (Check_shape, l o, sid), L.A_shape)
+  | L.Check_bounds (a, i, _) -> Some (Op (Check_bounds, l a, l i), L.A_array_header)
+  | L.Check_str_bounds (a, i, _) -> Some (Op (Check_str_bounds, l a, l i), L.A_string)
+  | L.Check_not_hole (a, i, _) -> Some (Op (Check_not_hole, l a, l i), L.A_elem)
   | _ -> None
 
 (** Run GVN; returns the number of instructions removed. *)
@@ -101,7 +115,8 @@ let run f =
   let doms = Cfg.compute_doms f in
   let n = Nomap_util.Vec.length f.L.instrs in
   let leader = Array.init n Fun.id in
-  let table : (string, int) Hashtbl.t = Hashtbl.create 64 in
+  let table : (key, int) Hashtbl.t = Hashtbl.create 64 in
+  let loads : (key, int * L.alias_class) Hashtbl.t = Hashtbl.create 16 in
   let victims = ref [] in
   let children = Array.make (Cfg.nblocks f) [] in
   Array.iteri
@@ -109,19 +124,14 @@ let run f =
     doms.Cfg.idom;
   let rec visit blk =
     let pushed = ref [] in
-    let loads : (string, int * L.alias_class) Hashtbl.t = Hashtbl.create 16 in
+    Hashtbl.clear loads;
     let invalidate_loads cls_opt =
       match cls_opt with
-      | None -> Hashtbl.reset loads
+      | None -> Hashtbl.clear loads
       | Some cls ->
-        let keep =
-          Hashtbl.fold
-            (fun key (w, lcls) acc ->
-              if L.may_alias cls lcls then acc else (key, (w, lcls)) :: acc)
-            loads []
-        in
-        Hashtbl.reset loads;
-        List.iter (fun (key, e) -> Hashtbl.replace loads key e) keep
+        Hashtbl.filter_map_inplace
+          (fun _ ((_, lcls) as e) -> if L.may_alias cls lcls then None else Some e)
+          loads
     in
     List.iter
       (fun v ->

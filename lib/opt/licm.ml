@@ -53,9 +53,11 @@ let run f =
       match Cfg.preheader f loop with
       | None -> ()  (* irreducible edge pattern; skip conservatively *)
       | Some ph ->
+        let body = Array.make (Cfg.nblocks f) false in
+        List.iter (fun b -> body.(b) <- true) loop.Cfg.body;
         let in_loop v =
           let b = (L.instr f v).L.block in
-          b >= 0 && List.mem b loop.Cfg.body
+          b >= 0 && body.(b)
         in
         let has_smp = Passes.loop_has_smp f loop in
         let has_tx_begin =
@@ -77,7 +79,7 @@ let run f =
                 List.filter
                   (fun v ->
                     let kind = (L.instr f v).L.kind in
-                    (not (List.exists in_loop (L.uses kind)))
+                    (not (L.exists_use in_loop kind))
                     (* SMP-live operands are uses too: an exit check whose
                        live map names loop-defined values must not be lifted
                        above their definitions. *)
@@ -85,13 +87,14 @@ let run f =
                     && hoistable ~has_smp ~has_tx_begin ~stores ~clobber kind)
                   blk.L.instrs
               in
-              List.iter
-                (fun v ->
-                  blk.L.instrs <- List.filter (fun x -> x <> v) blk.L.instrs;
-                  Passes.append_to_block f v ph;
-                  incr hoisted_total;
-                  changed := true)
-                to_hoist)
+              if to_hoist <> [] then begin
+                List.iter (fun v -> (L.instr f v).L.block <- ph) to_hoist;
+                blk.L.instrs <- List.filter (fun v -> (L.instr f v).L.block = bid) blk.L.instrs;
+                let phb = L.block f ph in
+                phb.L.instrs <- phb.L.instrs @ to_hoist;
+                hoisted_total := !hoisted_total + List.length to_hoist;
+                changed := true
+              end)
             loop.Cfg.body
         done)
     loops;

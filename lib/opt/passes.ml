@@ -13,25 +13,28 @@ let delete_and_replace f v ~replacement =
   i.L.block <- -1;
   L.replace_uses f ~old_v:v ~new_v:replacement
 
-(** Delete all [victims], rewiring uses through the mapping in one pass. *)
+(** Delete all [victims], rewiring uses through the mapping in one pass:
+    each block that held a victim is filtered once, and one substitution
+    rewrites only the instructions that used one. *)
 let delete_and_replace_all f (victims : (L.v * L.v) list) =
   if victims <> [] then begin
-    let map = Hashtbl.create (List.length victims) in
-    List.iter (fun (v, r) -> Hashtbl.replace map v r) victims;
+    let repl = Array.make (Nomap_util.Vec.length f.L.instrs) (-1) in
+    List.iter (fun (v, r) -> repl.(v) <- r) victims;
     (* Resolve chains (a victim replaced by another victim). *)
     let rec resolve v =
-      match Hashtbl.find_opt map v with Some w when w <> v -> resolve w | _ -> v
+      let w = repl.(v) in
+      if w < 0 || w = v then v else resolve w
     in
+    let touched = Array.make (Nomap_util.Vec.length f.L.blocks) false in
     List.iter
       (fun (v, _) ->
         let i = L.instr f v in
-        if i.L.block >= 0 then begin
-          let b = L.block f i.L.block in
-          b.L.instrs <- List.filter (fun x -> x <> v) b.L.instrs
-        end;
+        if i.L.block >= 0 then touched.(i.L.block) <- true;
         i.L.kind <- L.Nop;
         i.L.block <- -1)
       victims;
+    L.iter_blocks f (fun b ->
+        if touched.(b.L.bid) then b.L.instrs <- List.filter (fun x -> repl.(x) < 0) b.L.instrs);
     L.apply_substitution f resolve
   end
 

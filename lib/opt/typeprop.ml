@@ -20,9 +20,12 @@ let join a b =
   | Tbool, Tbool -> Tbool
   | Tstr, Tstr -> Tstr
   | Tarr, Tarr -> Tarr
-  | Tobj a, Tobj b -> if a = b then Tobj a else Tobj None
+  | Tobj a, Tobj b -> if Option.equal Int.equal a b then Tobj a else Tobj None
   | Tfun, Tfun -> Tfun
   | _ -> Tany
+
+let equal a b =
+  match (a, b) with Tobj a, Tobj b -> Option.equal Int.equal a b | _ -> a == b
 
 let of_const (c : Nomap_runtime.Value.t) =
   match c with
@@ -70,7 +73,7 @@ let infer f =
     L.iter_instrs f (fun _ i ->
         let t = transfer types i.L.kind in
         let t' = join types.(i.L.id) t in
-        if t' <> types.(i.L.id) then begin
+        if not (equal t' types.(i.L.id)) then begin
           types.(i.L.id) <- t';
           changed := true
         end)
@@ -79,11 +82,11 @@ let infer f =
 
 let satisfies types kind =
   match kind with
-  | L.Check_int (v, _) -> types.(v) = Tint
+  | L.Check_int (v, _) -> types.(v) == Tint
   | L.Check_number (v, _) -> ( match types.(v) with Tint | Tnum -> true | _ -> false)
-  | L.Check_string (v, _) -> types.(v) = Tstr
-  | L.Check_array (v, _) -> types.(v) = Tarr
-  | L.Check_shape (v, s, _) -> types.(v) = Tobj (Some s)
+  | L.Check_string (v, _) -> types.(v) == Tstr
+  | L.Check_array (v, _) -> types.(v) == Tarr
+  | L.Check_shape (v, s, _) -> equal types.(v) (Tobj (Some s))
   | _ -> false
 
 (** Remove checks whose predicate the type analysis discharges.  Returns the

@@ -63,6 +63,12 @@ let fresh_site () =
     count = 0;
   }
 
+(* The placeholder [create_func_profile] builds [sites] from, each slot then
+   getting its own fresh site.  [Array.init] would start from a fresh,
+   young site, and [Array.make] of a young element over 256 slots forces a
+   minor collection, which in OCaml 5 stops every domain. *)
+let placeholder_site = fresh_site ()
+
 type func_profile = {
   sites : site array;
   mutable call_count : int;
@@ -79,8 +85,12 @@ let create_func_profile (f : Nomap_bytecode.Opcode.func) =
   let n = Array.length f.code in
   let loop_entries = Array.make n (-1) in
   List.iter (fun pc -> if pc >= 0 && pc < n then loop_entries.(pc) <- 0) f.loop_headers;
+  let sites = Array.make n placeholder_site in
+  for pc = 0 to n - 1 do
+    sites.(pc) <- fresh_site ()
+  done;
   {
-    sites = Array.init n (fun _ -> fresh_site ());
+    sites;
     call_count = 0;
     ftl_call_count = 0;
     loop_entries;

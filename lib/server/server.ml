@@ -30,6 +30,9 @@ type stats = {
   mutable err_timeout : int;
   mutable err_crash : int;
   mutable err_fuel_limit : int;
+  mutable run_waits : int;  (** RUN and RUN_SHARED frames taken off the queue *)
+  mutable run_wait_total_us : int;
+  mutable run_wait_max_us : int;
 }
 
 (* One client connection.  Exactly one of three places owns it at any
@@ -86,6 +89,18 @@ let record_response t (resp : Protocol.response) =
         | Protocol.Ecrash -> s.err_crash <- s.err_crash + 1
         | Protocol.Efuel_limit -> s.err_fuel_limit <- s.err_fuel_limit + 1))
 
+let record_run_wait t wait_s =
+  let us = int_of_float (wait_s *. 1e6) in
+  Mutex.protect t.stats_lock (fun () ->
+      let s = t.stats in
+      s.run_waits <- s.run_waits + 1;
+      s.run_wait_total_us <- s.run_wait_total_us + us;
+      s.run_wait_max_us <- max s.run_wait_max_us us)
+
+(* One line per subject: its name, then [key=value] pairs, with a unit
+   suffix on keys that carry one.  perfbench reads [depth=], [accepted=]
+   and [overloaded_rejections=] anywhere in the text, so no other key may
+   contain those. *)
 let stats_text t =
   let depth = Mutex.protect t.lock (fun () -> Queue.length t.jobs) in
   let s = Mutex.protect t.stats_lock (fun () -> { t.stats with accepted = t.stats.accepted }) in
@@ -104,6 +119,8 @@ let stats_text t =
          errors=[malformed=%d overloaded=%d timeout=%d crash=%d fuel_limit=%d]"
         s.run_ok s.run_hit (s.run_ok - s.run_hit) s.stats_served s.pings s.err_malformed
         s.err_overloaded s.err_timeout s.err_crash s.err_fuel_limit;
+      Printf.sprintf "queue_wait runs=%d total_us=%d max_us=%d" s.run_waits s.run_wait_total_us
+        s.run_wait_max_us;
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -128,6 +145,7 @@ let session_ctx t : Session.ctx =
     stats_text = (fun () -> stats_text t);
     request_shutdown = (fun () -> request_stop t);
     on_response = record_response t;
+    on_run_wait = record_run_wait t;
   }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
@@ -384,6 +402,9 @@ let start cfg =
           err_timeout = 0;
           err_crash = 0;
           err_fuel_limit = 0;
+          run_waits = 0;
+          run_wait_total_us = 0;
+          run_wait_max_us = 0;
         };
       started_wall = Unix.gettimeofday ();
       pool = [];

@@ -181,6 +181,7 @@ type ctx = {
   stats_text : unit -> string;
   request_shutdown : unit -> unit;
   on_response : Protocol.response -> unit;
+  on_run_wait : float -> unit;
 }
 
 let run_shared ctx (r : Protocol.run) ~session : Protocol.response =
@@ -226,6 +227,7 @@ let handle_frame ctx ~queue_wait_s fd payload =
         | Ok (Protocol.Run_shared { run; session }) -> (run, Some session)
         | _ -> assert false
       in
+      ctx.on_run_wait queue_wait_s;
       (* [queue_wait_s] is *this frame's* wait — stamped when the frame
          completed at the poller, measured on the monotonic clock — so a
          deadline verdict is about this request, not about when its

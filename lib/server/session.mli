@@ -74,6 +74,9 @@ type ctx = {
   stats_text : unit -> string;  (** STATS verb payload *)
   request_shutdown : unit -> unit;  (** SHUTDOWN verb: begin daemon stop *)
   on_response : Protocol.response -> unit;  (** accounting tap, called per reply *)
+  on_run_wait : float -> unit;
+      (** accounting tap: a RUN or RUN_SHARED frame's queue wait, in
+          seconds, called before it is answered *)
 }
 
 val handle_frame :

@@ -86,90 +86,74 @@ type compiled = {
           chains), cached lazily under the same no-mutation contract *)
 }
 
+(* Per-block state is indexed by LIR block id, and [current_def] by
+   [block * nregs + reg]; -1 marks "no definition yet". *)
 type builder = {
   bc : Opcode.func;
   consts : Value.t array;
   profile : Feedback.func_profile;
   live : Liveness.t;
   lir : L.func;
-  leader_block : (int, int) Hashtbl.t;
+  nregs : int;
   mutable cur : int;
-  current_def : (int * int, L.v) Hashtbl.t;
-  sealed : (int, unit) Hashtbl.t;
-  incomplete : (int, (int * L.v) list ref) Hashtbl.t;
-  bc_block_preds : (int, int list) Hashtbl.t;  (** leader pc -> pred leader pcs *)
-  filled : (int, unit) Hashtbl.t;  (** leader pc filled *)
-  body_rev : (int, L.v list) Hashtbl.t;  (** block -> reversed non-phi instrs *)
-  phis_of : (int, L.v list) Hashtbl.t;
+  current_def : L.v array;
+  sealed : bool array;
+  incomplete : (int * L.v) list array;  (** block -> (reg, phi), newest first *)
+  body_rev : L.v list array;  (** block -> reversed non-phi instrs *)
+  phis_of : L.v list array;  (** block -> phis, newest first *)
   entry_states : (int, (int * L.v) list) Hashtbl.t;
 }
 
 (* --- block-leader discovery ---------------------------------------- *)
 
+(* The block leaders in ascending pc order. *)
 let leaders (bc : Opcode.func) =
-  let set = Hashtbl.create 16 in
-  Hashtbl.replace set 0 ();
+  let n = Array.length bc.Opcode.code in
+  let is_leader = Array.make (n + 1) false in
+  is_leader.(0) <- true;
   Array.iteri
     (fun pc op ->
       match op with
-      | Opcode.Jump t -> Hashtbl.replace set t ()
+      | Opcode.Jump t -> is_leader.(t) <- true
       | Opcode.Jump_if_false (_, t) | Opcode.Jump_if_true (_, t) ->
-        Hashtbl.replace set t ();
-        if pc + 1 < Array.length bc.Opcode.code then Hashtbl.replace set (pc + 1) ()
-      | Opcode.Return _ ->
-        if pc + 1 < Array.length bc.Opcode.code then Hashtbl.replace set (pc + 1) ()
+        is_leader.(t) <- true;
+        if pc + 1 < n then is_leader.(pc + 1) <- true
+      | Opcode.Return _ -> if pc + 1 < n then is_leader.(pc + 1) <- true
       | _ -> ())
     bc.Opcode.code;
-  List.sort compare (Hashtbl.fold (fun pc () acc -> pc :: acc) set [])
-
-(* The leader of the block containing pc (pc must be a leader here). *)
-let block_end bc leaders_arr leader =
-  (* One past the last pc of this block. *)
-  let next_leader =
-    List.fold_left
-      (fun acc l -> if l > leader && l < acc then l else acc)
-      (Array.length bc.Opcode.code) leaders_arr
-  in
-  next_leader
+  let acc = ref [] in
+  for pc = n downto 0 do
+    if is_leader.(pc) then acc := pc :: !acc
+  done;
+  Array.of_list !acc
 
 (* --- emission ------------------------------------------------------- *)
 
 let emit b kind =
   let i = L.new_instr b.lir kind in
   i.L.block <- b.cur;
-  let cur = try Hashtbl.find b.body_rev b.cur with Not_found -> [] in
-  Hashtbl.replace b.body_rev b.cur (i.L.id :: cur);
+  b.body_rev.(b.cur) <- i.L.id :: b.body_rev.(b.cur);
   i.L.id
 
 let emit_phi_in b blk =
   let i = L.new_instr b.lir (L.Phi []) in
   i.L.block <- blk;
-  let cur = try Hashtbl.find b.phis_of blk with Not_found -> [] in
-  Hashtbl.replace b.phis_of blk (i.L.id :: cur);
+  b.phis_of.(blk) <- i.L.id :: b.phis_of.(blk);
   i.L.id
 
 (* --- Braun SSA construction ----------------------------------------- *)
 
-let write_var b blk reg v = Hashtbl.replace b.current_def (blk, reg) v
+let write_var b blk reg v = b.current_def.((blk * b.nregs) + reg) <- v
 
 let rec read_var b blk reg =
-  match Hashtbl.find_opt b.current_def (blk, reg) with
-  | Some v -> v
-  | None -> read_var_recursive b blk reg
+  let v = b.current_def.((blk * b.nregs) + reg) in
+  if v >= 0 then v else read_var_recursive b blk reg
 
 and read_var_recursive b blk reg =
   let v =
-    if not (Hashtbl.mem b.sealed blk) then begin
+    if not b.sealed.(blk) then begin
       let phi = emit_phi_in b blk in
-      let lst =
-        match Hashtbl.find_opt b.incomplete blk with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.replace b.incomplete blk l;
-          l
-      in
-      lst := (reg, phi) :: !lst;
+      b.incomplete.(blk) <- (reg, phi) :: b.incomplete.(blk);
       phi
     end
     else
@@ -197,20 +181,17 @@ and add_phi_operands b reg phi =
   phi
 
 let seal_block b blk =
-  if not (Hashtbl.mem b.sealed blk) then begin
-    Hashtbl.replace b.sealed blk ();
-    match Hashtbl.find_opt b.incomplete blk with
-    | None -> ()
-    | Some lst ->
-      List.iter (fun (reg, phi) -> ignore (add_phi_operands b reg phi)) !lst;
-      Hashtbl.remove b.incomplete blk
+  if not b.sealed.(blk) then begin
+    b.sealed.(blk) <- true;
+    let pending = b.incomplete.(blk) in
+    b.incomplete.(blk) <- [];
+    List.iter (fun (reg, phi) -> ignore (add_phi_operands b reg phi)) pending
   end
 
 (* --- check/exit helpers ---------------------------------------------- *)
 
 let make_exit b pc : L.exit =
-  let live_regs = Liveness.live_at b.live pc in
-  let live = List.map (fun r -> (r, read_var b b.cur r)) live_regs in
+  let live = Liveness.map_live b.live pc (read_var b b.cur) in
   { L.ekind = L.Deopt; smp = L.fresh_smp b.lir ~resume_pc:pc ~live }
 
 let ty b v = type_of_kind (L.kind_of b.lir v)
@@ -372,7 +353,13 @@ let compile ~(bc : Opcode.func) ~(consts : Value.t array) ~(profile : Feedback.f
     compiled =
   let lir = L.create_func ~fid:bc.Opcode.fid in
   let live = Liveness.compute bc in
-  let leader_list = leaders bc in
+  let ncode = Array.length bc.Opcode.code in
+  let leader_pcs = leaders bc in
+  let nleaders = Array.length leader_pcs in
+  (* Block 0 is the entry (it seeds the registers); leader [i] gets block
+     [i + 1]. *)
+  let nblocks = nleaders + 1 in
+  let nregs = bc.Opcode.nregs in
   let b =
     {
       bc;
@@ -380,34 +367,30 @@ let compile ~(bc : Opcode.func) ~(consts : Value.t array) ~(profile : Feedback.f
       profile;
       live;
       lir;
-      leader_block = Hashtbl.create 16;
+      nregs;
       cur = 0;
-      current_def = Hashtbl.create 64;
-      sealed = Hashtbl.create 16;
-      incomplete = Hashtbl.create 16;
-      bc_block_preds = Hashtbl.create 16;
-      filled = Hashtbl.create 16;
-      body_rev = Hashtbl.create 16;
-      phis_of = Hashtbl.create 16;
+      current_def = Array.make (nblocks * nregs) (-1);
+      sealed = Array.make nblocks false;
+      incomplete = Array.make nblocks [];
+      body_rev = Array.make nblocks [];
+      phis_of = Array.make nblocks [];
       entry_states = Hashtbl.create 4;
     }
   in
-  (* Entry block (seeds) + one block per leader. *)
   let entry = L.new_block lir in
   lir.L.entry <- entry.L.bid;
-  List.iter
-    (fun pc ->
-      let blk = L.new_block lir in
-      Hashtbl.replace b.leader_block pc blk.L.bid)
-    leader_list;
-  let block_of pc = Hashtbl.find b.leader_block pc in
+  let leader_block = Array.make (ncode + 1) (-1) in
+  Array.iter (fun pc -> leader_block.(pc) <- (L.new_block lir).L.bid) leader_pcs;
+  let block_of pc = leader_block.(pc) in
+  (* One past the last pc of leader [i]'s block. *)
+  let block_end i = if i + 1 < nleaders then leader_pcs.(i + 1) else ncode in
   (* Bytecode-level successors between leaders: follow the block from its
      leader to the first control transfer (dead code after an unconditional
      jump is skipped, matching how the block is filled). *)
-  let bc_succs leader =
-    let e = block_end bc leader_list leader in
+  let bc_succs i =
+    let e = block_end i in
     let rec go pc =
-      if pc >= e then if e < Array.length bc.Opcode.code then [ e ] else []
+      if pc >= e then if e < ncode then [ e ] else []
       else
         match bc.Opcode.code.(pc) with
         | Opcode.Jump t -> [ t ]
@@ -415,59 +398,54 @@ let compile ~(bc : Opcode.func) ~(consts : Value.t array) ~(profile : Feedback.f
         | Opcode.Return _ -> []
         | _ -> go (pc + 1)
     in
-    go leader |> List.filter (fun t -> t < Array.length bc.Opcode.code)
+    go leader_pcs.(i) |> List.filter (fun t -> t < ncode)
   in
-  List.iter
-    (fun leader ->
+  (* bc_preds.(blk): the leader blocks that flow into [blk], latest first. *)
+  let bc_preds = Array.make nblocks [] in
+  Array.iteri
+    (fun i leader ->
       List.iter
         (fun succ ->
-          let cur = try Hashtbl.find b.bc_block_preds succ with Not_found -> [] in
-          Hashtbl.replace b.bc_block_preds succ (leader :: cur))
-        (bc_succs leader))
-    leader_list;
+          let s = block_of succ in
+          bc_preds.(s) <- block_of leader :: bc_preds.(s))
+        (bc_succs i))
+    leader_pcs;
   (* LIR preds mirror the bytecode CFG (entry precedes leader 0). *)
   (L.block lir (block_of 0)).L.preds <- [ entry.L.bid ];
-  List.iter
+  Array.iter
     (fun leader ->
-      let preds = try Hashtbl.find b.bc_block_preds leader with Not_found -> [] in
       let blk = L.block lir (block_of leader) in
-      blk.L.preds <-
-        blk.L.preds @ List.sort_uniq compare (List.map block_of preds))
-    leader_list;
+      blk.L.preds <- blk.L.preds @ List.sort_uniq compare bc_preds.(blk.L.bid))
+    leader_pcs;
   (* Seed the entry block. *)
   b.cur <- entry.L.bid;
-  Hashtbl.replace b.sealed entry.L.bid ();
-  for r = 0 to bc.Opcode.nregs - 1 do
+  b.sealed.(entry.L.bid) <- true;
+  for r = 0 to nregs - 1 do
     let v =
       if r <= bc.Opcode.nparams then emit b (L.Param r) else emit b (L.Const Value.Undef)
     in
     write_var b entry.L.bid r v
   done;
   entry.L.term <- L.Jump (block_of 0);
-  Hashtbl.replace b.filled (-1) ();  (* pseudo-leader for entry *)
-  (* Sealing discipline: a block is sealed once all bytecode preds are
-     filled; leader 0 additionally waits on the entry (always filled). *)
+  (* Sealing discipline: a block is sealed once all its bytecode preds are
+     filled, in ascending leader order. *)
+  let filled = Array.make nblocks false in
   let try_seal_all () =
-    List.iter
-      (fun leader ->
-        let preds = try Hashtbl.find b.bc_block_preds leader with Not_found -> [] in
-        if List.for_all (fun p -> Hashtbl.mem b.filled p) preds then
-          seal_block b (block_of leader))
-      leader_list
+    for blk = 1 to nleaders do
+      if List.for_all (fun p -> filled.(p)) bc_preds.(blk) then seal_block b blk
+    done
   in
   try_seal_all ();
   (* Fill blocks in pc order. *)
-  List.iter
-    (fun leader ->
+  Array.iteri
+    (fun li leader ->
       let blk = block_of leader in
       b.cur <- blk;
       (* Record entry state for loop headers (for NoMap Tx_begin SMPs). *)
       if List.mem leader bc.Opcode.loop_headers then begin
-        let regs = Liveness.live_at live leader in
-        let state = List.map (fun r -> (r, read_var b blk r)) regs in
-        Hashtbl.replace b.entry_states blk state
+        Hashtbl.replace b.entry_states blk (Liveness.map_live live leader (read_var b blk))
       end;
-      let e = block_end bc leader_list leader in
+      let e = block_end li in
       let pc = ref leader in
       let terminated = ref false in
       while !pc < e && not !terminated do
@@ -594,21 +572,25 @@ let compile ~(bc : Opcode.func) ~(consts : Value.t array) ~(profile : Feedback.f
       if not !terminated then
         (L.block lir blk).L.term <-
           (if e < Array.length bc.Opcode.code then L.Jump (block_of e) else L.Ret None);
-      Hashtbl.replace b.filled leader ();
+      filled.(blk) <- true;
       try_seal_all ())
-    leader_list;
-  List.iter (fun leader -> seal_block b (block_of leader)) leader_list;
+    leader_pcs;
+  for blk = 1 to nleaders do
+    seal_block b blk
+  done;
   (* Finalize block instruction lists: phis first, then body. *)
   Nomap_util.Vec.iter
-    (fun blk ->
-      let phis = try List.rev (Hashtbl.find b.phis_of blk.L.bid) with Not_found -> [] in
-      let body = try List.rev (Hashtbl.find b.body_rev blk.L.bid) with Not_found -> [] in
-      blk.L.instrs <- phis @ body)
+    (fun (blk : L.block) ->
+      blk.L.instrs <- List.rev_append b.phis_of.(blk.L.bid) (List.rev b.body_rev.(blk.L.bid)))
     lir.L.blocks;
-  (* Trivial-phi elimination to a fixpoint.  The substitution is also
-     applied to the entry-state side table the NoMap transaction placer
-     reads, which [L.replace_uses] cannot see. *)
-  let subst : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* Trivial-phi elimination to a fixpoint.  A removed phi records its
+     replacement in [subst]; later phis read their operands through it,
+     and one substitution at the end rewrites every use.  The
+     substitution also covers the entry-state side table the NoMap
+     transaction placer reads, which [L.apply_substitution] cannot see. *)
+  let subst = Array.make (Nomap_util.Vec.length lir.L.instrs) (-1) in
+  let rec resolve v = if subst.(v) < 0 then v else resolve subst.(v) in
+  let touched = Array.make nblocks false in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -617,31 +599,33 @@ let compile ~(bc : Opcode.func) ~(consts : Value.t array) ~(profile : Feedback.f
         match i.L.kind with
         | L.Phi ins ->
           let ops =
-            List.sort_uniq compare (List.filter (fun v -> v <> i.L.id) (List.map snd ins))
+            List.sort_uniq compare
+              (List.filter_map
+                 (fun (_, v) ->
+                   let v = resolve v in
+                   if v <> i.L.id then Some v else None)
+                 ins)
           in
           (match ops with
           | [ same ] ->
             i.L.kind <- L.Nop;
-            let blk = L.block lir i.L.block in
-            blk.L.instrs <- List.filter (fun v -> v <> i.L.id) blk.L.instrs;
+            touched.(i.L.block) <- true;
             i.L.block <- -1;
-            Hashtbl.replace subst i.L.id same;
-            L.replace_uses lir ~old_v:i.L.id ~new_v:same;
+            subst.(i.L.id) <- same;
             changed := true
           | _ -> ())
         | _ -> ())
       lir.L.instrs
   done;
-  let rec resolve v =
-    match Hashtbl.find_opt subst v with Some w -> resolve w | None -> v
-  in
-  Hashtbl.iter
-    (fun blk state ->
-      Hashtbl.replace b.entry_states blk (List.map (fun (reg, v) -> (reg, resolve v)) state))
-    (Hashtbl.copy b.entry_states);
+  L.iter_blocks lir (fun blk ->
+      if touched.(blk.L.bid) then blk.L.instrs <- List.filter (fun v -> subst.(v) < 0) blk.L.instrs);
+  L.apply_substitution lir resolve;
+  Hashtbl.filter_map_inplace
+    (fun _ state -> Some (List.map (fun (reg, v) -> (reg, resolve v)) state))
+    b.entry_states;
   Nomap_lir.Cfg.compute_preds lir;
-  let block_pc = Hashtbl.create 16 in
-  Hashtbl.iter (fun pc blk -> Hashtbl.replace block_pc blk pc) b.leader_block;
+  let block_pc = Hashtbl.create nleaders in
+  Array.iter (fun pc -> Hashtbl.replace block_pc (block_of pc) pc) leader_pcs;
   let header_blocks =
     List.map (fun pc -> (pc, block_of pc)) bc.Opcode.loop_headers
   in

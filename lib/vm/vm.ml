@@ -177,8 +177,7 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
         v.ftl <- None;
         v.dirty <- true;
         t.tx_demotions <- t.tx_demotions + 1
-      | Htm.Check_failed _ | Htm.Deopt_in_tx | Htm.Sof_overflow | Htm.Irrevocable
-      | Htm.Conflict ->
+      | Htm.Check_failed _ | Htm.Sof_overflow | Htm.Irrevocable | Htm.Conflict ->
         (* A cross-agent conflict says nothing about this function's
            footprint: retry at the same placement (the paper's conflict
            aborts are transient, not capacity-driven). *)

@@ -60,10 +60,15 @@ let compile b =
     (Nomap_server.Artifact_cache.find_or_add compiled_cache b.id (fun () ->
          Nomap_bytecode.Compile.compile_source ~name:b.name b.source))
 
+(** Fuel for a reference run: 5x the heaviest kernel's use (1,601,750 ops
+    for [main] and one [benchmark()]), so a miscompiled loop runs out in
+    milliseconds instead of growing its arrays for seconds. *)
+let reference_fuel = 8_000_000
+
 (** Reference result: run [benchmark()] once under the plain interpreter. *)
 let run_reference b =
   let prog = compile b in
-  let inst = Nomap_interp.Instance.create ~fuel:500_000_000 prog in
+  let inst = Nomap_interp.Instance.create ~fuel:reference_fuel prog in
   let rec env =
     {
       Nomap_interp.Interp.instance = inst;

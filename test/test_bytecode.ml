@@ -117,6 +117,54 @@ let test_disasm_smoke () =
     List.exists (fun l -> l = "function g (fid=0 params=1 locals=2 regs=4)"
                           || String.length l > 0 && String.sub l 0 (min 10 (String.length l)) = "function g") lines)
 
+(* The set-based fixpoint that [Liveness]'s bitsets replaced, kept as
+   their reference. *)
+module Iset = Set.Make (Int)
+
+let reference_live_in (f : Opcode.func) =
+  let n = Array.length f.code in
+  let live_in = Array.make n Iset.empty in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    for pc = n - 1 downto 0 do
+      let op = f.code.(pc) in
+      let out =
+        List.fold_left
+          (fun acc succ -> if succ < n then Iset.union acc live_in.(succ) else acc)
+          Iset.empty (Opcode.successors op pc)
+      in
+      let after_def = match Opcode.def op with Some d -> Iset.remove d out | None -> out in
+      let in_ = List.fold_left (fun acc u -> Iset.add u acc) after_def (Opcode.uses op) in
+      if not (Iset.equal in_ live_in.(pc)) then begin
+        live_in.(pc) <- in_;
+        changed := true
+      end
+    done
+  done;
+  live_in
+
+let test_liveness_matches_reference () =
+  let check_program what (p : Opcode.program) =
+    Array.iter
+      (fun (f : Opcode.func) ->
+        let live = Liveness.compute f in
+        Array.iteri
+          (fun pc set ->
+            if Liveness.live_at live pc <> Iset.elements set then
+              Alcotest.failf "%s: function %d differs at pc %d" what f.fid pc)
+          (reference_live_in f))
+      p.funcs
+  in
+  List.iter
+    (fun (b : Nomap_workloads.Registry.benchmark) ->
+      check_program b.id (Nomap_workloads.Registry.compile b))
+    Nomap_workloads.Registry.all;
+  for seed = 1 to 300 do
+    let src = Nomap_fuzz.Gen.to_source (Nomap_fuzz.Gen.program_of_seed ~seed) in
+    check_program (Printf.sprintf "Gen seed %d" seed) (compile src)
+  done
+
 let qcheck_liveness_defs_not_spuriously_live =
   (* A register that is written before any read in straight-line code must
      not be live at entry. *)
@@ -142,6 +190,8 @@ let tests =
     Alcotest.test_case "Math resolved statically" `Quick test_math_resolved_statically;
     Alcotest.test_case "liveness straightline" `Quick test_liveness_straightline;
     Alcotest.test_case "liveness loop" `Quick test_liveness_loop;
+    Alcotest.test_case "liveness matches the set-based reference" `Quick
+      test_liveness_matches_reference;
     Alcotest.test_case "disasm smoke" `Quick test_disasm_smoke;
     QCheck_alcotest.to_alcotest qcheck_liveness_defs_not_spuriously_live;
   ]

@@ -36,8 +36,7 @@ let test_abort_reasons_indexed () =
   let c = Counters.create () in
   let reasons =
     List.map (fun k -> Htm.Check_failed k) Counters.check_kinds
-    @ Htm.[ Deopt_in_tx; Capacity_write; Capacity_read; Sof_overflow; Irrevocable; Watchdog;
-            Conflict ]
+    @ Htm.[ Capacity_write; Capacity_read; Sof_overflow; Irrevocable; Watchdog; Conflict ]
   in
   List.iteri (fun i r -> for _ = 0 to i do Counters.record_abort c r done) reasons;
   List.iteri

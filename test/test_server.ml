@@ -535,6 +535,47 @@ let test_pipelined_requests_in_order () =
         [ "1"; "2"; "3" ];
       Unix.close fd)
 
+(* STATS reports the queue wait of RUN frames on a line of its own: one
+   count per RUN frame served (a PING is not one), and keys that perfbench's
+   [depth=]/[accepted=]/[overloaded_rejections=] scan cannot mistake. *)
+let test_queue_wait_stats () =
+  with_server ~domains:1 (fun path _t ->
+      let fd = raw_connect path in
+      let runs = [ "1"; "2"; "3" ] in
+      List.iter (fun r -> raw_send fd (run_req ("var result = " ^ r ^ ";"))) runs;
+      raw_send fd Protocol.Ping;
+      List.iter
+        (fun _ ->
+          match raw_recv "queued run" fd with
+          | Protocol.Run_ok _ -> ()
+          | _ -> Alcotest.fail "pipelined request did not run")
+        runs;
+      (match raw_recv "ping" fd with Protocol.Pong -> () | _ -> Alcotest.fail "no pong");
+      raw_send fd Protocol.Stats;
+      (match raw_recv "stats" fd with
+      | Protocol.Stats_ok text ->
+        let occurrences key =
+          let n = String.length text and k = String.length key in
+          let c = ref 0 in
+          for i = 0 to n - k do
+            if String.sub text i k = key then incr c
+          done;
+          !c
+        in
+        List.iter
+          (fun key -> Alcotest.(check int) (key ^ " appears once") 1 (occurrences key))
+          [ "depth="; "accepted="; "overloaded_rejections=" ];
+        let line =
+          List.find
+            (fun l -> String.length l > 11 && String.sub l 0 11 = "queue_wait ")
+            (String.split_on_char '\n' text)
+        in
+        Scanf.sscanf line "queue_wait runs=%d total_us=%d max_us=%d%!" (fun n total max ->
+            Alcotest.(check int) "one wait per RUN frame" (List.length runs) n;
+            Alcotest.(check bool) "0 <= max <= total" true (0 <= max && max <= total))
+      | _ -> Alcotest.fail "no stats");
+      Unix.close fd)
+
 (* A slow compute for key A must not block a warm hit for key B — the
    compute runs outside every cache lock (capacity 8 means a single
    shard, so this exercises the in-flight slot, not shard luck). *)
@@ -679,6 +720,8 @@ let tests =
       test_pipelined_deadline_fresh_wait;
     Alcotest.test_case "daemon: pipelined requests answered in order" `Quick
       test_pipelined_requests_in_order;
+    Alcotest.test_case "daemon: STATS reports RUN frames' queue wait" `Quick
+      test_queue_wait_stats;
     Alcotest.test_case "daemon: idle keepalive connections don't starve workers" `Quick
       test_idle_keepalive_no_starvation;
   ]

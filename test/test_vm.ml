@@ -450,6 +450,54 @@ let test_array_length_in_tx () =
   Alcotest.(check int) "no demotion" 0 (Vm.tx_demotions t);
   Alcotest.(check string) "fill(10) still runs" "34" (outcome t "fill" 10)
 
+(* An array over 256 slots made from a young initial element forces a
+   minor collection ([caml_make_vect]), which in OCaml 5 stops every
+   domain.  fannkuchredux's [benchmark] has 273 ops, so creating its
+   instance and profile, its first Interpreter call and an FTL compile of
+   it (289 LIR instructions) each build such arrays.  The window allocates
+   about 86K words, a third of the 256K-word default minor heap, so any
+   collection in it was forced. *)
+let test_no_forced_minor_collection () =
+  let module R = Nomap_workloads.Registry in
+  let module O = Nomap_bytecode.Opcode in
+  let module F = Nomap_profile.Feedback in
+  let module I = Nomap_interp.Interp in
+  let prog = R.compile (Option.get (R.by_name "fannkuchredux")) in
+  let bench = Option.get (O.func_by_name prog "benchmark") in
+  Alcotest.(check bool) "benchmark has over 256 ops" true (Array.length bench.O.code > 256);
+  let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+  Gc.minor ();
+  let before = collections () and words0 = Gc.minor_words () in
+  let inst = Instance.create ~fuel:fuel_budget prog in
+  let profile = F.create prog in
+  let rec env =
+    {
+      I.instance = inst;
+      mode = I.Interp_tier;
+      profile = None;
+      charge = ignore;
+      call = (fun ~fid ~this ~args -> I.call_function env ~fid ~this ~args);
+    }
+  in
+  ignore (I.call_function env ~fid:prog.O.main_fid ~this:Value.Undef ~args:[]);
+  ignore (I.call_function env ~fid:bench.O.fid ~this:Value.Undef ~args:[]);
+  let fp = F.func_profile profile bench.O.fid in
+  let c =
+    Nomap_tiers.Specialize.compile ~bc:bench ~consts:inst.Instance.consts.(bench.O.fid) ~profile:fp
+  in
+  ignore
+    (Nomap_nomap.Transform.apply (Config.create Config.NoMap_full)
+       ~placement:Nomap_nomap.Txplace.Auto ~profile:fp c);
+  ignore (Nomap_opt.Pipeline.ftl c.Nomap_tiers.Specialize.lir);
+  let words = Gc.minor_words () -. words0 in
+  Alcotest.(check int) "no minor collection" before (collections ());
+  Alcotest.(check bool) "the LIR passes 256 instructions" true
+    (Nomap_util.Vec.length c.Nomap_tiers.Specialize.lir.Nomap_lir.Lir.instrs > 256);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words fit the minor heap" words)
+    true
+    (words < float_of_int (Gc.get ()).Gc.minor_heap_size /. 2.)
+
 let tests =
   [
     Alcotest.test_case "sum loop, all archs" `Quick test_sum_loop;
@@ -481,4 +529,5 @@ let tests =
     Alcotest.test_case "array length: one rule at every tier" `Quick test_array_length_rule;
     Alcotest.test_case "array length: a transaction aborts, not demotes" `Quick
       test_array_length_in_tx;
+    Alcotest.test_case "no forced minor collection" `Quick test_no_forced_minor_collection;
   ]
