@@ -10,14 +10,11 @@
     domain count), recording the parallel sweep wall time for comparison;
     with [-j 1] the re-sweep would time the identical serial execution, so
     it is skipped and the report carries [null].  Phase 3 measures warm VM
-    *execution* per engine mode and per host-helper setting: steady-state
-    calls of every suite benchmark in the exact ([decoded]) and the fused
-    ([threaded]) mode (DESIGN.md §13), each with the host fast paths
-    (per-site inline caches, DESIGN.md §14) on and off.  It prints one row
-    per kernel and reports per-suite sums with the threaded-over-decoded
-    and helpers-on-over-off speedups.  The
-    simulated counters are identical across all four cells — only
-    wall-clock moves.
+    *execution* per engine mode: steady-state calls of every suite
+    benchmark in the exact ([decoded]) and the fused ([threaded]) mode
+    (DESIGN.md §13).  It prints one row per kernel and reports per-suite
+    sums with the threaded-over-decoded speedup.  The simulated counters
+    are identical across both cells — only wall-clock moves.
 
     All wall times read the monotonic [Nomap_util.Clock], so NTP
     adjustments can't skew the report.
@@ -25,7 +22,7 @@
     [--engine decoded|threaded] pins the engine mode used by phases 1-2
     (the simulated metrics are mode-invariant; only wall-clock moves).
     [--json <path>] additionally writes the measurements to [path] as one
-    machine-readable report (schema [nomap-bench-v7], keyed by the
+    machine-readable report (schema [nomap-bench-v8], keyed by the
     catalogue's experiment names; see DESIGN.md §9), so wall-clock
     regressions of the simulator itself can be tracked across commits; the
     report records the host context (OCaml version, word size, recommended
@@ -73,8 +70,8 @@ let json_escape s =
   Buffer.contents b
 
 (* One kernel's (or, summed, one suite pass's) warm execution time in ns,
-   in each engine x host-inline-cache cell. *)
-type cells = { dec : float; thr : float; dec_off : float; thr_off : float }
+   in each engine mode. *)
+type cells = { dec : float; thr : float }
 
 type engine_exec_row = {
   ee_name : string;  (** experiment the suite backs (fig8/fig9) *)
@@ -85,7 +82,7 @@ let write_json path ~serial_wall_s ~parallel_wall_s ~jobs ~engine
     ~(rows : (string * float) list) ~(engine_exec : engine_exec_row list) =
   let oc = open_out path in
   output_string oc "{\n";
-  output_string oc "  \"schema\": \"nomap-bench-v7\",\n";
+  output_string oc "  \"schema\": \"nomap-bench-v8\",\n";
   Printf.fprintf oc "  \"engine\": \"%s\",\n" (Engine.name engine);
   Printf.fprintf oc
     "  \"host\": {\"ocaml_version\": \"%s\", \"word_size\": %d, \
@@ -111,12 +108,9 @@ let write_json path ~serial_wall_s ~parallel_wall_s ~jobs ~engine
       let c = r.ee_pass in
       Printf.fprintf oc
         "    {\"name\": \"%s\", \"engines\": [{\"engine\": \"decoded\", \
-         \"warm_ns_per_run\": %.1f, \"warm_ns_per_run_helpers_off\": %.1f, \
-         \"helper_speedup\": %.3f}, {\"engine\": \"threaded\", \"warm_ns_per_run\": \
-         %.1f, \"warm_ns_per_run_helpers_off\": %.1f, \"helper_speedup\": %.3f}], \
-         \"speedup_threaded_over_decoded\": %.3f}%s\n"
-        (json_escape r.ee_name) c.dec c.dec_off (c.dec_off /. c.dec) c.thr c.thr_off
-        (c.thr_off /. c.thr) (c.dec /. c.thr)
+         \"warm_ns_per_run\": %.1f}, {\"engine\": \"threaded\", \"warm_ns_per_run\": \
+         %.1f}], \"speedup_threaded_over_decoded\": %.3f}%s\n"
+        (json_escape r.ee_name) c.dec c.thr (c.dec /. c.thr)
         (if i < List.length engine_exec - 1 then "," else ""))
     engine_exec;
   output_string oc "  ],\n";
@@ -143,18 +137,18 @@ let write_json path ~serial_wall_s ~parallel_wall_s ~jobs ~engine
    (benchmark, cell) — run main, warm up past the FTL threshold, then
    time [exec_measure] calls of benchmark().  A suite's number is one warm
    pass over the suite (sum of per-benchmark ns per call), comparable
-   across engines because both run the identical call sequence.  The four
+   across engines because both run the identical call sequence.  The two
    cells are measured back-to-back per benchmark (not one full pass per
-   cell) so slow machine drift hits every side equally; the timed count
+   cell) so slow machine drift hits both sides equally; the timed count
    is higher than the harness default because the per-call times are tens
    of microseconds and a 1-core container schedules noisily. *)
 
 let exec_measure = 50
 
-let warm_exec_ns ~engine ~host_ic bench =
+let warm_exec_ns ~engine bench =
   let prog = Registry.compile bench in
   let vm =
-    Vm.create ~fuel:4_000_000_000 ~engine ~host_ic ~config:(Config.create Config.Base)
+    Vm.create ~fuel:4_000_000_000 ~engine ~config:(Config.create Config.Base)
       ~tier_cap:Vm.Cap_ftl prog
   in
   ignore (Vm.run_main vm);
@@ -168,33 +162,21 @@ let warm_exec_ns ~engine ~host_ic bench =
   (Clock.now_s () -. t0) /. float_of_int exec_measure *. 1e9
 
 let print_cells label c =
-  Printf.printf "  %-24s %12.0f %12.0f %12.0f %12.0f %7.2fx\n%!" label c.dec c.dec_off c.thr
-    c.thr_off (c.dec /. c.thr)
+  Printf.printf "  %-24s %12.0f %12.0f %7.2fx\n%!" label c.dec c.thr (c.dec /. c.thr)
 
 let measure_engine_exec name suite =
-  Printf.printf "  %-24s %12s %12s %12s %12s %8s\n" (name ^ " (ns/call)") "decoded" "ic off"
-    "threaded" "ic off" "thr/dec";
+  Printf.printf "  %-24s %12s %12s %8s\n" (name ^ " (ns/call)") "decoded" "threaded" "thr/dec";
   let pass =
     List.fold_left
       (fun acc b ->
-        let cell engine host_ic = warm_exec_ns ~engine ~host_ic b in
-        let dec = cell Engine.Decoded true in
-        let thr = cell Engine.Threaded true in
-        let dec_off = cell Engine.Decoded false in
-        let thr_off = cell Engine.Threaded false in
-        print_cells b.Registry.name { dec; thr; dec_off; thr_off };
-        {
-          dec = acc.dec +. dec;
-          thr = acc.thr +. thr;
-          dec_off = acc.dec_off +. dec_off;
-          thr_off = acc.thr_off +. thr_off;
-        })
-      { dec = 0.0; thr = 0.0; dec_off = 0.0; thr_off = 0.0 }
-      (Registry.of_suite suite)
+        let dec = warm_exec_ns ~engine:Engine.Decoded b in
+        let thr = warm_exec_ns ~engine:Engine.Threaded b in
+        print_cells b.Registry.name { dec; thr };
+        { dec = acc.dec +. dec; thr = acc.thr +. thr })
+      { dec = 0.0; thr = 0.0 } (Registry.of_suite suite)
   in
   print_cells "suite pass" pass;
-  Printf.printf "  helper speedup (ic off / on): decoded %.2fx, threaded %.2fx\n\n%!"
-    (pass.dec_off /. pass.dec) (pass.thr_off /. pass.thr);
+  print_newline ();
   { ee_name = name; ee_pass = pass }
 
 let json_path, jobs, engine =

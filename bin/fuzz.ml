@@ -56,16 +56,9 @@ let parse_engine e =
   | None ->
     Error ("unknown engine " ^ e ^ " (" ^ String.concat "|" (List.map Engine.name Engine.all) ^ ")")
 
-let parse_ic = function
-  | "ic" -> Ok true
-  | "noic" -> Ok false
-  | e -> Error ("unknown ic flag " ^ e ^ " (ic|noic)")
-
-(* "ftl:NoMap-RTM" or "dfg:Base,ftl:Base:decoded,ftl:NoMap:threaded:noic".
-   Each token is TIER:ARCH[:ENGINE[:IC]]; without an engine the optimizing
-   tiers expand to both engines so the cross-engine counter comparison
-   applies; a noic config is closed over its ic-on partner so the host-IC
-   comparison applies. *)
+(* "ftl:NoMap-RTM" or "dfg:Base,ftl:Base:decoded".  Each token is
+   TIER:ARCH[:ENGINE]; without an engine the optimizing tiers expand to
+   both engines so the cross-engine counter comparison applies. *)
 let parse_cfgs s =
   let parse_one tok =
     match String.split_on_char ':' tok with
@@ -74,7 +67,7 @@ let parse_cfgs s =
       | Ok t, Ok a ->
         Ok
           (Oracle.with_engine_partners
-             [ { Oracle.tier = t; arch = a; engine = Engine.Decoded; host_ic = true } ])
+             [ { Oracle.tier = t; arch = a; engine = Engine.Decoded } ])
       | (Error e, _ | _, Error e) -> Error e)
     | [ tier; arch; engine ] -> (
       match
@@ -82,23 +75,9 @@ let parse_cfgs s =
           parse_arch arch,
           parse_engine (String.lowercase_ascii engine) )
       with
-      | Ok t, Ok a, Ok g ->
-        Ok [ { Oracle.tier = t; arch = a; engine = g; host_ic = true } ]
+      | Ok t, Ok a, Ok g -> Ok [ { Oracle.tier = t; arch = a; engine = g } ]
       | (Error e, _, _ | _, Error e, _ | _, _, Error e) -> Error e)
-    | [ tier; arch; engine; ic ] -> (
-      match
-        ( parse_tier (String.lowercase_ascii tier),
-          parse_arch arch,
-          parse_engine (String.lowercase_ascii engine),
-          parse_ic (String.lowercase_ascii ic) )
-      with
-      | Ok t, Ok a, Ok g, Ok i ->
-        Ok
-          (Oracle.with_ic_partners
-             [ { Oracle.tier = t; arch = a; engine = g; host_ic = i } ])
-      | (Error e, _, _, _ | _, Error e, _, _ | _, _, Error e, _ | _, _, _, Error e) ->
-        Error e)
-    | _ -> Error ("bad config " ^ tok ^ " (expected TIER:ARCH[:ENGINE[:IC]])")
+    | _ -> Error ("bad config " ^ tok ^ " (expected TIER:ARCH[:ENGINE])")
   in
   let rec go acc = function
     | [] -> Ok acc

@@ -71,12 +71,11 @@ let run_case ?cfgs ?(fuel_boost = 1) ?ftl_mutate ?(agents = 0) ~shrink ~shrink_c
            engine divergence is invisible without the partner engine's run
            to compare against. *)
         let diverging =
-          Oracle.with_ic_partners
-            (Oracle.with_engine_partners
-               (List.filter_map
-                  (fun d ->
-                    match d.Oracle.subject with Oracle.Cfg c -> Some c | Oracle.Ast_axis -> None)
-                  divergences))
+          Oracle.with_engine_partners
+            (List.filter_map
+               (fun d ->
+                 match d.Oracle.subject with Oracle.Cfg c -> Some c | Oracle.Ast_axis -> None)
+               divergences)
         in
         Some (shrink_failure ?ftl_mutate ~max_checks:shrink_checks ~cfgs:diverging program)
     in

@@ -35,17 +35,7 @@ module Ast_interp = Nomap_interp.Ast_interp
 module Agent = Nomap_shared.Agent
 module Segment = Nomap_shared.Segment
 
-type cfg = {
-  tier : Vm.tier_cap;
-  arch : Config.arch;
-  engine : Engine.kind;
-  host_ic : bool;
-      (** run with per-site host inline caches (the default).  The ic axis
-          compares an ic-off configuration against its ic-on partner at the
-          same (tier, arch, engine) on the FULL observation, counters
-          included: host ICs are pure memoization and must be invisible to
-          every modeled metric (DESIGN.md §14). *)
-}
+type cfg = { tier : Vm.tier_cap; arch : Config.arch; engine : Engine.kind }
 
 (* The engine only runs DFG/FTL-compiled code; below that it is
    meaningless, so names (and the configuration matrix) only carry it for
@@ -53,38 +43,23 @@ type cfg = {
 let engine_matters c = match c.tier with Vm.Cap_dfg | Vm.Cap_ftl -> true | _ -> false
 
 let cfg_name c =
-  let base =
-    if engine_matters c then
-      Printf.sprintf "%s/%s/%s" (Vm.cap_name c.tier) (Config.name c.arch)
-        (Engine.name c.engine)
-    else Vm.cap_name c.tier ^ "/" ^ Config.name c.arch
-  in
-  if c.host_ic then base else base ^ "/ic-off"
+  if engine_matters c then
+    Printf.sprintf "%s/%s/%s" (Vm.cap_name c.tier) (Config.name c.arch) (Engine.name c.engine)
+  else Vm.cap_name c.tier ^ "/" ^ Config.name c.arch
 
 (** The reference configuration: the plain bytecode interpreter. *)
-let reference =
-  { tier = Vm.Cap_interp; arch = Config.Base; engine = Engine.Decoded; host_ic = true }
+let reference = { tier = Vm.Cap_interp; arch = Config.Base; engine = Engine.Decoded }
 
-(** Full differential matrix: each tier below DFG once (the engine and
-    architecture only change compiled code) with host ICs on and off (the
-    Interpreter's ic-on run is the reference), then the optimizing tiers
-    under both engines — DFG on Base, FTL under every architecture the
-    paper evaluates (Base, the NoMap/ROT ladder, RTM). *)
+(** Full differential matrix: Baseline once (the engine and architecture
+    only change compiled code; the Interpreter is the reference), then the
+    optimizing tiers under both engines — DFG on Base, FTL under every
+    architecture the paper evaluates (Base, the NoMap/ROT ladder, RTM). *)
 let default_cfgs =
-  { reference with host_ic = false }
-  :: List.map
-       (fun host_ic -> { tier = Vm.Cap_baseline; arch = Config.Base; engine = Engine.Decoded; host_ic })
-       [ true; false ]
-  @ List.concat_map
+  { tier = Vm.Cap_baseline; arch = Config.Base; engine = Engine.Decoded }
+  :: List.concat_map
        (fun engine ->
-         { tier = Vm.Cap_dfg; arch = Config.Base; engine; host_ic = true }
-         :: List.map
-              (fun arch -> { tier = Vm.Cap_ftl; arch; engine; host_ic = true })
-              Config.all
-         @ List.map
-             (fun arch -> { tier = Vm.Cap_ftl; arch; engine; host_ic = false })
-             [ Config.Base; Config.NoMap_full; Config.NoMap_RTM;
-               Config.NoMap_RTM_STM ])
+         { tier = Vm.Cap_dfg; arch = Config.Base; engine }
+         :: List.map (fun arch -> { tier = Vm.Cap_ftl; arch; engine }) Config.all)
        Engine.all
 
 (** Close a configuration list under the engine axis: every optimizing-tier
@@ -97,15 +72,6 @@ let with_engine_partners cfgs =
        (fun c ->
          if engine_matters c then List.map (fun engine -> { c with engine }) Engine.all
          else [ c ])
-       cfgs)
-
-(** Close a configuration list under the host-IC axis: every ic-off cfg
-    gains its ic-on partner, so the full-observation ic comparison stays
-    possible on a narrowed matrix. *)
-let with_ic_partners cfgs =
-  List.sort_uniq compare
-    (List.concat_map
-       (fun c -> if c.host_ic then [ c ] else [ c; { c with host_ic = true } ])
        cfgs)
 
 (* ------------------------------------------------------------------ *)
@@ -158,11 +124,10 @@ let run_cfg ?(fuel_boost = 1) ?ftl_mutate ~src (c : cfg) : observation =
       match ftl_mutate with
       | None ->
         Vm.create ~fuel ~verify_lir:true ~paranoid:true ~engine:c.engine
-          ~host_ic:c.host_ic ~config:(Config.create c.arch) ~tier_cap:c.tier prog
+          ~config:(Config.create c.arch) ~tier_cap:c.tier prog
       | Some ftl_mutate ->
         Vm.create_with_ftl_mutator ~ftl_mutate ~fuel ~verify_lir:true ~paranoid:true
-          ~engine:c.engine ~host_ic:c.host_ic ~config:(Config.create c.arch)
-          ~tier_cap:c.tier prog
+          ~engine:c.engine ~config:(Config.create c.arch) ~tier_cap:c.tier prog
     in
     ignore (Vm.run_main vm);
     let result =
@@ -225,7 +190,7 @@ let run_ast ?(fuel_boost = 1) ~src (globals : string array) : observation option
 (* The differential property *)
 
 (** Who diverged: a configuration (from the reference, or from its engine
-    or host-IC partner), or the reference itself from [Ast_interp]. *)
+    partner), or the reference itself from [Ast_interp]. *)
 type subject = Cfg of cfg | Ast_axis
 
 type divergence = { subject : subject; expected : observation; got : observation }
@@ -247,7 +212,7 @@ let agrees_with_reference ~expected ~got =
   | _ -> false
 
 (* Every configuration's divergences from the reference's observation
-   [expected], then from its engine and host-IC partners. *)
+   [expected], then from its engine partner. *)
 let config_divergences ~cfgs ~fuel_boost ?ftl_mutate ~src expected =
   let obs = List.map (fun c -> (c, run_cfg ~fuel_boost ?ftl_mutate ~src c)) cfgs in
   let ref_divs =
@@ -268,8 +233,7 @@ let config_divergences ~cfgs ~fuel_boost ?ftl_mutate ~src expected =
           match
             List.find_opt
               (fun (c', _) ->
-                c'.engine = Engine.Decoded && c'.tier = c.tier && c'.arch = c.arch
-                && c'.host_ic = c.host_ic)
+                c'.engine = Engine.Decoded && c'.tier = c.tier && c'.arch = c.arch)
               obs
           with
           | Some (_, (Outcome _ as expected')) when got <> expected' ->
@@ -277,31 +241,10 @@ let config_divergences ~cfgs ~fuel_boost ?ftl_mutate ~src expected =
           | _ -> None)
       obs
   in
-  (* IC axis: an ic-off configuration must match its ic-on partner at the
-     same (tier, arch, engine) on the full observation — host inline
-     caches are invisible to every counter.  The reference run is the
-     Interpreter's ic-on partner. *)
-  let ic_divs =
-    List.filter_map
-      (fun (c, got) ->
-        if c.host_ic then None
-        else
-          match
-            List.find_opt
-              (fun (c', _) ->
-                c'.host_ic && c'.tier = c.tier && c'.arch = c.arch
-                && c'.engine = c.engine)
-              ((reference, expected) :: obs)
-          with
-          | Some (_, (Outcome _ as expected')) when got <> expected' ->
-            Some { subject = Cfg c; expected = expected'; got }
-          | _ -> None)
-      obs
-  in
-  let dedup extra divs =
-    divs @ List.filter (fun d -> not (List.exists (fun r -> r.subject = d.subject) divs)) extra
-  in
-  dedup ic_divs (dedup engine_divs ref_divs)
+  ref_divs
+  @ List.filter
+      (fun d -> not (List.exists (fun r -> r.subject = d.subject) ref_divs))
+      engine_divs
 
 let check ?(cfgs = default_cfgs) ?(fuel_boost = 1) ?ftl_mutate
     (prog : Ast.program) : verdict =

@@ -124,34 +124,12 @@ let rec eval env frame (e : Ast.expr) : Value.t =
     let o = Heap.alloc_object env.heap in
     List.iter (fun (name, e) -> Heap.set_prop env.heap o name (eval env frame e)) fields;
     Value.Obj o
-  | Ast.Index (a, i) -> (
+  | Ast.Index (a, i) ->
     let va = eval env frame a and vi = eval env frame i in
-    send_cost env;
-    match (va, vi) with
-    | Value.Arr arr, _ -> (
-      match array_index vi with Some idx -> Heap.get_elem env.heap arr idx | None -> Value.Undef)
-    | Value.Str s, Value.Int idx ->
-      if idx >= 0 && idx < String.length s.Value.sdata then
-        Heap.str env.heap (String.make 1 s.Value.sdata.[idx])
-      else Value.Undef
-    | v, _ -> raise (Runtime_error ("cannot index " ^ Value.type_name v)))
+    get_index env va vi
   | Ast.Prop (Ast.Var base, prop) when Intrinsics.static_constant base prop <> None ->
     Option.get (Intrinsics.static_constant base prop)
-  | Ast.Prop (o, "length") -> (
-    let vo = eval env frame o in
-    send_cost env;
-    match Ops.js_length vo with
-    | Some v -> v
-    | None -> (
-      match vo with
-      | Value.Obj obj -> Heap.get_prop env.heap obj "length"
-      | v -> raise (Runtime_error ("no length on " ^ Value.type_name v))))
-  | Ast.Prop (o, p) -> (
-    let vo = eval env frame o in
-    send_cost env;
-    match vo with
-    | Value.Obj obj -> Heap.get_prop env.heap obj p
-    | _ -> Value.Undef)
+  | Ast.Prop (o, p) -> get_prop env (eval env frame o) p
   | Ast.Call (name, args) ->
     let vargs = List.map (eval env frame) args in
     call_named env name Value.Undef vargs
@@ -211,22 +189,80 @@ let rec eval env frame (e : Ast.expr) : Value.t =
     if Value.truthy (eval env frame c) then eval env frame a else eval env frame b
   | Ast.Assign (lv, e) -> assign env frame lv (fun () -> eval env frame e)
   | Ast.Op_assign (op, lv, e) ->
-    let cur = read_lvalue env frame lv in
-    let v = eval env frame e in
-    send_cost env;
-    let nv = Ops.apply_binop env.heap op cur v in
-    assign env frame lv (fun () -> nv)
+    modify env frame lv (fun cur ->
+        let v = eval env frame e in
+        send_cost env;
+        Ops.apply_binop env.heap op cur v)
   | Ast.Incr (lv, delta, kind) ->
-    let cur = read_lvalue env frame lv in
-    send_cost env;
-    let nv = Ops.js_add env.heap cur (Value.Int delta) in
-    ignore (assign env frame lv (fun () -> nv));
-    (match kind with `Pre -> nv | `Post -> cur)
+    let old = ref Value.Undef in
+    let nv =
+      modify env frame lv (fun cur ->
+          old := cur;
+          send_cost env;
+          Ops.js_add env.heap cur (Value.Int delta))
+    in
+    (match kind with `Pre -> nv | `Post -> !old)
 
-and read_lvalue env frame = function
-  | Ast.Lvar x -> lookup_var env frame x
-  | Ast.Lindex (a, i) -> eval env frame (Ast.Index (a, i))
-  | Ast.Lprop (o, p) -> eval env frame (Ast.Prop (o, p))
+(* Read-modify-write, as [Compile] lowers it: evaluate the lvalue's base
+   and index once, read the current value (a read node: fuel and dispatch,
+   as [eval] charges an [Index] or [Prop]), compute the new value with
+   [modify], and store it back into the same place. *)
+and modify env frame lv modify =
+  match lv with
+  | Ast.Lvar x ->
+    let nv = modify (lookup_var env frame x) in
+    assign_var env frame x nv;
+    nv
+  | Ast.Lindex (a, i) ->
+    burn env;
+    dispatch_cost env;
+    let va = eval env frame a and vi = eval env frame i in
+    let nv = modify (get_index env va vi) in
+    set_index env va vi nv;
+    nv
+  | Ast.Lprop (o, p) ->
+    burn env;
+    dispatch_cost env;
+    let vo = eval env frame o in
+    let nv = modify (get_prop env vo p) in
+    set_prop env vo p nv;
+    nv
+
+and get_index env va vi =
+  send_cost env;
+  match (va, vi) with
+  | Value.Arr arr, _ -> (
+    match array_index vi with Some idx -> Heap.get_elem env.heap arr idx | None -> Value.Undef)
+  | Value.Str s, Value.Int idx ->
+    if idx >= 0 && idx < String.length s.Value.sdata then
+      Heap.str env.heap (String.make 1 s.Value.sdata.[idx])
+    else Value.Undef
+  | v, _ -> raise (Runtime_error ("cannot index " ^ Value.type_name v))
+
+and get_prop env vo p =
+  send_cost env;
+  match (vo, p) with
+  | _, "length" -> (
+    match Ops.js_length vo with
+    | Some v -> v
+    | None -> (
+      match vo with
+      | Value.Obj obj -> Heap.get_prop env.heap obj "length"
+      | v -> raise (Runtime_error ("no length on " ^ Value.type_name v))))
+  | Value.Obj obj, _ -> Heap.get_prop env.heap obj p
+  | _ -> Value.Undef
+
+and set_index env va vi v =
+  send_cost env;
+  match va with
+  | Value.Arr arr -> Option.iter (fun idx -> Heap.set_elem env.heap arr idx v) (array_index vi)
+  | v' -> raise (Runtime_error ("cannot index-assign " ^ Value.type_name v'))
+
+and set_prop env vo p v =
+  send_cost env;
+  match vo with
+  | Value.Obj obj -> Heap.set_prop env.heap obj p v
+  | v' -> raise (Runtime_error ("cannot set property on " ^ Value.type_name v'))
 
 (* Store [value ()] into [lv] and return it.  The lvalue's base and index
    are evaluated before the value, as [Compile] orders them: a value that
@@ -240,18 +276,12 @@ and assign env frame lv value =
   | Ast.Lindex (a, i) ->
     let va = eval env frame a and vi = eval env frame i in
     let v = value () in
-    send_cost env;
-    (match va with
-    | Value.Arr arr -> Option.iter (fun idx -> Heap.set_elem env.heap arr idx v) (array_index vi)
-    | v' -> raise (Runtime_error ("cannot index-assign " ^ Value.type_name v')));
+    set_index env va vi v;
     v
   | Ast.Lprop (o, p) ->
     let vo = eval env frame o in
     let v = value () in
-    send_cost env;
-    (match vo with
-    | Value.Obj obj -> Heap.set_prop env.heap obj p v
-    | v' -> raise (Runtime_error ("cannot set property on " ^ Value.type_name v')));
+    set_prop env vo p v;
     v
 
 and call_named env name this args =

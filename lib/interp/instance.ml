@@ -1,7 +1,7 @@
 (** A program instantiated against a heap: materialized constants, global
-    storage, the bytecode tiers' host inline caches and compiled code, and
-    the execution watchdog.  Shared by every execution engine (interpreter,
-    baseline, optimized machine code). *)
+    storage, the bytecode tiers' compiled code, and the execution
+    watchdog.  Shared by every execution engine (interpreter, baseline,
+    optimized machine code). *)
 
 open Nomap_runtime
 module Opcode = Nomap_bytecode.Opcode
@@ -20,12 +20,6 @@ type t = {
   heap : Heap.t;
   globals : Value.t array;
   consts : Value.t array array;  (** per function, materialized *)
-  ics : Ic.t option array array;
-      (** per function and pc: the host inline cache of a property or
-          dynamic method site, [None] elsewhere and everywhere when the
-          instance was created with [~host_ic:false].  Caches are mutable
-          and keyed on this heap's shape ids, so they live here, per
-          instance, never on the shared program (DESIGN.md §14). *)
   code : code option array;
       (** per function and mode ([code_slot]): the bytecode compiler's
           closures, compiled on first call and kept for the instance's
@@ -49,34 +43,21 @@ let materialize_const heap (c : Opcode.const) : Value.t =
   | Cundef -> Value.Undef
   | Cfun fid -> Value.Fun fid
 
-let site_ic (op : Opcode.op) =
-  match op with
-  | Get_prop _ | Set_prop _ | Get_length _ -> Some (Ic.create ())
-  | Call_method (_, _, name, _) -> Some (Ic.for_method name)
-  | _ -> None
-
-let create ?(seed = 42) ?(fuel = max_int) ?(host_ic = true) (prog : Opcode.program) =
+let create ?(seed = 42) ?(fuel = max_int) (prog : Opcode.program) =
   let heap = Heap.create ~seed () in
   {
     prog;
     heap;
     globals = Array.make (max 1 (Array.length prog.globals)) Value.Undef;
-    (* Both tables are filled in place: [Array.map] starts from its first
-       result, which may be freshly allocated, and an array over 256 slots
-       made from a young element forces a minor collection. *)
+    (* Filled in place: [Array.map] starts from its first result, which
+       may be freshly allocated, and an array over 256 slots made from a
+       young element forces a minor collection. *)
     consts =
       Array.map
         (fun (f : Opcode.func) ->
           let consts = Array.make (Array.length f.consts) Value.Undef in
           Array.iteri (fun i c -> consts.(i) <- materialize_const heap c) f.consts;
           consts)
-        prog.funcs;
-    ics =
-      Array.map
-        (fun (f : Opcode.func) ->
-          let ics = Array.make (Array.length f.code) None in
-          if host_ic then Array.iteri (fun pc op -> ics.(pc) <- site_ic op) f.code;
-          ics)
         prog.funcs;
     code = Array.make (modes * Array.length prog.funcs) None;
     fuel;

@@ -12,8 +12,8 @@
     {b One-pass compiler.}  Like V8's Sparkplug, the engine compiles each
     (function, mode) once, in one linear pass with no IR, into per-op OCaml
     closures that tail-call each other; there is no op loop.  Registers,
-    constants, IC records, argument lists, feedback sites and costs
-    ([cost]) are resolved at compile time.  Each op is built by one
+    constants, argument lists, feedback sites and costs ([cost]) are
+    resolved at compile time.  Each op is built by one
     closure for every mode: a profiled op captures its feedback site as a
     [site option], [Some] only in Baseline mode, and runs each
     [Feedback.record_*] under one [match] on it.  Only [Binop] and [Unop]
@@ -243,10 +243,11 @@ let no_block = { run = unreached }
 let compile env fid =
   let inst = env.instance in
   let heap = inst.Instance.heap and globals = inst.Instance.globals in
+  let shapes = heap.Heap.shapes in
   let f = Instance.func inst fid in
   let code = f.Opcode.code in
   let n = Array.length code in
-  let consts = inst.Instance.consts.(fid) and ics = inst.Instance.ics.(fid) in
+  let consts = inst.Instance.consts.(fid) in
   let charge = env.charge and call = env.call and cost = cost env.mode in
   let fp =
     match (env.mode, env.profile) with
@@ -365,13 +366,13 @@ let compile env fid =
           set_reg regs d (Ops.apply_unop uop va);
           next regs)
     | Get_prop (d, o, name) ->
-      let ic = ics.(pc) and site = site pc and next = settled pc in
+      let site = site pc and next = settled pc in
       fun regs ->
         settle inst charge fuel due;
         (match reg regs o with
         | Value.Obj obj ->
           (* The slot load only: no shape-word read on this path. *)
-          let slot = Ic.find_slot heap ic obj name in
+          let slot = Shape.slot_of obj.Value.shape (Shape.find_sym shapes name) in
           if slot >= 0 then begin
             charge hit;
             (match site with
@@ -391,15 +392,16 @@ let compile env fid =
           set_reg regs d Value.Undef);
         next regs
     | Set_prop (o, name, v) ->
-      let ic = ics.(pc) and site = site pc and next = settled pc in
+      let site = site pc and next = settled pc in
       fun regs ->
         settle inst charge fuel due;
         (match reg regs o with
         | Value.Obj obj -> (
           let sh = obj.Value.shape in
-          let slot = Ic.set_slot heap ic obj name in
+          let sym = Shape.intern shapes name in
+          let slot = Shape.slot_of sh sym in
           charge (if slot >= 0 then hit else miss);
-          Ic.store heap ic obj name slot (reg regs v);
+          Heap.set_prop_sym heap obj sym (reg regs v);
           match site with
           | Some s ->
             if slot >= 0 then Feedback.record_store_slot s sh.Shape.id slot
@@ -465,7 +467,7 @@ let compile env fid =
         | v', _ -> raise (Runtime_error ("cannot index-assign " ^ Value.type_name v')));
         next regs
     | Get_length (d, x) ->
-      let ic = ics.(pc) and site = site pc and next = settled pc in
+      let site = site pc and next = settled pc in
       fun regs ->
         settle inst charge fuel due;
         let vx = reg regs x in
@@ -480,7 +482,7 @@ let compile env fid =
             Value.int_ a.Value.alen
           | Value.Obj obj ->
             charge miss;
-            Ic.get_prop heap ic obj "length"
+            Heap.get_prop heap obj "length"
           | v -> raise (Runtime_error ("no length on " ^ Value.type_name v)));
         next regs
     | New_array (d, len) ->
@@ -509,13 +511,13 @@ let compile env fid =
         set_reg regs d (match r with Value.Undef -> obj | v -> v);
         next regs
     | Call_method (d, recv, name, args) ->
-      let ic = ics.(pc) and site = site pc and next = settled pc in
+      let site = site pc and next = settled pc in
       let ids = Array.of_list args in
       let argc = Array.length ids in
       fun regs ->
         settle inst charge fuel due;
         let vrecv = reg regs recv in
-        (match Ic.method_of ic vrecv name with
+        (match Intrinsics.method_lookup vrecv name with
         | Some intr ->
           charge (hit + Intrinsics.cost intr + Intrinsics.dynamic_cost_argc intr vrecv ~argc);
           (match site with Some s -> Feedback.record_class s vrecv | None -> ());
@@ -524,13 +526,14 @@ let compile env fid =
           match vrecv with
           | Value.Obj obj -> (
             (* Method dispatch reads the slot only, like [Get_prop]. *)
-            let slot = Ic.find_slot heap ic obj name in
+            let slot = Shape.slot_of obj.Value.shape (Shape.find_sym shapes name) in
             if slot < 0 then raise (Runtime_error ("no method " ^ name));
             match Heap.load_slot heap obj slot with
             | Value.Fun fid' ->
               charge hit;
               (match site with
               | Some s ->
+                Feedback.record_class s vrecv;
                 Feedback.record_load_slot s obj.Value.shape.Shape.id slot;
                 Feedback.record_callee s fid'
               | None -> ());
@@ -617,9 +620,7 @@ let body env fid =
 
     Register, constant, global and pc indices come from the bytecode
     compiler and are in range by construction, so compiled code reads them
-    unchecked ([reg]).  Property and method sites go through the instance's
-    host inline caches ([Ic]); every hook and charge happens in the order
-    the generic helpers produce. *)
+    unchecked ([reg]). *)
 let run_from env ~fid ~entry_pc ~(regs : Value.t array) : Value.t =
   let b = body env fid in
   if entry_pc = 0 then b.start regs

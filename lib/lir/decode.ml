@@ -27,7 +27,6 @@
     a fresh [Lir.func]. *)
 
 module Value = Nomap_runtime.Value
-module Ic = Nomap_runtime.Ic
 
 (** The phi copies of one CFG edge [pred -> b], for the block [b] that
     holds it.  The engine compiles each edge into its own closure, which
@@ -61,9 +60,6 @@ type dinstr = {
           raise nor observe/alter transaction state, so an engine may batch
           its accounting with its straight-line neighbours'. *)
   args : int array;  (** pre-resolved call/intrinsic argument value ids *)
-  ic : Ic.t option;
-      (** host inline cache for property/method sites (DESIGN.md §14);
-          caches die with the decoded artifact on recompilation *)
 }
 
 type dblock = {
@@ -384,14 +380,6 @@ let layout_to_string (l : layout) =
     l.slot;
   Buffer.contents b
 
-(** Sites that get a host inline cache. *)
-let ic_of = function
-  | Lir.Call_runtime ((Lir.Rt_get_prop _ | Lir.Rt_set_prop _ | Lir.Rt_get_length), _, _)
-  | Lir.Store_transition _ ->
-    Some (Ic.create ())
-  | Lir.Call_runtime (Lir.Rt_method name, _, _) -> Some (Ic.for_method name)
-  | _ -> None
-
 let args_of = function
   | Lir.Call_func (_, args) | Lir.Ctor_call (_, args) | Lir.Intrinsic (_, args)
   | Lir.Call_method (_, _, args)
@@ -460,7 +448,6 @@ let decode ~(cost : Lir.kind -> int) (f : Lir.func) : t =
                        elided = free.(v);
                        pure = pure_kind k;
                        args = args_of k;
-                       ic = ic_of k;
                      })
           |> Array.of_list
         in

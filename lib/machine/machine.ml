@@ -27,9 +27,9 @@
 
 module Value = Nomap_runtime.Value
 module Heap = Nomap_runtime.Heap
+module Shape = Nomap_runtime.Shape
 module Ops = Nomap_runtime.Ops
 module Intrinsics = Nomap_runtime.Intrinsics
-module Ic = Nomap_runtime.Ic
 module Instance = Nomap_interp.Instance
 module Interp = Nomap_interp.Interp
 module L = Nomap_lir.Lir
@@ -50,9 +50,6 @@ type env = {
   htm_mode : Htm.mode;  (** hardware a Tx_begin targets *)
   sof_enabled : bool;  (** Sticky Overflow Flag hardware present *)
   capacity_scale : int;  (** HTM capacity scaling (matches workload scaling) *)
-  host_ic : bool;
-      (** enable per-site host inline caches (host memoization only — no
-          simulated counter depends on this; the fuzzer's ic axis checks) *)
   stm_fallback : bool;
       (** hybrid RTM+STM: a capacity overflow upgrades the transaction to a
           modeled software transaction instead of aborting (DESIGN.md §15) *)
@@ -85,7 +82,7 @@ let scaled_costs =
 (** Raises [Invalid_argument] if [capacity_scale] does not divide every
     fixed transactional cost into whole milli-cycles. *)
 let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
-    ?(host_ic = true) ?(stm_fallback = false) ~call ~deopt_resume () =
+    ?(stm_fallback = false) ~call ~deopt_resume () =
   List.iter
     (fun (name, c) ->
       if c mod capacity_scale <> 0 then
@@ -101,7 +98,6 @@ let create_env ~instance ~counters ~htm_mode ~sof_enabled ?(capacity_scale = 1)
     htm_mode;
     sof_enabled;
     capacity_scale;
-    host_ic;
     stm_fallback;
     call;
     deopt_resume;
@@ -280,23 +276,15 @@ let intrinsic_cost = function
    so we coerce benignly instead of crashing the simulator. *)
 let as_obj = function Value.Obj o -> Some o | _ -> None
 
-(** A site's host inline cache, or [None] (the generic helpers) when the
-    VM runs with host ICs off.  The probes and their rules live in
-    [Nomap_runtime.Ic] (DESIGN.md §14). *)
-let[@inline] site_ic env (ic : Ic.t option) = if env.host_ic then ic else None
-
 (** Generic runtime calls (the NoFTL slow paths).  Each branch charges its
     runtime cost (same table as always: binop 30, unop 16, get_prop 35,
     set_prop 40, get_elem 30, set_elem 34, get_length 16, method 44,
     intrinsic 6 + static + dynamic) before executing, then reads its
     operands from [values] at [ids] and shares its element, call and
-    intrinsic helpers with the bytecode tiers ([Interp]).  [ic] is the
-    call site's host inline cache (property/method sites only); it changes
-    no hook sequence and no charge. *)
-let exec_runtime env ~(ic : Ic.t option) rt (recv : Value.t)
-    (ids : int array) (values : Value.t array) : Value.t =
+    intrinsic helpers with the bytecode tiers ([Interp]). *)
+let exec_runtime env rt (recv : Value.t) (ids : int array) (values : Value.t array) :
+    Value.t =
   let heap = env.instance.Instance.heap in
-  let ic = site_ic env ic in
   let arg i = Hot.get values (Hot.get ids i) in
   match rt with
   | L.Rt_binop op ->
@@ -308,13 +296,13 @@ let exec_runtime env ~(ic : Ic.t option) rt (recv : Value.t)
   | L.Rt_get_prop name -> (
     charge_runtime env 35;
     match as_obj recv with
-    | Some o -> Ic.get_prop heap ic o name
+    | Some o -> Heap.get_prop heap o name
     | None -> Value.Undef)
   | L.Rt_set_prop name -> (
     charge_runtime env 40;
     match as_obj recv with
     | Some o ->
-      Ic.set_prop heap ic o name (arg 0);
+      Heap.set_prop heap o name (arg 0);
       Value.Undef
     | None -> raise (Interp.Runtime_error "set property on non-object"))
   | L.Rt_get_elem -> (
@@ -337,18 +325,18 @@ let exec_runtime env ~(ic : Ic.t option) rt (recv : Value.t)
     | Some v -> v
     | None -> (
       match as_obj recv with
-      | Some o -> Ic.get_prop heap ic o "length"
+      | Some o -> Heap.get_prop heap o "length"
       | None -> raise (Interp.Runtime_error ("no length on " ^ Value.type_name recv))))
   | L.Rt_method name -> (
     charge_runtime env 44;
-    match Ic.method_of ic recv name with
+    match Intrinsics.method_lookup recv name with
     | Some intr -> Interp.eval_intrinsic heap intr recv values ids
     | None -> (
       match as_obj recv with
       | Some o ->
-        (* NB: like the generic path, no shape-word load here — method
-           dispatch reads only the slot. *)
-        let slot = Ic.find_slot heap ic o name in
+        (* Method dispatch reads the slot only, as in the bytecode tiers:
+           no shape-word load. *)
+        let slot = Shape.slot_of o.Value.shape (Shape.find_sym heap.Heap.shapes name) in
         if slot >= 0 then
           match Heap.load_slot heap o slot with
           | Value.Fun fid -> env.call ~fid ~this:recv ~args:(Interp.arg_values values ids)

@@ -561,14 +561,13 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
         | _ -> ());
         next st
     | L.Store_transition (o, name, slot, x) ->
-      let ic = site_ic env di.D.ic in
       let ro, so = opnd o and rx, sx = opnd x in
       fun st ->
         (match rd_val st ro so with
         | Value.Obj obj ->
           (* The guarding shape check ran just before; resolve the
-             (memoized, site-cached) transition and install shape + value. *)
-          let new_shape = Ic.transition heap ic obj name in
+             (memoized) transition and install shape + value. *)
+          let new_shape = Shape.transition heap.Heap.shapes obj.Value.shape name in
           if new_shape.Shape.prop_count - 1 = slot then
             Heap.transition_store heap obj new_shape slot (rd_val st rx sx)
           else
@@ -789,9 +788,8 @@ let compile_func env ~tier ~exact (d : D.t) : tfunc =
         next st
     | L.Call_runtime (rt, recv, _) ->
       let ids, boxing = args_of di.D.args and rr, sr = opnd recv in
-      let ic = di.D.ic in
       fun st ->
-        set st.vals sv (exec_runtime env ~ic rt (rd_val st rr sr) ids (arg_file st boxing));
+        set st.vals sv (exec_runtime env rt (rd_val st rr sr) ids (arg_file st boxing));
         next st
     | L.Intrinsic (intr, _) ->
       let ids, boxing = args_of di.D.args in

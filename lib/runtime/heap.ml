@@ -136,20 +136,14 @@ let store_slot t (o : Value.obj) slot v =
   end;
   o.Value.slots.(slot) <- v
 
-(** Generic property read by pre-resolved slot (the host-IC hit path): the
-    same shape-word read the inline-cache probe performs, then the slot.
-    [slot] is -1 when the property is absent. *)
-let get_prop_slot t (o : Value.obj) slot =
-  note_load t o.Value.oaddr word_bytes;
-  if slot >= 0 then load_slot t o slot else Value.Undef
-
-(** Generic property read by symbol ([sym] may be -1: never interned). *)
-let get_prop_sym t (o : Value.obj) sym = get_prop_slot t o (Shape.slot_of o.Value.shape sym)
-
 (** Generic property read (the Baseline/runtime path).  Reads the shape word
-    too, as the inline-cache probe would. *)
+    too, as the inline-cache probe would, then the slot when the property
+    is present. *)
 let get_prop t (o : Value.obj) name =
-  get_prop_sym t o (Shape.find_sym t.shapes name)
+  note_load t o.Value.oaddr word_bytes;
+  match Shape.slot_of o.Value.shape (Shape.find_sym t.shapes name) with
+  | -1 -> Value.Undef
+  | slot -> load_slot t o slot
 
 (** Transition fast path: the caller has verified the object's current
     shape; install [new_shape] and store the added property's value (the

@@ -37,7 +37,7 @@ type run_result = {
     Math.random streams differ; everything else about the run is
     deterministic under the scheduler policy. *)
 let run ?(policy = Interleave.Seeded 0) ?(segment_size = 64) ?thresholds
-    ?(fuel = max_int) ?engine ?host_ic ?(seed = 42) ~config ~tier_cap
+    ?(fuel = max_int) ?engine ?(seed = 42) ~config ~tier_cap
     (programs : Opcode.program array) =
   let n = Array.length programs in
   if n = 0 then invalid_arg "Agents.run: no programs";
@@ -47,7 +47,7 @@ let run ?(policy = Interleave.Seeded 0) ?(segment_size = 64) ?thresholds
     let ag = Agent.agent reg i in
     let result =
       match
-        Vm.create ~seed:(seed + i) ~fuel ?thresholds ?engine ?host_ic ~shared:ag
+        Vm.create ~seed:(seed + i) ~fuel ?thresholds ?engine ~shared:ag
           ~config ~tier_cap programs.(i)
       with
       | vm ->

@@ -78,9 +78,9 @@ let fresh_version () =
 
 let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresholds)
     ?(verify_lir = false) ?(paranoid = false) ?ftl_mutate
-    ?(opt_knobs = Nomap_opt.Pipeline.all_on) ?(engine = Engine.default)
-    ?(host_ic = true) ?shared ~config ~tier_cap (prog : Opcode.program) =
-  let instance = Instance.create ~seed ~fuel ~host_ic prog in
+    ?(opt_knobs = Nomap_opt.Pipeline.all_on) ?(engine = Engine.default) ?shared ~config
+    ~tier_cap (prog : Opcode.program) =
+  let instance = Instance.create ~seed ~fuel prog in
   let profile = Feedback.create prog in
   let counters = Counters.create () in
   (* Every VM has an agent: a private solo one by default, so the
@@ -122,7 +122,7 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
   let env =
     Machine.create_env ~instance ~counters ~htm_mode:(Config.htm_mode config)
       ~sof_enabled:(Config.sof_enabled config) ~capacity_scale:Config.capacity_scale
-      ~host_ic ~stm_fallback:(Config.stm_fallback config) ~call ~deopt_resume ()
+      ~stm_fallback:(Config.stm_fallback config) ~call ~deopt_resume ()
   in
   (* The interpreter tiers charge NoFTL instructions through the machine,
      so an op run inside a transaction region counts toward TMTime. *)
@@ -253,15 +253,15 @@ and dispatch t ~fid ~this ~args =
     let regs = Interp.make_frame t.instance ~fid ~this ~args in
     Interp.run_from t.interp_env ~fid ~entry_pc:0 ~regs
 
-let create ?seed ?fuel ?thresholds ?verify_lir ?paranoid ?opt_knobs ?engine ?host_ic
-    ?shared ~config ~tier_cap prog =
-  create_gen ?seed ?fuel ?thresholds ?verify_lir ?paranoid ?opt_knobs ?engine ?host_ic
-    ?shared ~config ~tier_cap prog
+let create ?seed ?fuel ?thresholds ?verify_lir ?paranoid ?opt_knobs ?engine ?shared
+    ~config ~tier_cap prog =
+  create_gen ?seed ?fuel ?thresholds ?verify_lir ?paranoid ?opt_knobs ?engine ?shared
+    ~config ~tier_cap prog
 
 let create_with_ftl_mutator ~ftl_mutate ?seed ?fuel ?thresholds ?verify_lir ?paranoid
-    ?opt_knobs ?engine ?host_ic ?shared ~config ~tier_cap prog =
+    ?opt_knobs ?engine ?shared ~config ~tier_cap prog =
   create_gen ?seed ?fuel ?thresholds ?verify_lir ?paranoid ~ftl_mutate ?opt_knobs ?engine
-    ?host_ic ?shared ~config ~tier_cap prog
+    ?shared ~config ~tier_cap prog
 
 (** Run the program's top level. *)
 let run_main t =

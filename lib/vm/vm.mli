@@ -30,7 +30,6 @@ val create :
   ?paranoid:bool ->
   ?opt_knobs:Nomap_opt.Pipeline.knobs ->
   ?engine:Nomap_machine.Engine.kind ->
-  ?host_ic:bool ->
   ?shared:Nomap_shared.Agent.t ->
   config:Nomap_nomap.Config.t ->
   tier_cap:tier_cap ->
@@ -55,7 +54,6 @@ val create_with_ftl_mutator :
   ?paranoid:bool ->
   ?opt_knobs:Nomap_opt.Pipeline.knobs ->
   ?engine:Nomap_machine.Engine.kind ->
-  ?host_ic:bool ->
   ?shared:Nomap_shared.Agent.t ->
   config:Nomap_nomap.Config.t ->
   tier_cap:tier_cap ->

@@ -5,6 +5,10 @@ open Nomap_interp
 
 let compile src = Nomap_bytecode.Compile.compile_source src
 
+(** The pinned fuzz corpus: [dune runtest] runs in the test directory,
+    [dune exec] from the repo root. *)
+let corpus_dir = if Sys.file_exists "fuzz_corpus" then "fuzz_corpus" else "test/fuzz_corpus"
+
 let global_value inst name =
   let prog = inst.Instance.prog in
   let idx = ref (-1) in

@@ -109,17 +109,15 @@ let check_matrix ~name src =
 (* ------------------------------------------------------------------ *)
 (* Corpus programs *)
 
-let corpus_dir = if Sys.file_exists "fuzz_corpus" then "fuzz_corpus" else "test/fuzz_corpus"
-
 let test_corpus_equivalence () =
-  let files = Sys.readdir corpus_dir in
+  let files = Sys.readdir Helpers.corpus_dir in
   Array.sort compare files;
   let checked = ref 0 in
   Array.iter
     (fun file ->
       if Filename.check_suffix file ".js" then begin
         let src =
-          In_channel.with_open_text (Filename.concat corpus_dir file) In_channel.input_all
+          In_channel.with_open_text (Filename.concat Helpers.corpus_dir file) In_channel.input_all
         in
         check_matrix ~name:file src;
         incr checked

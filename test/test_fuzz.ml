@@ -166,19 +166,16 @@ let test_fixed_seed_batch_agrees () =
   List.iter (fun f -> Alcotest.fail (Fuzz.failure_to_string f)) s.Fuzz.failures;
   Alcotest.(check int) "all tested" 8 s.Fuzz.tested
 
-(* `dune runtest` runs with cwd = the test directory; `dune exec` from the
-   repo root does not. *)
-let corpus_dir =
-  if Sys.file_exists "fuzz_corpus" then "fuzz_corpus" else "test/fuzz_corpus"
-
 let test_corpus_agrees () =
-  let files = Sys.readdir corpus_dir in
+  let files = Sys.readdir Helpers.corpus_dir in
   Array.sort compare files;
   let checked = ref 0 in
   Array.iter
     (fun file ->
       if Filename.check_suffix file ".js" then begin
-        let src = In_channel.with_open_text (Filename.concat corpus_dir file) In_channel.input_all in
+        let src =
+          In_channel.with_open_text (Filename.concat Helpers.corpus_dir file) In_channel.input_all
+        in
         let prog = Nomap_jsir.Parser.parse_program_exn ~name:file src in
         (match Oracle.check prog with
         | Oracle.Agree -> ()
@@ -248,6 +245,36 @@ let test_ast_agrees () =
        sw() { cur = p; return 5; } cur.x = sw(); result = a.join(',') + ';' + o.x + p.x;";
     ]
 
+(* A compound assignment or increment evaluates its target's base and
+   index once, as [Compile] lowers it.  [f] counts its calls and returns a
+   different target each time, so evaluating the target twice would both
+   count two calls and store somewhere other than it read. *)
+let test_ast_target_once () =
+  List.iter
+    (fun (src, want) ->
+      let globals = (Nomap_bytecode.Compile.compile_source src).Nomap_bytecode.Opcode.globals in
+      let expected = Oracle.run_cfg ~src Oracle.reference in
+      (match expected with
+      | Oracle.Outcome { result; _ } -> Alcotest.(check string) (src ^ ": reference") want result
+      | Oracle.Crash m -> Alcotest.fail (src ^ ": reference crashed: " ^ m));
+      match Oracle.run_ast ~src globals with
+      | None -> Alcotest.fail (src ^ ": Ast_interp ran out of fuel")
+      | Some got ->
+        Alcotest.(check string) src
+          (Oracle.observation_to_string expected)
+          (Oracle.observation_to_string got))
+    [
+      ( "var k = 0; var a = [0, 0, 0, 0]; function f() { k = k + 1; return k; } a[f()] += 5; \
+         result = k + ':' + a.join(',');",
+        "1:0,5,0,0" );
+      ( "var k = 0; var a = [0, 0, 0, 0]; function f() { k = k + 1; return k; } a[f()]++; \
+         ++a[f()]; result = k + ':' + a.join(',');",
+        "2:0,1,1,0" );
+      ( "var k = 0; var o = { n: 0 }; var p = { n: 10 }; function f() { k = k + 1; return k == 1 \
+         ? o : p; } f().n++; result = k + ':' + o.n + ',' + p.n;",
+        "1:1,10" );
+    ]
+
 let test_shrink_size () =
   let p = FGen.program_of_seed ~seed:7 in
   Alcotest.(check bool) "size positive" true (Shrink.size p > 0);
@@ -266,4 +293,6 @@ let tests =
     Alcotest.test_case "sabotage caught and shrunk" `Quick test_sabotage_caught_and_shrunk;
     Alcotest.test_case "shrink sizes" `Quick test_shrink_size;
     Alcotest.test_case "ast axis: function values and store order" `Quick test_ast_agrees;
+    Alcotest.test_case "ast axis: a compound target is evaluated once" `Quick
+      test_ast_target_once;
   ]

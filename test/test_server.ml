@@ -195,14 +195,12 @@ let test_cache_truncated_hash_collision () =
 (* ------------------------------------------------------------------ *)
 (* Live daemon integration *)
 
-let corpus_dir = if Sys.file_exists "fuzz_corpus" then "fuzz_corpus" else "test/fuzz_corpus"
-
 let corpus () =
-  Sys.readdir corpus_dir |> Array.to_list
+  Sys.readdir Helpers.corpus_dir |> Array.to_list
   |> List.filter (fun f -> Filename.check_suffix f ".js")
   |> List.sort compare
   |> List.map (fun f ->
-         let ic = open_in (Filename.concat corpus_dir f) in
+         let ic = open_in (Filename.concat Helpers.corpus_dir f) in
          let n = in_channel_length ic in
          let s = really_input_string ic n in
          close_in ic;

@@ -247,11 +247,11 @@ let test_rare_deopts_in_steady_state () =
   let t = run_vm ~arch:Config.Base sum_kernel in
   Alcotest.(check int) "no deopts in a type-stable kernel" 0 (Vm.counters t).Counters.deopts
 
-(* Satellite: symbol and shape ids are host-side bookkeeping, but they
-   must be deterministic — two VMs over the same program build identical
-   shape universes (same interned-symbol count, same shape count, same
-   heap checksum), or host ICs keyed on shape ids would not be
-   reproducible across runs. *)
+(* Symbol and shape ids are host-side bookkeeping, but they must be
+   deterministic — two VMs over the same program build identical shape
+   universes (same interned-symbol count, same shape count, same heap
+   checksum) — because shape ids reach Baseline's feedback and FTL's
+   [Check_shape] guards, which every run must see the same. *)
 let test_shape_universe_determinism () =
   let src =
     hot
@@ -269,92 +269,33 @@ let test_shape_universe_determinism () =
     (Nomap_vm.Heap_checksum.checksum (Vm.instance t1))
     (Nomap_vm.Heap_checksum.checksum (Vm.instance t2))
 
-(* Tentpole invariant: host inline caches are pure memoization — a VM with
-   ICs disabled charges the bit-identical canonical counter table. *)
-let test_host_ic_counters_identical () =
+(* A method call site that has seen a string receiver (an intrinsic
+   [indexOf]) and an object receiver (a function property) then gets an
+   array, which has no [indexOf]: every tier stops with the same "no
+   method" error, after the loop left [result] at 96.  The program is the
+   corpus's [method_mixed_receivers.js] plus that last call; the corpus
+   cannot hold it, because a reference that stops with an error skips the
+   case. *)
+let test_no_method_error () =
   let src =
-    hot
-      "function bench() { var o = { x: 0, y: 1 }; var s = \"abc\"; var a = [1, 2, 3]; for \
-       (var i = 0; i < 50; i++) { o.x = o.x + o.y + a.length + s.charCodeAt(0); if (i % 2 \
-       == 0) { o.k0 = i; } else { o.k1 = i; } a.push(i); } return o.x + o.k0 + o.k1; }"
+    In_channel.with_open_text (Filename.concat Helpers.corpus_dir "method_mixed_receivers.js")
+      In_channel.input_all
+    ^ "result = call([1, 2, 3]);\n"
   in
   let prog = Helpers.compile src in
   List.iter
     (fun tier_cap ->
-      let run host_ic =
-        let t =
-          Vm.create ~fuel:fuel_budget ~verify_lir:true ~host_ic
-            ~engine:Nomap_machine.Engine.Threaded ~config:(Config.create Config.NoMap_full)
-            ~tier_cap prog
-        in
-        ignore (Vm.run_main t);
-        check_fuel (Printf.sprintf "%s, host ICs %b" (Vm.cap_name tier_cap) host_ic) t;
-        (result_of t, Counters.to_canonical_string (Vm.counters t))
-      in
-      let r_on, c_on = run true in
-      let r_off, c_off = run false in
       let name = Vm.cap_name tier_cap in
-      Alcotest.(check string) (name ^ ": same result") r_off r_on;
-      Alcotest.(check string) (name ^ ": same counter table") c_off c_on)
-    [ Vm.Cap_interp; Vm.Cap_baseline; Vm.Cap_ftl ]
-
-(* The cache rules (DESIGN.md §14), each at the Interpreter and Baseline
-   tiers: an ic-on run must match its ic-off run in result, heap and the
-   full counter table. *)
-let ic_rule_cases =
-  [
-    (* (a) The get-site in [get] first reads [q] before any code has stored
-       it, so the name is not interned yet; [setq] then interns it, and the
-       same site reads an object that has it.  A cache that remembered the
-       failed lookup would keep answering undefined. *)
-    ( "get-site before intern",
-      "function get(o) { return o.q; } function setq(o) { o.q = 5; return 0; } function \
-       bench() { var a = {}; var s = 0; var r = get(a); if (r == undefined) { s = s + 1; \
-       } var b = {}; setq(b); s = s + get(b); if (get(a) == undefined) { s = s + 2; } return s; \
-       } var i; result = 0; for (i = 0; i < 6; i++) { result = result * 10 + bench(); }" );
-    (* (b) One set-site alternates between storing an existing slot and
-       adding the property (a shape transition), with back-to-back hits
-       of each kind and transitions from two source shapes. *)
-    ( "set-site slot and transition",
-      "function put(o, v) { o.x = v; return 0; } function bench() { var s = 0; var i; for \
-       (i = 0; i < 8; i++) { var o = {}; put(o, i); var q = {}; put(q, i + 2); put(o, i + \
-       1); var p = { x: 1 }; put(p, i); var r = { y: 1 }; put(r, i); s = s + o.x + p.x + q.x \
-       + r.x + r.y; } return s; } var k; result = 0; for (k = 0; k < 6; k++) { result = \
-       result + bench(); }" );
-    (* (c) One Call_method site sees a string, an object and finally an
-       array receiver.  Strings and arrays share no method name, so the
-       array call is the "no method" error, which must match too. *)
-    ( "method site, three receivers",
-      "function m(c) { return 7; } function call(r) { return r.indexOf(\"b\"); } function \
-       bench() { var s = \"abc\"; var o = { indexOf: m }; var t = 0; var i; for (i = 0; i < \
-       3; i++) { t = t + call(s) + call(o); } return t; } var k; result = 0; for (k = 0; k < \
-       4; k++) { result = result + bench(); } result = call([1, 2, 3]);" );
-  ]
-
-let test_ic_rules () =
-  List.iter
-    (fun (name, src) ->
-      let prog = Helpers.compile src in
-      List.iter
-        (fun tier_cap ->
-          let run host_ic =
-            let t =
-              Vm.create ~fuel:fuel_budget ~host_ic ~config:(Config.create Config.Base) ~tier_cap
-                prog
-            in
-            let outcome = try ignore (Vm.run_main t); "ok" with e -> Printexc.to_string e in
-            check_fuel (Printf.sprintf "%s, %s, host ICs %b" name (Vm.cap_name tier_cap) host_ic) t;
-            ( outcome ^ " " ^ result_of t,
-              Nomap_vm.Heap_checksum.checksum (Vm.instance t),
-              Counters.to_canonical_string (Vm.counters t) )
-          in
-          let label = Printf.sprintf "%s, %s" name (Vm.cap_name tier_cap) in
-          let r_on, h_on, c_on = run true and r_off, h_off, c_off = run false in
-          Alcotest.(check string) (label ^ ": result") r_off r_on;
-          Alcotest.(check string) (label ^ ": heap") h_off h_on;
-          Alcotest.(check string) (label ^ ": counters") c_off c_on)
-        [ Vm.Cap_interp; Vm.Cap_baseline ])
-    ic_rule_cases
+      let t = Vm.create ~fuel:fuel_budget ~config:(Config.create Config.Base) ~tier_cap prog in
+      let outcome =
+        match Vm.run_main t with
+        | _ -> "no error"
+        | exception Nomap_interp.Interp.Runtime_error m -> m
+      in
+      check_fuel name t;
+      Alcotest.(check string) (name ^ ": error") "no method indexOf on array" outcome;
+      Alcotest.(check string) (name ^ ": result") "96" (result_of t))
+    [ Vm.Cap_interp; Vm.Cap_baseline; Vm.Cap_dfg; Vm.Cap_ftl ]
 
 (* The Interpreter's charges, summed by hand from its cost table
    (dispatch 7 plus the op's work).  The program compiles to:
@@ -522,8 +463,8 @@ let tests =
     Alcotest.test_case "tier cap ordering" `Quick test_tier_caps_ordering;
     Alcotest.test_case "rare deopts in steady state" `Quick test_rare_deopts_in_steady_state;
     Alcotest.test_case "shape universe determinism" `Quick test_shape_universe_determinism;
-    Alcotest.test_case "host ICs move no counter" `Quick test_host_ic_counters_identical;
-    Alcotest.test_case "host IC rules, bytecode tiers" `Quick test_ic_rules;
+    Alcotest.test_case "method site: no method error at every tier" `Quick
+      test_no_method_error;
     Alcotest.test_case "exact Interpreter charges" `Quick test_exact_interpreter_charges;
     Alcotest.test_case "deopt resumes mid-block" `Quick test_deopt_resumes_mid_block;
     Alcotest.test_case "array length: one rule at every tier" `Quick test_array_length_rule;
