@@ -15,10 +15,11 @@ module Counters = Nomap_machine.Counters
 let () =
   let bench = Option.get (Registry.by_name "sieve") in
   print_endline "== sieve of Eratosthenes, five language implementations ==\n";
-  let c = Counters.cycles (Scheduler.run_language ~lang:Runner.Lang_c bench).Runner.counters in
+  let measure lang = Scheduler.measurement (Scheduler.Key.lang ~lang bench) in
+  let c = Counters.cycles (measure Runner.Lang_c).Runner.counters in
   List.iter
     (fun lang ->
-      let m = Scheduler.run_language ~lang bench in
+      let m = measure lang in
       let cycles = Counters.cycles m.Runner.counters in
       Printf.printf "  %-11s %10.0f cycles   %6.2fx C   (checksum %s)\n"
         (Runner.language_name lang) cycles (cycles /. c) m.Runner.checksum)

@@ -19,9 +19,9 @@
     bit-identical metrics — so the engine axis additionally compares the
     full canonical counter table across mode pairs.
 
-    Every VM here runs with [verify_lir] and [paranoid] on, so an
-    ill-formed graph is reported at the optimization pass that produced it
-    rather than as a downstream wrong answer. *)
+    Every VM here runs with [verify] on, so an ill-formed graph is
+    reported at the optimization pass that produced it rather than as a
+    downstream wrong answer. *)
 
 module Ast = Nomap_jsir.Ast
 module Vm = Nomap_vm.Vm
@@ -123,10 +123,10 @@ let run_cfg ?(fuel_boost = 1) ?ftl_mutate ~src (c : cfg) : observation =
     let vm =
       match ftl_mutate with
       | None ->
-        Vm.create ~fuel ~verify_lir:true ~paranoid:true ~engine:c.engine
+        Vm.create ~fuel ~verify:true ~engine:c.engine
           ~config:(Config.create c.arch) ~tier_cap:c.tier prog
       | Some ftl_mutate ->
-        Vm.create_with_ftl_mutator ~ftl_mutate ~fuel ~verify_lir:true ~paranoid:true
+        Vm.create_with_ftl_mutator ~ftl_mutate ~fuel ~verify:true
           ~engine:c.engine ~config:(Config.create c.arch) ~tier_cap:c.tier prog
     in
     ignore (Vm.run_main vm);

@@ -7,7 +7,7 @@
     harness share output).  [run] unions and dedups the plans of the
     requested experiments, executes them across domains via
     [Scheduler.prefetch], then renders serially.  Each render reads through
-    the memoized [Scheduler.run_*] accessors, which compute on a miss — so
+    the memoized [Scheduler.measurement], which computes on a miss — so
     calling a figure function directly (no prefetch) still works and is
     exactly the old serial behavior. *)
 
@@ -45,18 +45,16 @@ let fig1 () =
   let t =
     Table.create ~title:"Figure 1: Shootout execution time normalized to C (lower is better)"
       ~header:("benchmark" :: List.map Runner.language_name fig1_langs)
-      ()
   in
   let ratios = List.map (fun _ -> ref []) fig1_langs in
   List.iter
     (fun b ->
-      let c_cycles =
-        Counters.cycles (Scheduler.run_language ~lang:Runner.Lang_c b).Runner.counters
-      in
+      let c = Scheduler.measurement (Key.lang ~lang:Runner.Lang_c b) in
+      let c_cycles = Counters.cycles c.Runner.counters in
       let row =
         List.map2
           (fun lang acc ->
-            let m = Scheduler.run_language ~lang b in
+            let m = Scheduler.measurement (Key.lang ~lang b) in
             let r = Counters.cycles m.Runner.counters /. c_cycles in
             acc := r :: !acc;
             f2 r)
@@ -85,13 +83,12 @@ let table1 () =
     Table.create ~title:"Table I: Speedup of JavaScriptCore tiers over interpreter"
       ~header:
         [ "Highest tier"; "SunSpider AvgS"; "SunSpider AvgT"; "Kraken AvgS"; "Kraken AvgT" ]
-      ()
   in
   let speedups cap suite members =
     List.map
       (fun b ->
-        let interp = Scheduler.run_cap ~cap:Vm.Cap_interp b in
-        let m = Scheduler.run_cap ~cap b in
+        let interp = Scheduler.measurement (Key.cap ~cap:Vm.Cap_interp b) in
+        let m = Scheduler.measurement (Key.cap ~cap b) in
         Counters.cycles interp.Runner.counters /. Counters.cycles m.Runner.counters)
       (List.filter members (Registry.of_suite suite))
   in
@@ -130,10 +127,9 @@ let fig3 suite =
         (Printf.sprintf "Figure %s: SMP-guarding checks per 100 instructions (%s, FTL/Base)"
            figno (Registry.suite_name suite))
       ~header:[ "benchmark"; "Bounds"; "Overflow"; "Type"; "Property"; "Other"; "Total" ]
-      ()
   in
   let per_bench b =
-    let m = Scheduler.run_arch ~arch:Config.Base b in
+    let m = Scheduler.measurement (Key.arch ~arch:Config.Base b) in
     let c = m.Runner.counters in
     let col k = Counters.checks_per_100 c k in
     let other = col L.Hole +. col L.Path in
@@ -167,24 +163,22 @@ let fig3 suite =
    are individual scheduler keys (so they parallelize and memoize); the
    table is a pure fold over the per-benchmark statistics. *)
 
-let deopt_freq_plan ?(iterations = 300) () =
-  List.map (fun b -> Key.deopt ~iterations b) both_suites
+let deopt_freq_plan () = List.map Key.deopt both_suites
 
-let deopt_freq ?(iterations = 300) () =
+let deopt_freq () =
   let t =
     Table.create
       ~title:
         (Printf.sprintf
            "Deopt frequency (paper III-A2): %d iterations/benchmark, Base, full tier"
-           iterations)
+           Runner.deopt_iterations)
       ~header:[ "suite"; "FTL calls"; "deopts"; "deopts after iter 50" ]
-      ()
   in
   let row suite =
     let ftl = ref 0 and deopts = ref 0 and late = ref 0 in
     List.iter
       (fun b ->
-        let d = Scheduler.deopt_stats ~iterations b in
+        let d = Scheduler.deopt_stats b in
         ftl := !ftl + d.Runner.d_ftl_calls;
         deopts := !deopts + d.Runner.d_deopts;
         late := !late + d.Runner.d_late)
@@ -218,11 +212,10 @@ let fig8_9 suite =
            "Figure %s: normalized instruction count (%s); segments NoFTL/NoTM/TMUnopt/TMOpt"
            figno (Registry.suite_name suite))
       ~header:[ "benchmark"; "arch"; "norm"; "NoFTL"; "NoTM"; "TMUnopt"; "TMOpt" ]
-      ()
   in
   let norm_of b arch =
-    let base = Scheduler.run_arch ~arch:Config.Base b in
-    let m = Scheduler.run_arch ~arch b in
+    let base = Scheduler.measurement (Key.arch ~arch:Config.Base b) in
+    let m = Scheduler.measurement (Key.arch ~arch b) in
     let bt = float_of_int (Counters.total_instrs base.Runner.counters) in
     let mt = float_of_int (Counters.total_instrs m.Runner.counters) in
     let norm = mt /. bt in
@@ -250,7 +243,7 @@ let fig8_9 suite =
                 (List.map
                    (fun b ->
                      let norm, _ = norm_of b arch in
-                     let m = Scheduler.run_arch ~arch b in
+                     let m = Scheduler.measurement (Key.arch ~arch b) in
                      Counters.category_fraction m.Runner.counters cat *. norm)
                    benches))
             Counters.categories
@@ -273,8 +266,8 @@ let instr_reduction suite ~members =
       let reductions =
         List.map
           (fun b ->
-            let base = Scheduler.run_arch ~arch:Config.Base b in
-            let m = Scheduler.run_arch ~arch b in
+            let base = Scheduler.measurement (Key.arch ~arch:Config.Base b) in
+            let m = Scheduler.measurement (Key.arch ~arch b) in
             Stats.percent_reduction
               ~base:(float_of_int (Counters.total_instrs base.Runner.counters))
               (float_of_int (Counters.total_instrs m.Runner.counters)))
@@ -294,11 +287,10 @@ let fig10_11 suite =
         (Printf.sprintf "Figure %s: normalized execution time (%s); TMTime vs NonTMTime"
            figno (Registry.suite_name suite))
       ~header:[ "benchmark"; "arch"; "norm"; "TMTime"; "NonTMTime" ]
-      ()
   in
   let norm_of b arch =
-    let base = Scheduler.run_arch ~arch:Config.Base b in
-    let m = Scheduler.run_arch ~arch b in
+    let base = Scheduler.measurement (Key.arch ~arch:Config.Base b) in
+    let m = Scheduler.measurement (Key.arch ~arch b) in
     let cycles = Counters.cycles m.Runner.counters in
     let norm = cycles /. Counters.cycles base.Runner.counters in
     let tm_frac =
@@ -341,8 +333,8 @@ let time_reduction suite ~members =
       let reductions =
         List.map
           (fun b ->
-            let base = Scheduler.run_arch ~arch:Config.Base b in
-            let m = Scheduler.run_arch ~arch b in
+            let base = Scheduler.measurement (Key.arch ~arch:Config.Base b) in
+            let m = Scheduler.measurement (Key.arch ~arch b) in
             Stats.percent_reduction
               ~base:(Counters.cycles base.Runner.counters)
               (Counters.cycles m.Runner.counters))
@@ -363,11 +355,12 @@ let table4 () =
       ~header:
         [ "suite"; "avg write KB"; "max write KB"; "avg set ways"; "max set ways";
           "tx commits"; "tx aborts" ]
-      ()
   in
   let row suite =
     let benches = suite_avg_s suite in
-    let ms = List.map (fun b -> Scheduler.run_arch ~arch:Config.NoMap_full b) benches in
+    let ms =
+      List.map (fun b -> Scheduler.measurement (Key.arch ~arch:Config.NoMap_full b)) benches
+    in
     let per_tx_avgs =
       List.filter_map
         (fun m ->
@@ -446,12 +439,11 @@ let validate_htm_plan () =
   ]
 
 let validate_htm () =
-  let rot = Scheduler.run_arch ~arch:Config.NoMap_full validation_bench in
-  let rtm = Scheduler.run_arch ~arch:Config.NoMap_RTM validation_bench in
+  let rot = Scheduler.measurement (Key.arch ~arch:Config.NoMap_full validation_bench) in
+  let rtm = Scheduler.measurement (Key.arch ~arch:Config.NoMap_RTM validation_bench) in
   let t =
     Table.create ~title:"Appendix: modeled HTM overheads (per committed transaction)"
       ~header:[ "platform"; "tx commits"; "modeled begin+end cycles"; "aborts" ]
-      ()
   in
   Table.add_row t
     [
@@ -490,9 +482,9 @@ let ablation_variants =
 
 let ablation_plan () =
   List.concat_map
-    (fun (label, knobs) ->
+    (fun (_, knobs) ->
       List.concat_map
-        (fun arch -> List.map (fun b -> Key.ablation ~arch ~knobs ~label b) both_avg_s)
+        (fun arch -> List.map (fun b -> Key.ablation ~arch ~knobs b) both_avg_s)
         [ Config.Base; Config.NoMap_full ])
     ablation_variants
 
@@ -502,27 +494,26 @@ let ablation () =
       ~title:
         "Ablation: NoMap instruction reduction vs Base (AvgS) with one optimizer pass disabled"
       ~header:[ "pipeline"; "SunSpider AvgS"; "Kraken AvgS" ]
-      ()
   in
-  let reduction suite (label, knobs) =
+  let reduction suite knobs =
     let benches = suite_avg_s suite in
     Stats.mean
       (List.map
          (fun b ->
-           let base = Scheduler.run_ablation ~arch:Config.Base ~knobs ~label b in
-           let m = Scheduler.run_ablation ~arch:Config.NoMap_full ~knobs ~label b in
+           let base = Scheduler.measurement (Key.ablation ~arch:Config.Base ~knobs b) in
+           let m = Scheduler.measurement (Key.ablation ~arch:Config.NoMap_full ~knobs b) in
            Stats.percent_reduction
              ~base:(float_of_int (Counters.total_instrs base.Runner.counters))
              (float_of_int (Counters.total_instrs m.Runner.counters)))
          benches)
   in
   List.iter
-    (fun v ->
+    (fun (label, knobs) ->
       Table.add_row t
         [
-          fst v;
-          Table.fmt_pct ~digits:1 (reduction Registry.Sunspider v);
-          Table.fmt_pct ~digits:1 (reduction Registry.Kraken v);
+          label;
+          Table.fmt_pct ~digits:1 (reduction Registry.Sunspider knobs);
+          Table.fmt_pct ~digits:1 (reduction Registry.Kraken knobs);
         ])
     ablation_variants;
   let s = Table.render t in
@@ -576,7 +567,6 @@ let hybrid_fallback () =
           "kernel"; "arch"; "cycles"; "commits"; "aborts"; "stm commits"; "stm cycles";
           "deopts"; "demotions";
         ]
-      ()
   in
   List.iter
     (fun (kernel, src) ->
@@ -715,7 +705,6 @@ let contention () =
          rate and exact applied increments"
       ~header:
         [ "kernel"; "agents"; "tx commits"; "conflict aborts"; "abort %"; "adds applied" ]
-      ()
   in
   List.iter
     (fun r ->
@@ -743,7 +732,6 @@ let headline () =
     Table.create
       ~title:"Headline results: average reduction vs Base (paper: SunSpider 14.2%/16.7% instr/time AvgS; Kraken 11.5%/8.9%)"
       ~header:[ "metric"; "arch"; "SunSpider AvgS"; "SunSpider AvgT"; "Kraken AvgS"; "Kraken AvgT" ]
-      ()
   in
   let pct = Table.fmt_pct ~digits:1 in
   let add metric reductions_of =
@@ -794,11 +782,7 @@ let experiments =
       plan = fig3_plan Registry.Kraken;
       render = (fun () -> fig3 Registry.Kraken);
     };
-    {
-      name = "deopt_freq";
-      plan = (fun () -> deopt_freq_plan ());
-      render = (fun () -> deopt_freq ());
-    };
+    { name = "deopt_freq"; plan = deopt_freq_plan; render = deopt_freq };
     {
       name = "fig8";
       plan = arch_sweep_plan Registry.Sunspider;

@@ -7,8 +7,8 @@
     steady-state metrics.  Because the shape universe, heap, and counters
     are all per-VM values, each call is independent of every other, which
     is what lets [Scheduler] execute measurements on parallel domains.
-    Memoization (the old [Runner.cache]) lives in [Scheduler]'s
-    mutex-guarded store; experiment drivers should go through that. *)
+    Memoization lives in [Scheduler]'s store; experiment drivers should go
+    through that. *)
 
 module Registry = Nomap_workloads.Registry
 module Vm = Nomap_vm.Vm
@@ -18,6 +18,7 @@ module Timing = Nomap_machine.Timing
 module Value = Nomap_runtime.Value
 module Interp = Nomap_interp.Interp
 module Instance = Nomap_interp.Instance
+module Ast_interp = Nomap_interp.Ast_interp
 
 (** Fuel for every VM and interpreter the harness builds: about 4x the
     heaviest run's use (245,927,813 ops, over [experiments.exe all], the
@@ -25,8 +26,16 @@ module Instance = Nomap_interp.Instance
     loop from exiting fails in seconds, not minutes. *)
 let fuel_budget = 1_000_000_000
 
+(** The protocol, as constants: a VM run makes [default_warmup] calls of
+    [benchmark()] and then measures [default_measure]; the interpreter
+    languages of Figure 1 make 5 + 3; the deopt statistics make
+    [deopt_iterations] calls. *)
 let default_warmup = 35
+
 let default_measure = 10
+let lang_warmup = 5
+let lang_measure = 3
+let deopt_iterations = 300
 
 (** Execution engine for every VM the harness builds.  Process-global
     rather than a memo-key dimension on purpose: the engines are
@@ -37,13 +46,9 @@ let default_measure = 10
 let engine = ref Nomap_machine.Engine.default
 
 type measurement = {
-  bench : Registry.benchmark;
-  label : string;
   counters : Counters.t;  (** steady-state metrics over the measured calls *)
   checksum : string;
   deopts_total : int;  (** including warmup (for the §III-A2 statistic) *)
-  ftl_calls_total : int;
-  tx_demotions : int;
 }
 
 (** §III-A2 deoptimization statistics for one benchmark. *)
@@ -55,78 +60,64 @@ type deopt_stats = {
 
 exception Checksum_mismatch of string * string * string
 
-let check bench label got =
-  let expected = Registry.reference_result bench in
-  if got <> expected then
-    raise (Checksum_mismatch (bench.Registry.id ^ "/" ^ label, expected, got))
-
-(* Shared warm/measure protocol over a full VM. *)
-let steady_vm ~warmup ~measure ~label bench vm =
-  ignore (Vm.run_main vm);
+(* The one warm-up/measure loop.  [call] runs benchmark() once; [window]
+   opens the measured window and returns the function that closes it into
+   the window's counters. *)
+let steady ~label ~warmup ~measure ~call ~window bench =
   for _ = 1 to warmup do
-    ignore (Vm.call_function vm "benchmark" [])
+    ignore (call ())
   done;
-  let before = Vm.begin_measurement vm in
+  let close = window () in
   let result = ref Value.Undef in
   for _ = 1 to measure do
-    result := Vm.call_function vm "benchmark" []
+    result := call ()
   done;
-  let counters = Counters.diff ~now:(Vm.counters vm) ~before in
+  let counters = close () in
   let checksum = Value.to_js_string !result in
-  check bench label checksum;
-  {
-    bench;
-    label;
-    counters;
-    checksum;
-    deopts_total = (Vm.counters vm).Counters.deopts;
-    ftl_calls_total = (Vm.counters vm).Counters.ftl_calls;
-    tx_demotions = Vm.tx_demotions vm;
-  }
+  let expected = Registry.reference_result bench in
+  if checksum <> expected then
+    raise (Checksum_mismatch (bench.Registry.id ^ "/" ^ label, expected, checksum));
+  (counters, checksum)
 
-(** Run [bench] under architecture [arch] at full tier; returns steady-state
-    metrics. *)
-let measure_arch ?(warmup = default_warmup) ?(measure = default_measure) ~arch bench =
-  let label = Config.name arch in
-  let prog = Registry.compile bench in
-  let vm =
-    Vm.create ~fuel:fuel_budget ~engine:!engine ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl prog
-  in
-  steady_vm ~warmup ~measure ~label bench vm
-
-(** Run [bench] under [arch] with selected optimizer passes disabled
-    (ablation studies). *)
-let measure_ablation ?(warmup = default_warmup) ?(measure = default_measure) ~arch ~knobs
-    ~label bench =
-  let prog = Registry.compile bench in
+(* A VM for [bench] that has run its top level. *)
+let start_vm ~arch ~cap ~knobs bench =
   let vm =
     Vm.create ~fuel:fuel_budget ~engine:!engine ~opt_knobs:knobs ~config:(Config.create arch)
-      ~tier_cap:Vm.Cap_ftl prog
-  in
-  let m = steady_vm ~warmup ~measure ~label:(Config.name arch ^ "/" ^ label) bench vm in
-  { m with label }
-
-(** Run [bench] with a tier cap (Table I), Base architecture. *)
-let measure_cap ?(warmup = default_warmup) ?(measure = default_measure) ~cap bench =
-  let label = "cap:" ^ Vm.cap_name cap in
-  let prog = Registry.compile bench in
-  let vm =
-    Vm.create ~fuel:fuel_budget ~engine:!engine ~config:(Config.create Config.Base) ~tier_cap:cap prog
-  in
-  steady_vm ~warmup ~measure ~label bench vm
-
-(** Run [bench] to full tier and keep calling for [iterations] iterations,
-    recording the deopt counter at iteration 50 (paper §III-A2: deopts are a
-    startup phenomenon, not a steady-state one). *)
-let measure_deopt ~iterations bench =
-  let prog = Registry.compile bench in
-  let vm =
-    Vm.create ~fuel:fuel_budget ~engine:!engine ~config:(Config.create Config.Base) ~tier_cap:Vm.Cap_ftl
-      prog
+      ~tier_cap:cap (Registry.compile bench)
   in
   ignore (Vm.run_main vm);
+  vm
+
+(** Run [bench] on a VM under [arch], tier cap [cap] and optimizer passes
+    [knobs]; returns steady-state metrics.  Every VM measurement of the
+    sweep is this function: Figures 3 and 8–11 and Table IV at the full
+    tier, Table I at each cap, the ablation with passes switched off. *)
+let measure_vm ~arch ~cap ~knobs bench =
+  let vm = start_vm ~arch ~cap ~knobs bench in
+  let window () =
+    let before = Vm.begin_measurement vm in
+    fun () -> Counters.diff ~now:(Vm.counters vm) ~before
+  in
+  let counters, checksum =
+    steady ~label:(Config.name arch) ~warmup:default_warmup ~measure:default_measure
+      ~call:(fun () -> Vm.call_function vm "benchmark" [])
+      ~window bench
+  in
+  { counters; checksum; deopts_total = (Vm.counters vm).Counters.deopts }
+
+(** Run [bench] under architecture [arch] at full tier with every pass on. *)
+let measure_arch ~arch bench =
+  measure_vm ~arch ~cap:Vm.Cap_ftl ~knobs:Nomap_opt.Pipeline.all_on bench
+
+(** Run [bench] to full tier and keep calling for [deopt_iterations]
+    iterations, recording the deopt counter at iteration 50 (paper §III-A2:
+    deopts are a startup phenomenon, not a steady-state one). *)
+let measure_deopt bench =
+  let vm =
+    start_vm ~arch:Config.Base ~cap:Vm.Cap_ftl ~knobs:Nomap_opt.Pipeline.all_on bench
+  in
   let deopts_at_50 = ref 0 in
-  for i = 1 to iterations do
+  for i = 1 to deopt_iterations do
     ignore (Vm.call_function vm "benchmark" []);
     if i = 50 then deopts_at_50 := (Vm.counters vm).Counters.deopts
   done;
@@ -148,21 +139,18 @@ let language_name = function
   | Lang_php -> "PHP"
   | Lang_ruby -> "Ruby"
 
-let default_lang_warmup = 5
-let default_lang_measure = 3
-
 (* Bytecode-engine based languages (C = native cost model, Python =
-   bytecode interpreter with boxed values and no inline caches). *)
-let run_bytecode_lang ~mode ~cpi ~label bench ~warmup ~measure =
+   bytecode interpreter with boxed values and no inline caches): run the
+   top level, return the benchmark() call. *)
+let bytecode_lang ~mode ~charge bench =
   let prog = Registry.compile bench in
   let inst = Instance.create ~fuel:fuel_budget prog in
-  let count = ref 0 in
   let rec env =
     {
       Interp.instance = inst;
       mode;
       profile = None;
-      charge = (fun n -> count := !count + n);
+      charge;
       call = (fun ~fid ~this ~args -> Interp.call_function env ~fid ~this ~args);
     }
   in
@@ -174,84 +162,44 @@ let run_bytecode_lang ~mode ~cpi ~label bench ~warmup ~measure =
     | Some f -> f.Nomap_bytecode.Opcode.fid
     | None -> invalid_arg "no benchmark()"
   in
-  for _ = 1 to warmup do
-    ignore (Interp.call_function env ~fid:bench_fid ~this:Value.Undef ~args:[])
-  done;
-  let before = !count in
-  let result = ref Value.Undef in
-  for _ = 1 to measure do
-    result := Interp.call_function env ~fid:bench_fid ~this:Value.Undef ~args:[]
-  done;
-  let instrs = !count - before in
-  let counters = Counters.create () in
-  Counters.add_instrs counters Counters.No_ftl instrs;
-  Counters.add_cycles counters ~in_tx:false (instrs * cpi);
-  let checksum = Value.to_js_string !result in
-  check bench label checksum;
-  {
-    bench;
-    label;
-    counters;
-    checksum;
-    deopts_total = 0;
-    ftl_calls_total = 0;
-    tx_demotions = 0;
-  }
+  fun () -> Interp.call_function env ~fid:bench_fid ~this:Value.Undef ~args:[]
 
-let run_ast_lang ~flavour ~label bench ~warmup ~measure =
-  let ast =
-    Nomap_jsir.Parser.parse_program_exn ~name:bench.Registry.name bench.Registry.source
-  in
+let ast_lang ~flavour ~charge bench =
+  let ast = Nomap_jsir.Parser.parse_program_exn ~name:bench.Registry.name bench.Registry.source in
+  let env = Ast_interp.create ~fuel:fuel_budget ~flavour ~charge ast in
+  Ast_interp.run_program env ast;
+  fun () -> Ast_interp.call env "benchmark" []
+
+(** Note: [Lang_js] runs the full [measure_arch] protocol — the shortened
+    protocol the interpreter-only languages use (5+3 calls) would never
+    push [benchmark] past the FTL tier-up threshold, so Figure 1's "JS" bar
+    would measure the Baseline tier.  [Scheduler.Key.lang] maps the JS key
+    to the Base-architecture key of Figures 3/8-11, so the store shares the
+    run. *)
+let measure_language ~lang bench =
   let count = ref 0 in
-  let env =
-    Nomap_interp.Ast_interp.create ~fuel:fuel_budget ~flavour
-      ~charge:(fun n -> count := !count + n)
-      ast
+  let charge n = count := !count + n in
+  let interp ~cpi call =
+    let window () =
+      let before = !count in
+      fun () ->
+        let instrs = !count - before in
+        let c = Counters.create () in
+        Counters.add_instrs c Counters.No_ftl instrs;
+        Counters.add_cycles c ~in_tx:false (instrs * cpi);
+        c
+    in
+    let counters, checksum =
+      steady ~label:(language_name lang) ~warmup:lang_warmup ~measure:lang_measure ~call
+        ~window bench
+    in
+    { counters; checksum; deopts_total = 0 }
   in
-  Nomap_interp.Ast_interp.run_program env ast;
-  for _ = 1 to warmup do
-    ignore (Nomap_interp.Ast_interp.call env "benchmark" [])
-  done;
-  let before = !count in
-  let result = ref Value.Undef in
-  for _ = 1 to measure do
-    result := Nomap_interp.Ast_interp.call env "benchmark" []
-  done;
-  let instrs = !count - before in
-  let counters = Counters.create () in
-  Counters.add_instrs counters Counters.No_ftl instrs;
-  Counters.add_cycles counters ~in_tx:false (instrs * Timing.cpi_runtime);
-  let checksum = Value.to_js_string !result in
-  check bench label checksum;
-  {
-    bench;
-    label;
-    counters;
-    checksum;
-    deopts_total = 0;
-    ftl_calls_total = 0;
-    tx_demotions = 0;
-  }
-
-(** Note: [Lang_js] deliberately ignores [warmup]/[measure] and runs the
-    full [measure_arch] protocol — the shortened protocol the
-    interpreter-only languages use (5+3 calls) would never push
-    [benchmark] past the FTL tier-up threshold, so Figure 1's "JS" bar
-    would measure the Baseline tier.  [Scheduler.Key.lang] normalizes the
-    JS key to the Base-architecture key of Figures 3/8-11 so the store
-    shares the run, which is exactly what we want. *)
-let measure_language ?(warmup = default_lang_warmup) ?(measure = default_lang_measure) ~lang
-    bench =
   match lang with
-  | Lang_c ->
-    run_bytecode_lang ~mode:Interp.Native_tier ~cpi:Timing.cpi_ftl ~label:"C" bench ~warmup
-      ~measure
   | Lang_js -> measure_arch ~arch:Config.Base bench
+  | Lang_c -> interp ~cpi:Timing.cpi_ftl (bytecode_lang ~mode:Interp.Native_tier ~charge bench)
   | Lang_python ->
-    run_bytecode_lang ~mode:Interp.Interp_tier ~cpi:Timing.cpi_runtime ~label:"Python" bench
-      ~warmup ~measure
-  | Lang_php ->
-    run_ast_lang ~flavour:Nomap_interp.Ast_interp.Php_like ~label:"PHP" bench ~warmup ~measure
+    interp ~cpi:Timing.cpi_runtime (bytecode_lang ~mode:Interp.Interp_tier ~charge bench)
+  | Lang_php -> interp ~cpi:Timing.cpi_runtime (ast_lang ~flavour:Ast_interp.Php_like ~charge bench)
   | Lang_ruby ->
-    run_ast_lang ~flavour:Nomap_interp.Ast_interp.Ruby_like ~label:"Ruby" bench ~warmup
-      ~measure
+    interp ~cpi:Timing.cpi_runtime (ast_lang ~flavour:Ast_interp.Ruby_like ~charge bench)

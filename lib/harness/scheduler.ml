@@ -1,82 +1,33 @@
 (** Measurement scheduler: plan keys in, parallel execution across OCaml 5
-    domains, mutex-guarded result store out.  See scheduler.mli and
+    domains, exactly-once result store out.  See scheduler.mli and
     DESIGN.md §10 for the architecture and the domain-safety argument. *)
 
 module Registry = Nomap_workloads.Registry
 module Config = Nomap_nomap.Config
-module Vm = Nomap_vm.Vm
+module Pipeline = Nomap_opt.Pipeline
+module Artifact_cache = Nomap_server.Artifact_cache
 
 module Key = struct
   type t =
-    | Arch of {
+    | Vm of {
         bench : Registry.benchmark;
         arch : Config.arch;
-        warmup : int;
-        measure : int;
+        cap : Nomap_vm.Vm.tier_cap;
+        knobs : Pipeline.knobs;
       }
-    | Ablation of {
-        bench : Registry.benchmark;
-        arch : Config.arch;
-        knobs : Nomap_opt.Pipeline.knobs;
-        label : string;
-        warmup : int;
-        measure : int;
-      }
-    | Cap of {
-        bench : Registry.benchmark;
-        cap : Vm.tier_cap;
-        warmup : int;
-        measure : int;
-      }
-    | Lang of {
-        bench : Registry.benchmark;
-        lang : Runner.language;
-        warmup : int;
-        measure : int;
-      }
-    | Deopt of { bench : Registry.benchmark; iterations : int }
+    | Lang of { bench : Registry.benchmark; lang : Runner.language }
+    | Deopt of Registry.benchmark
 
-  let arch ?(warmup = Runner.default_warmup) ?(measure = Runner.default_measure) ~arch bench =
-    Arch { bench; arch; warmup; measure }
+  let ablation ~arch ~knobs bench = Vm { bench; arch; cap = Nomap_vm.Vm.Cap_ftl; knobs }
+  let arch ~arch bench = ablation ~arch ~knobs:Pipeline.all_on bench
+  let cap ~cap bench = Vm { bench; arch = Config.Base; cap; knobs = Pipeline.all_on }
 
-  let ablation ?(warmup = Runner.default_warmup) ?(measure = Runner.default_measure) ~arch
-      ~knobs ~label bench =
-    Ablation { bench; arch; knobs; label; warmup; measure }
-
-  let cap ?(warmup = Runner.default_warmup) ?(measure = Runner.default_measure) ~cap bench =
-    Cap { bench; cap; warmup; measure }
-
-  let lang ?(warmup = Runner.default_lang_warmup) ?(measure = Runner.default_lang_measure)
-      ~lang bench =
+  let lang ~lang bench =
     match lang with
-    | Runner.Lang_js ->
-      (* Share the Base-architecture store entry (see Runner.measure_language). *)
-      Arch
-        {
-          bench;
-          arch = Config.Base;
-          warmup = Runner.default_warmup;
-          measure = Runner.default_measure;
-        }
-    | _ -> Lang { bench; lang; warmup; measure }
+    | Runner.Lang_js -> arch ~arch:Config.Base bench
+    | _ -> Lang { bench; lang }
 
-  let deopt ~iterations bench = Deopt { bench; iterations }
-
-  (* The id formats are the old Runner.cache memo keys, kept verbatim so the
-     store's key space is a drop-in replacement. *)
-  let id = function
-    | Arch { bench; arch; warmup; measure } ->
-      Printf.sprintf "%s#%s@w%d+m%d" bench.Registry.id (Config.name arch) warmup measure
-    | Ablation { bench; arch; label; warmup; measure; knobs = _ } ->
-      Printf.sprintf "%s#ablate:%s:%s@w%d+m%d" bench.Registry.id (Config.name arch) label
-        warmup measure
-    | Cap { bench; cap; warmup; measure } ->
-      Printf.sprintf "%s#cap:%s@w%d+m%d" bench.Registry.id (Vm.cap_name cap) warmup measure
-    | Lang { bench; lang; warmup; measure } ->
-      Printf.sprintf "%s#lang:%s@w%d+m%d" bench.Registry.id (Runner.language_name lang)
-        warmup measure
-    | Deopt { bench; iterations } ->
-      Printf.sprintf "%s#deopt@i%d" bench.Registry.id iterations
+  let deopt bench = Deopt bench
 end
 
 type outcome =
@@ -89,41 +40,34 @@ let executed () = Atomic.get exec_count
 let exec key =
   Atomic.incr exec_count;
   match key with
-  | Key.Arch { bench; arch; warmup; measure } ->
-    Measurement (Runner.measure_arch ~warmup ~measure ~arch bench)
-  | Key.Ablation { bench; arch; knobs; label; warmup; measure } ->
-    Measurement (Runner.measure_ablation ~warmup ~measure ~arch ~knobs ~label bench)
-  | Key.Cap { bench; cap; warmup; measure } ->
-    Measurement (Runner.measure_cap ~warmup ~measure ~cap bench)
-  | Key.Lang { bench; lang; warmup; measure } ->
-    Measurement (Runner.measure_language ~warmup ~measure ~lang bench)
-  | Key.Deopt { bench; iterations } -> Deopt_stats (Runner.measure_deopt ~iterations bench)
+  | Key.Vm { bench; arch; cap; knobs } ->
+    Measurement (Runner.measure_vm ~arch ~cap ~knobs bench)
+  | Key.Lang { bench; lang } -> Measurement (Runner.measure_language ~lang bench)
+  | Key.Deopt bench -> Deopt_stats (Runner.measure_deopt bench)
 
 (* ------------------------------------------------------------------ *)
-(* The store.  A single process-global table guarded by a mutex; values are
-   computed *outside* the lock (a measurement takes seconds, the lock is
-   held for a hash-table probe).  If two domains race to compute the same
-   key — only possible when a render misses the prefetch plan — the first
-   writer wins, preserving the memo guarantee that identical requests
-   return the physically identical measurement. *)
+(* The store: the exactly-once memo table the registry uses too.  A key
+   is computed with no lock held; a domain that asks for a key another
+   domain is computing waits for that value instead of computing it again.
+   One shard of 4,096 entries, above the catalogue's 752 keys, so nothing
+   is evicted. *)
 
-let store : (string, outcome) Hashtbl.t = Hashtbl.create 256
-let store_lock = Mutex.create ()
+let fresh_store () : (Key.t, outcome) Artifact_cache.t =
+  Artifact_cache.create ~capacity:4096 ~shards:1 ()
 
-let get key =
-  let id = Key.id key in
-  match Mutex.protect store_lock (fun () -> Hashtbl.find_opt store id) with
-  | Some o -> o
-  | None ->
-    let o = exec key in
-    Mutex.protect store_lock (fun () ->
-        match Hashtbl.find_opt store id with
-        | Some o' -> o'
-        | None ->
-          Hashtbl.add store id o;
-          o)
+let store = ref (fresh_store ())
+let get key = snd (Artifact_cache.find_or_add !store key (fun () -> exec key))
+let reset () = store := fresh_store ()
 
-let reset () = Mutex.protect store_lock (fun () -> Hashtbl.reset store)
+let measurement key =
+  match get key with
+  | Measurement m -> m
+  | Deopt_stats _ -> invalid_arg "Scheduler.measurement: a deopt key"
+
+let deopt_stats bench =
+  match get (Key.deopt bench) with
+  | Deopt_stats d -> d
+  | Measurement _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Parallel execution *)
@@ -163,41 +107,16 @@ let parallel_map (type a b) ~jobs (f : a -> b) (items : a list) : b list =
   end
 
 let prefetch ~jobs keys =
-  let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+  let seen : (Key.t, unit) Hashtbl.t = Hashtbl.create 64 in
   let todo =
     List.filter
       (fun k ->
-        let id = Key.id k in
-        if Hashtbl.mem seen id then false
+        if Hashtbl.mem seen k then false
         else begin
-          Hashtbl.add seen id ();
-          Mutex.protect store_lock (fun () -> not (Hashtbl.mem store id))
+          Hashtbl.add seen k ();
+          not (Artifact_cache.mem !store k)
         end)
       keys
   in
   ignore (parallel_map ~jobs (fun k -> ignore (get k)) todo);
   List.length todo
-
-(* ------------------------------------------------------------------ *)
-(* Memoized conveniences *)
-
-let measurement key =
-  match get key with
-  | Measurement m -> m
-  | Deopt_stats _ -> invalid_arg ("not a measurement key: " ^ Key.id key)
-
-let run_arch ?warmup ?measure ~arch bench =
-  measurement (Key.arch ?warmup ?measure ~arch bench)
-
-let run_ablation ?warmup ?measure ~arch ~knobs ~label bench =
-  measurement (Key.ablation ?warmup ?measure ~arch ~knobs ~label bench)
-
-let run_cap ?warmup ?measure ~cap bench = measurement (Key.cap ?warmup ?measure ~cap bench)
-
-let run_language ?warmup ?measure ~lang bench =
-  measurement (Key.lang ?warmup ?measure ~lang bench)
-
-let deopt_stats ~iterations bench =
-  match get (Key.deopt ~iterations bench) with
-  | Deopt_stats d -> d
-  | Measurement _ -> assert false

@@ -4,85 +4,60 @@
     Experiments declare the measurements they need as pure-data {!Key.t}
     values; {!prefetch} unions and dedups those keys and executes them on a
     pool of OCaml 5 domains, collecting results into a process-global
-    mutex-guarded store.  Render code then reads measurements back through
-    the memoized accessors ({!run_arch} & friends), which also compute on a
-    miss so every figure function still works standalone and serially. *)
+    exactly-once store.  Render code then reads measurements back through
+    {!measurement}, which also computes on a miss, so every figure function
+    still works standalone and serially. *)
 
 module Registry = Nomap_workloads.Registry
 module Config = Nomap_nomap.Config
 
 module Key : sig
-  (** One schedulable measurement, as pure data.  Two keys with the same
-      {!id} denote the same measurement and are executed once. *)
-  type t =
-    | Arch of {
+  (** One schedulable measurement, as pure data, compared and hashed
+      structurally: two equal keys are one measurement and execute once.
+      The constructors below are the only way to build a key, and each
+      maps its spelling of a run onto the one key of that run. *)
+  type t = private
+    | Vm of {
         bench : Registry.benchmark;
         arch : Config.arch;
-        warmup : int;
-        measure : int;
-      }
-    | Ablation of {
-        bench : Registry.benchmark;
-        arch : Config.arch;
-        knobs : Nomap_opt.Pipeline.knobs;
-        label : string;
-        warmup : int;
-        measure : int;
-      }
-    | Cap of {
-        bench : Registry.benchmark;
         cap : Nomap_vm.Vm.tier_cap;
-        warmup : int;
-        measure : int;
+        knobs : Nomap_opt.Pipeline.knobs;
       }
-    | Lang of {
-        bench : Registry.benchmark;
-        lang : Runner.language;
-        warmup : int;
-        measure : int;
-      }
-    | Deopt of { bench : Registry.benchmark; iterations : int }
+    | Lang of { bench : Registry.benchmark; lang : Runner.language }
+    | Deopt of Registry.benchmark
 
-  val arch : ?warmup:int -> ?measure:int -> arch:Config.arch -> Registry.benchmark -> t
+  (** Full tier, every pass on (Figures 3 and 8–11, Table IV). *)
+  val arch : arch:Config.arch -> Registry.benchmark -> t
 
-  val ablation :
-    ?warmup:int ->
-    ?measure:int ->
-    arch:Config.arch ->
-    knobs:Nomap_opt.Pipeline.knobs ->
-    label:string ->
-    Registry.benchmark ->
-    t
+  (** Full tier with the passes [knobs] selects (the ablation). *)
+  val ablation : arch:Config.arch -> knobs:Nomap_opt.Pipeline.knobs -> Registry.benchmark -> t
 
-  val cap : ?warmup:int -> ?measure:int -> cap:Nomap_vm.Vm.tier_cap -> Registry.benchmark -> t
+  (** Base architecture capped at a tier (Table I). *)
+  val cap : cap:Nomap_vm.Vm.tier_cap -> Registry.benchmark -> t
 
-  (** [lang ~lang b] normalizes [Lang_js] to the default-protocol
-      Base-architecture {!Arch} key so Figure 1 shares the store entry with
-      Figures 3/8-11 (see the note on [Runner.measure_language]). *)
-  val lang : ?warmup:int -> ?measure:int -> lang:Runner.language -> Registry.benchmark -> t
+  (** A Figure 1 language; [Lang_js] is the Base-architecture {!arch} key,
+      so Figure 1 shares that run with Figures 3/8-11 (see
+      [Runner.measure_language]). *)
+  val lang : lang:Runner.language -> Registry.benchmark -> t
 
-  val deopt : iterations:int -> Registry.benchmark -> t
-
-  (** Stable identity used for store lookup and dedup. *)
-  val id : t -> string
+  (** The §III-A2 deopt statistics. *)
+  val deopt : Registry.benchmark -> t
 end
 
-(** Result of executing one key. *)
-type outcome =
-  | Measurement of Runner.measurement
-  | Deopt_stats of Runner.deopt_stats
+(** The memoized measurement of a key: computed on a miss, read from the
+    store on a hit.  Equal keys return the physically identical
+    measurement.  Safe to call from any domain.
+    @raise Invalid_argument on a {!Key.deopt} key. *)
+val measurement : Key.t -> Runner.measurement
 
-(** Execute a key, bypassing the store (no memoization). *)
-val exec : Key.t -> outcome
-
-(** Memoized execute-through-the-store: returns the stored outcome,
-    computing and storing it on a miss.  Safe to call from any domain. *)
-val get : Key.t -> outcome
+(** The memoized statistics of [Key.deopt bench]. *)
+val deopt_stats : Registry.benchmark -> Runner.deopt_stats
 
 (** Number of key executions performed so far (for dedup tests). *)
 val executed : unit -> int
 
-(** Drop every stored outcome (cold-start for benchmarking). *)
+(** Drop every stored outcome (cold-start for benchmarking).  Call it
+    while no measurement is running. *)
 val reset : unit -> unit
 
 (** [Domain.recommended_domain_count ()] — the default for [-j]. *)
@@ -96,34 +71,8 @@ val default_jobs : unit -> int
     call rather than hanging or vanishing. *)
 val parallel_map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 
-(** [prefetch ~jobs keys] unions and dedups [keys], drops those already in
-    the store, and executes the rest on up to [jobs] domains.  Returns the
-    number of keys actually executed.  Worker exceptions propagate to the
-    caller (see {!parallel_map}). *)
+(** [prefetch ~jobs keys] dedups [keys], drops those already in the store,
+    and executes the rest, in plan order, on up to [jobs] domains.
+    Returns the number of keys actually executed.  Worker exceptions
+    propagate to the caller (see {!parallel_map}). *)
 val prefetch : jobs:int -> Key.t list -> int
-
-(** Memoized conveniences over {!get} — drop-in replacements for the old
-    [Runner.run_*] entry points.  Identical arguments return the physically
-    identical measurement. *)
-
-val run_arch :
-  ?warmup:int -> ?measure:int -> arch:Config.arch -> Registry.benchmark -> Runner.measurement
-
-val run_ablation :
-  ?warmup:int ->
-  ?measure:int ->
-  arch:Config.arch ->
-  knobs:Nomap_opt.Pipeline.knobs ->
-  label:string ->
-  Registry.benchmark ->
-  Runner.measurement
-
-val run_cap :
-  ?warmup:int -> ?measure:int -> cap:Nomap_vm.Vm.tier_cap -> Registry.benchmark ->
-  Runner.measurement
-
-val run_language :
-  ?warmup:int -> ?measure:int -> lang:Runner.language -> Registry.benchmark ->
-  Runner.measurement
-
-val deopt_stats : iterations:int -> Registry.benchmark -> Runner.deopt_stats

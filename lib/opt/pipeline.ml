@@ -101,16 +101,16 @@ let dfg_passes = [ p_typeprop; p_elide; p_gvn; p_dce ]
 (* Motion (licm/promote) exposes new redundancies, hence the second gvn. *)
 let ftl_passes = [ p_typeprop; p_elide; p_gvn; p_licm; p_promote; p_gvn; p_dce ]
 
-(** [paranoid] re-verifies SSA well-formedness after every pass, so an
+(** [verify] re-verifies SSA well-formedness after every pass, so an
     ill-formed graph is caught at the pass that produced it instead of
     surfacing later as a miscompile.  Too slow for measurement runs; the
-    differential fuzzer always turns it on. *)
-let run_passes passes ?(stats = empty_stats ()) ?(knobs = all_on) ?(paranoid = false) f =
+    differential fuzzer and the tier tests turn it on ([Vm.create ~verify]). *)
+let run_passes passes ?(stats = empty_stats ()) ?(knobs = all_on) ?(verify = false) f =
   List.iter
     (fun p ->
       if p.enabled knobs then begin
         p.record stats (p.run f);
-        if paranoid then
+        if verify then
           try Nomap_lir.Verify.verify f
           with Nomap_lir.Verify.Ill_formed msg ->
             raise (Nomap_lir.Verify.Ill_formed (Printf.sprintf "after %s: %s" p.name msg))
@@ -118,5 +118,5 @@ let run_passes passes ?(stats = empty_stats ()) ?(knobs = all_on) ?(paranoid = f
     passes;
   stats
 
-let dfg ?stats ?knobs ?paranoid f = run_passes dfg_passes ?stats ?knobs ?paranoid f
-let ftl ?stats ?knobs ?paranoid f = run_passes ftl_passes ?stats ?knobs ?paranoid f
+let dfg ?stats ?knobs ?verify f = run_passes dfg_passes ?stats ?knobs ?verify f
+let ftl ?stats ?knobs ?verify f = run_passes ftl_passes ?stats ?knobs ?verify f

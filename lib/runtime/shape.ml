@@ -94,10 +94,6 @@ let slot_of shape (s : sym) =
     Array.unsafe_get shape.slot_of_sym s
   else -1
 
-(** Slot index of property [name], if present. *)
-let lookup u shape name =
-  match slot_of shape (find_sym u name) with -1 -> None | slot -> Some slot
-
 let has_property u shape name = slot_of shape (find_sym u name) >= 0
 
 (** The shape reached by adding the property [s]; creates (and caches) the
@@ -127,6 +123,3 @@ let transition u shape name = transition_sym u shape (intern u name)
 
 (** Property names in slot order.  Precomputed per shape: no allocation. *)
 let property_names shape = shape.names
-
-let pp fmt shape =
-  Format.fprintf fmt "shape#%d{%s}" shape.id (String.concat "," shape.names)

@@ -53,9 +53,6 @@ val sym_count : universe -> int
 (** Slot index of a symbol, -1 when absent.  O(1), no allocation. *)
 val slot_of : t -> sym -> int
 
-(** Slot index of a property, if present. *)
-val lookup : universe -> t -> string -> int option
-
 (** No allocation. *)
 val has_property : universe -> t -> string -> bool
 
@@ -67,5 +64,3 @@ val transition_sym : universe -> t -> sym -> t
 
 (** Property names in slot order.  Precomputed per shape: no allocation. *)
 val property_names : t -> string list
-
-val pp : Format.formatter -> t -> unit

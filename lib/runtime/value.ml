@@ -188,5 +188,3 @@ let equals a b =
   | Arr x, Arr y -> x == y
   | Fun x, Fun y -> x = y
   | _ -> false
-
-let pp fmt v = Format.fprintf fmt "%s" (to_js_string v)

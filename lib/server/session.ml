@@ -71,7 +71,7 @@ let acquire_agent shared ~session =
         match Hashtbl.find_opt shared.sessions session with
         | Some s -> s
         | None ->
-          let segment = Segment.create ~size:shared_session_words () in
+          let segment = Segment.create ~size:shared_session_words in
           let sreg =
             Agent.create_registry ~policy:Interleave.Free ~segment
               ~n:shared_session_agents ()

@@ -107,7 +107,7 @@ let set_note ag f = ag.note <- f
     [Shared]/[Atomics] surface works — and is tier-invariant — without any
     multi-agent setup. *)
 let solo ?(size = 64) () =
-  agent (create_registry ~segment:(Segment.create ~size ()) ~n:1 ()) 0
+  agent (create_registry ~segment:(Segment.create ~size) ~n:1 ()) 0
 
 (* ------------------------------------------------------------------ *)
 (* Internals.  Everything below that touches members' line sets, modes, or
@@ -324,7 +324,7 @@ let dispatch ag heap (op : Heap.shared_op) (args : Value.t list) : Value.t =
         Value.int_ 0
       | _ ->
         let idx = Segment.wrap seg (Value.to_int32 (arg 0 args)) in
-        let addr = Segment.addr_of seg idx in
+        let addr = Segment.addr_of idx in
         (match op with
         | Heap.Sh_read | Heap.Sh_load ->
           if hooks.Heap.active then hooks.Heap.load addr Segment.word_bytes;

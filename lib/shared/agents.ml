@@ -41,7 +41,7 @@ let run ?(policy = Interleave.Seeded 0) ?(segment_size = 64) ?thresholds
     (programs : Opcode.program array) =
   let n = Array.length programs in
   if n = 0 then invalid_arg "Agents.run: no programs";
-  let segment = Segment.create ~size:segment_size () in
+  let segment = Segment.create ~size:segment_size in
   let reg = Agent.create_registry ~policy ~segment ~n () in
   let body i () =
     let ag = Agent.agent reg i in

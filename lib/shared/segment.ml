@@ -15,25 +15,22 @@
     cache-line conflict granularity fall out of the same arithmetic the
     private heap uses. *)
 
-type t = {
-  id : int;
-  data : int array;
-  base_addr : int;  (** simulated address of element 0 *)
-}
+type t = { data : int array }
 
+(** Simulated address of element 0. *)
 let segment_base = 0x4000_0000
 
 (* Max 128K elements per segment. *)
-let segment_stride = 0x10_0000
+let max_bytes = 0x10_0000
 let word_bytes = 8
 
 (** Elements per 64-byte cache line: conflict-detection granularity. *)
 let line_words = 8
 
-let create ?(id = 0) ~size () =
-  if size <= 0 || size * word_bytes > segment_stride then
+let create ~size =
+  if size <= 0 || size * word_bytes > max_bytes then
     invalid_arg (Printf.sprintf "Segment.create: size %d out of range" size);
-  { id; data = Array.make size 0; base_addr = segment_base + (id * segment_stride) }
+  { data = Array.make size 0 }
 
 let length t = Array.length t.data
 
@@ -46,7 +43,7 @@ let wrap t i =
   let n = Array.length t.data in
   ((i mod n) + n) mod n
 
-let addr_of t i = t.base_addr + (i * word_bytes)
+let addr_of i = segment_base + (i * word_bytes)
 
 (** Cache line of element [i], in segment-relative line units. *)
 let line_of i = i / line_words

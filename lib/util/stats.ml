@@ -11,10 +11,6 @@ let geomean = function
     let logsum = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
     exp (logsum /. float_of_int (List.length xs))
 
-let min_max = function
-  | [] -> (0.0, 0.0)
-  | x :: xs -> List.fold_left (fun (lo, hi) v -> (min lo v, max hi v)) (x, x) xs
-
 let stddev xs =
   match xs with
   | [] | [ _ ] -> 0.0
@@ -36,8 +32,5 @@ let percentile xs p =
     let hi = min (n - 1) (lo + 1) in
     let frac = rank -. float_of_int lo in
     (arr.(lo) *. (1.0 -. frac)) +. (arr.(hi) *. frac)
-
-(** Ratio helpers for "normalized to Base" style figures. *)
-let normalize ~base xs = List.map (fun x -> x /. base) xs
 
 let percent_reduction ~base x = (1.0 -. (x /. base)) *. 100.0

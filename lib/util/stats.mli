@@ -5,17 +5,12 @@ val mean : float list -> float
 (** Geometric mean; requires strictly positive inputs. *)
 val geomean : float list -> float
 
-val min_max : float list -> float * float
-
 (** Population standard deviation. *)
 val stddev : float list -> float
 
 (** Percentile with linear interpolation between closest ranks (the
     numpy/R-7 definition), [p] in [0, 100]. *)
 val percentile : float list -> float -> float
-
-(** Divide every element by [base]. *)
-val normalize : base:float -> float list -> float list
 
 (** [(1 - x/base) * 100]. *)
 val percent_reduction : base:float -> float -> float

@@ -10,10 +10,6 @@ let get t i =
   if i < 0 || i >= t.len then invalid_arg "Vec.get";
   t.data.(i)
 
-let set t i x =
-  if i < 0 || i >= t.len then invalid_arg "Vec.set";
-  t.data.(i) <- x
-
 let push t x =
   if t.len = Array.length t.data then begin
     let grown = Array.make (2 * Array.length t.data) t.dummy in
@@ -29,11 +25,6 @@ let iter f t =
     f t.data.(i)
   done
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i t.data.(i)
-  done
-
 let fold_left f init t =
   let acc = ref init in
   for i = 0 to t.len - 1 do
@@ -42,7 +33,3 @@ let fold_left f init t =
   !acc
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
-
-let exists p t =
-  let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
-  go 0

@@ -10,13 +10,9 @@ val length : 'a t -> int
 (** Raise [Invalid_argument] when out of range. *)
 val get : 'a t -> int -> 'a
 
-val set : 'a t -> int -> 'a -> unit
-
 (** Append; returns the new element's index. *)
 val push : 'a t -> 'a -> int
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
-val exists : ('a -> bool) -> 'a t -> bool

@@ -57,8 +57,9 @@ type t = {
   engine : Engine.kind;  (** which engine mode runs DFG/FTL code *)
   thresholds : thresholds;
   versions : version array;
-  verify_lir : bool;
-  paranoid : bool;  (** re-verify LIR after every optimization pass *)
+  verify : bool;
+      (** verify the LIR after the NoMap transform, after every optimization
+          pass and after [ftl_mutate] *)
   ftl_mutate : (Nomap_lir.Lir.func -> unit) option;
       (** post-pipeline hook; the differential fuzzer injects deliberate
           miscompiles here to prove it can catch and shrink them *)
@@ -77,7 +78,7 @@ let fresh_version () =
   { dfg = None; ftl = None; deopt_count = 0; placement = Txplace.Auto; dirty = false }
 
 let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresholds)
-    ?(verify_lir = false) ?(paranoid = false) ?ftl_mutate
+    ?(verify = false) ?ftl_mutate
     ?(opt_knobs = Nomap_opt.Pipeline.all_on) ?(engine = Engine.default) ?shared ~config
     ~tier_cap (prog : Opcode.program) =
   let instance = Instance.create ~seed ~fuel prog in
@@ -149,8 +150,7 @@ let rec create_gen ?(seed = 42) ?(fuel = max_int) ?(thresholds = default_thresho
       engine;
       thresholds;
       versions = Array.init (Array.length prog.Opcode.funcs) (fun _ -> fresh_version ());
-      verify_lir;
-      paranoid;
+      verify;
       ftl_mutate;
       opt_knobs;
       opt_stats = Nomap_opt.Pipeline.empty_stats ();
@@ -195,9 +195,8 @@ and ensure_dfg t fid =
     let fp = Feedback.func_profile t.profile fid in
     let c = Specialize.compile ~bc ~consts ~profile:fp in
     ignore
-      (Nomap_opt.Pipeline.dfg ~stats:t.opt_stats ~knobs:t.opt_knobs ~paranoid:t.paranoid
+      (Nomap_opt.Pipeline.dfg ~stats:t.opt_stats ~knobs:t.opt_knobs ~verify:t.verify
          c.Specialize.lir);
-    if t.verify_lir then Nomap_lir.Verify.verify c.Specialize.lir;
     v.dfg <- Some c;
     c
 
@@ -211,16 +210,19 @@ and ensure_ftl t fid =
     let fp = Feedback.func_profile t.profile fid in
     let c = Specialize.compile ~bc ~consts ~profile:fp in
     ignore (Transform.apply t.config ~placement:v.placement ~profile:fp ~stats:t.nomap_stats c);
-    if t.paranoid then begin
+    if t.verify then begin
       try Nomap_lir.Verify.verify c.Specialize.lir
       with Nomap_lir.Verify.Ill_formed msg ->
         raise (Nomap_lir.Verify.Ill_formed ("after transform: " ^ msg))
     end;
     ignore
-      (Nomap_opt.Pipeline.ftl ~stats:t.opt_stats ~knobs:t.opt_knobs ~paranoid:t.paranoid
+      (Nomap_opt.Pipeline.ftl ~stats:t.opt_stats ~knobs:t.opt_knobs ~verify:t.verify
          c.Specialize.lir);
-    (match t.ftl_mutate with Some m -> m c.Specialize.lir | None -> ());
-    if t.verify_lir then Nomap_lir.Verify.verify c.Specialize.lir;
+    (match t.ftl_mutate with
+    | Some m ->
+      m c.Specialize.lir;
+      if t.verify then Nomap_lir.Verify.verify c.Specialize.lir
+    | None -> ());
     v.ftl <- Some c;
     v.dirty <- false;
     c
@@ -253,15 +255,13 @@ and dispatch t ~fid ~this ~args =
     let regs = Interp.make_frame t.instance ~fid ~this ~args in
     Interp.run_from t.interp_env ~fid ~entry_pc:0 ~regs
 
-let create ?seed ?fuel ?thresholds ?verify_lir ?paranoid ?opt_knobs ?engine ?shared
-    ~config ~tier_cap prog =
-  create_gen ?seed ?fuel ?thresholds ?verify_lir ?paranoid ?opt_knobs ?engine ?shared
-    ~config ~tier_cap prog
+let create ?seed ?fuel ?thresholds ?verify ?opt_knobs ?engine ?shared ~config ~tier_cap prog =
+  create_gen ?seed ?fuel ?thresholds ?verify ?opt_knobs ?engine ?shared ~config ~tier_cap prog
 
-let create_with_ftl_mutator ~ftl_mutate ?seed ?fuel ?thresholds ?verify_lir ?paranoid
-    ?opt_knobs ?engine ?shared ~config ~tier_cap prog =
-  create_gen ?seed ?fuel ?thresholds ?verify_lir ?paranoid ~ftl_mutate ?opt_knobs ?engine
-    ?shared ~config ~tier_cap prog
+let create_with_ftl_mutator ~ftl_mutate ?seed ?fuel ?thresholds ?verify ?opt_knobs ?engine
+    ?shared ~config ~tier_cap prog =
+  create_gen ?seed ?fuel ?thresholds ?verify ~ftl_mutate ?opt_knobs ?engine ?shared ~config
+    ~tier_cap prog
 
 (** Run the program's top level. *)
 let run_main t =

@@ -26,8 +26,7 @@ val create :
   ?seed:int ->
   ?fuel:int ->
   ?thresholds:thresholds ->
-  ?verify_lir:bool ->
-  ?paranoid:bool ->
+  ?verify:bool ->
   ?opt_knobs:Nomap_opt.Pipeline.knobs ->
   ?engine:Nomap_machine.Engine.kind ->
   ?shared:Nomap_shared.Agent.t ->
@@ -37,7 +36,11 @@ val create :
   t
 (** Build a VM over a compiled program.  [fuel] bounds total interpreter
     ops / LIR instructions executed ([Instance.Out_of_fuel] past it) —
-    the daemon's defence against runaway requests.  [engine] selects the
+    the daemon's defence against runaway requests.  [verify] checks the
+    LIR's well-formedness after the NoMap transform, after every
+    optimization pass and after [ftl_mutate], so an ill-formed graph is
+    reported at the step that produced it (default off: too slow for
+    measurement runs).  [engine] selects the
     mode DFG/FTL-compiled code runs in (default [Engine.Threaded], the
     fused mode; [Engine.Decoded] is the exact reference mode); both modes
     are metric-identical, so the choice only affects wall-clock speed.  [shared] binds the VM to an agent on a
@@ -50,8 +53,7 @@ val create_with_ftl_mutator :
   ?seed:int ->
   ?fuel:int ->
   ?thresholds:thresholds ->
-  ?verify_lir:bool ->
-  ?paranoid:bool ->
+  ?verify:bool ->
   ?opt_knobs:Nomap_opt.Pipeline.knobs ->
   ?engine:Nomap_machine.Engine.kind ->
   ?shared:Nomap_shared.Agent.t ->

@@ -57,7 +57,7 @@ let workload_fuel_budget = 140_000_000
 let run_vm ~engine ~tier ~arch src =
   let prog = Nomap_bytecode.Compile.compile_source src in
   let vm =
-    Vm.create ~fuel:fuel_budget ~thresholds ~verify_lir:true ~engine
+    Vm.create ~fuel:fuel_budget ~thresholds ~verify:true ~engine
       ~config:(Config.create arch) ~tier_cap:tier prog
   in
   ignore (Vm.run_main vm);
@@ -287,7 +287,7 @@ let fit_kernel =
 let run_cold ~arch src =
   let prog = Nomap_bytecode.Compile.compile_source src in
   let vm =
-    Vm.create ~fuel:fuel_budget ~thresholds ~verify_lir:true ~engine:Engine.Decoded
+    Vm.create ~fuel:fuel_budget ~thresholds ~verify:true ~engine:Engine.Decoded
       ~config:(Config.create arch) ~tier_cap:Vm.Cap_ftl prog
   in
   ignore (Vm.run_main vm);

@@ -104,7 +104,7 @@ let fuel_budget = 2_000_000
 let run_arch src arch =
   let prog = Nomap_bytecode.Compile.compile_source src in
   let vm =
-    Vm.create ~fuel:fuel_budget ~verify_lir:true ~config:(Config.create arch)
+    Vm.create ~fuel:fuel_budget ~verify:true ~config:(Config.create arch)
       ~tier_cap:Vm.Cap_ftl prog
   in
   ignore (Vm.run_main vm);

@@ -17,7 +17,7 @@ let fuel_budget = 5_000_000
 let run ?(arch = Config.NoMap_full) src =
   let prog = Helpers.compile src in
   let t =
-    Vm.create ~fuel:fuel_budget ~verify_lir:true ~config:(Config.create arch)
+    Vm.create ~fuel:fuel_budget ~verify:true ~config:(Config.create arch)
       ~tier_cap:Vm.Cap_ftl prog
   in
   ignore (Vm.run_main t);

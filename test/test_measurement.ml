@@ -1,7 +1,6 @@
 (** Tests for the measurement plumbing: the per-reason abort breakdown
     surviving [Counters.diff], window-local write-set maxima, and the
-    scheduler store (which replaced the runner's memo cache) distinguishing
-    measurement protocols. *)
+    runner's protocol keeping warm-up outside the measured window. *)
 
 module Counters = Nomap_machine.Counters
 module Htm = Nomap_htm.Htm
@@ -9,6 +8,7 @@ module Runner = Nomap_harness.Runner
 module Scheduler = Nomap_harness.Scheduler
 module Registry = Nomap_workloads.Registry
 module Config = Nomap_nomap.Config
+module Vm = Nomap_vm.Vm
 
 let test_diff_abort_reasons () =
   let c = Counters.create () in
@@ -63,8 +63,7 @@ let test_diff_window_maxima () =
 
 (* A tiny private benchmark so the runner tests don't pay for a real
    workload.  The id must not collide with the registry ("T" prefix is
-   reserved for tests); [Registry.compile] and the scheduler store both key
-   on it. *)
+   reserved for tests): [Registry.compile] keys on it. *)
 let tiny_bench =
   {
     Registry.id = "T90";
@@ -82,29 +81,35 @@ let tiny_bench =
     in_avg_s = false;
   }
 
-let test_memo_distinguishes_protocols () =
-  let arch = Config.Base in
-  let m1 = Scheduler.run_arch ~warmup:2 ~measure:1 ~arch tiny_bench in
-  let m2 = Scheduler.run_arch ~warmup:2 ~measure:3 ~arch tiny_bench in
-  let m3 = Scheduler.run_arch ~warmup:4 ~measure:1 ~arch tiny_bench in
-  (* Different measure window: triple the measured calls, so roughly triple
-     the counted instructions — certainly not the same measurement. *)
-  let i1 = Counters.total_instrs m1.Runner.counters in
-  let i2 = Counters.total_instrs m2.Runner.counters in
-  Alcotest.(check bool) "longer measure counts more" true (i2 > 2 * i1);
-  (* Different warmup with same measure: same steady-state window. *)
-  Alcotest.(check bool) "warmup kept out of the window" true
-    (Counters.total_instrs m3.Runner.counters = i1);
-  (* Identical protocol: memoized in the store, physically the same
-     measurement. *)
-  let m1' = Scheduler.run_arch ~warmup:2 ~measure:1 ~arch tiny_bench in
-  Alcotest.(check bool) "identical protocol memoized" true (m1 == m1')
+(* The runner's counters are exactly a hand-built VM's over the measured
+   calls after the warm-up ones: the warm-up (and its tier-up compiles)
+   stays outside the window. *)
+let test_warmup_outside_window () =
+  let m = Scheduler.measurement (Scheduler.Key.arch ~arch:Config.Base tiny_bench) in
+  let vm =
+    Vm.create ~fuel:Runner.fuel_budget ~config:(Config.create Config.Base) ~tier_cap:Vm.Cap_ftl
+      (Registry.compile tiny_bench)
+  in
+  ignore (Vm.run_main vm);
+  for _ = 1 to Runner.default_warmup do
+    ignore (Vm.call_function vm "benchmark" [])
+  done;
+  let before = Vm.begin_measurement vm in
+  for _ = 1 to Runner.default_measure do
+    ignore (Vm.call_function vm "benchmark" [])
+  done;
+  let window = Counters.diff ~now:(Vm.counters vm) ~before in
+  Alcotest.(check string) "window counters"
+    (Counters.to_canonical_string window)
+    (Counters.to_canonical_string m.Runner.counters);
+  Alcotest.(check bool) "the warm-up counted outside it" true
+    (Counters.total_instrs (Vm.counters vm) > Counters.total_instrs window)
 
 let tests =
   [
     Alcotest.test_case "diff keeps per-reason abort breakdown" `Quick test_diff_abort_reasons;
     Alcotest.test_case "abort reasons counted separately" `Quick test_abort_reasons_indexed;
     Alcotest.test_case "diff reports window-local maxima" `Quick test_diff_window_maxima;
-    Alcotest.test_case "runner memo key includes warmup/measure" `Quick
-      test_memo_distinguishes_protocols;
+    Alcotest.test_case "warm-up stays outside the window" `Quick
+      test_warmup_outside_window;
   ]

@@ -1,4 +1,5 @@
-(** Scheduler tests: key dedup across experiment plans, golden-counter
+(** Scheduler tests: key dedup across experiment plans, one run for every
+    spelling of a key, exactly-once execution under a race, golden-counter
     equality of the parallel sweep against the committed serial table,
     worker-exception propagation (a [Checksum_mismatch] in a domain must
     fail the caller, not hang or vanish), and the experiment catalogue's
@@ -9,14 +10,16 @@ module Experiments = Nomap_harness.Experiments
 module Runner = Nomap_harness.Runner
 module Registry = Nomap_workloads.Registry
 module Config = Nomap_nomap.Config
+module Key = Scheduler.Key
 
-(* A tiny private benchmark so these tests don't pay for a real workload.
-   The id must be unique process-wide ("T" prefix is reserved for tests;
-   T90 is taken by test_measurement). *)
-let tiny_bench =
+(* Tiny private benchmarks so these tests don't pay for a real workload,
+   one per test so each starts from keys no other test has run.  Ids must
+   be unique process-wide ("T" prefix is reserved for tests; T90 is taken
+   by test_measurement). *)
+let tiny id =
   {
-    Registry.id = "T91";
-    name = "tiny-loop-sched";
+    Registry.id;
+    name = "tiny-loop-sched-" ^ id;
     suite = Registry.Shootout;
     source =
       {js|
@@ -30,7 +33,8 @@ let tiny_bench =
     in_avg_s = false;
   }
 
-let key () = Scheduler.Key.arch ~warmup:2 ~measure:1 ~arch:Config.Base tiny_bench
+let tiny_bench = tiny "T91"
+let key () = Key.arch ~arch:Config.Base tiny_bench
 
 (* N experiments requesting the same key must execute it once: the plan
    union carries three copies, prefetch dedups to one execution, and later
@@ -41,10 +45,43 @@ let test_prefetch_dedup () =
   Alcotest.(check int) "three requests, one execution" 1 ran;
   Alcotest.(check int) "exec count advanced once" (c0 + 1) (Scheduler.executed ());
   Alcotest.(check int) "second prefetch is a no-op" 0 (Scheduler.prefetch ~jobs:2 [ key () ]);
-  let m = Scheduler.run_arch ~warmup:2 ~measure:1 ~arch:Config.Base tiny_bench in
+  let m = Scheduler.measurement (key ()) in
   Alcotest.(check int) "memoized read does not re-execute" (c0 + 1) (Scheduler.executed ());
-  let m' = Scheduler.run_arch ~warmup:2 ~measure:1 ~arch:Config.Base tiny_bench in
+  let m' = Scheduler.measurement (key ()) in
   Alcotest.(check bool) "identical requests share the measurement" true (m == m')
+
+(* The Base, full-tier, all-passes run has four spellings (Figures 3/8-11,
+   Table I's FTL column, the ablation's "full" row and Figure 1's JS bar);
+   they are one key, so the run executes once and all four read it. *)
+let test_one_spelling_one_run () =
+  let b = tiny "T92" in
+  let c0 = Scheduler.executed () in
+  let ms =
+    List.map Scheduler.measurement
+      [
+        Key.arch ~arch:Config.Base b;
+        Key.cap ~cap:Nomap_vm.Vm.Cap_ftl b;
+        Key.ablation ~arch:Config.Base ~knobs:Nomap_opt.Pipeline.all_on b;
+        Key.lang ~lang:Runner.Lang_js b;
+      ]
+  in
+  Alcotest.(check int) "four spellings, one execution" (c0 + 1) (Scheduler.executed ());
+  List.iter
+    (fun m -> Alcotest.(check bool) "the same measurement" true (m == List.hd ms))
+    ms
+
+(* Domains that miss the same key together wait for one execution instead
+   of each running it. *)
+let test_exactly_once_under_race () =
+  let k = Key.arch ~arch:Config.NoMap_full (tiny "T93") in
+  let c0 = Scheduler.executed () in
+  let ms =
+    Scheduler.parallel_map ~jobs:4 (fun () -> Scheduler.measurement k) (List.init 8 ignore)
+  in
+  Alcotest.(check int) "eight askers, one execution" (c0 + 1) (Scheduler.executed ());
+  List.iter
+    (fun m -> Alcotest.(check bool) "the same measurement" true (m == List.hd ms))
+    ms
 
 (* The golden table in test/determinism.expected was produced serially; the
    domain-parallel sweep must reproduce it bit-for-bit (milli-cycles
@@ -92,4 +129,6 @@ let tests =
       test_parallel_matches_golden;
     Alcotest.test_case "experiment catalogue names unique and findable" `Quick
       test_catalogue_names;
+    Alcotest.test_case "one run for every spelling of a key" `Quick test_one_spelling_one_run;
+    Alcotest.test_case "a raced key executes exactly once" `Quick test_exactly_once_under_race;
   ]

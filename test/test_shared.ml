@@ -21,7 +21,7 @@ let check_fuel label vm = Helpers.check_fuel ~budget:fuel_budget label (Vm.insta
 let run_vm ?(arch = Config.Base) ?(cap = Vm.Cap_ftl) src =
   let prog = Helpers.compile src in
   let t =
-    Vm.create ~fuel:fuel_budget ~verify_lir:true ~config:(Config.create arch)
+    Vm.create ~fuel:fuel_budget ~verify:true ~config:(Config.create arch)
       ~tier_cap:cap prog
   in
   ignore (Vm.run_main t);

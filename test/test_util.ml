@@ -82,7 +82,7 @@ let test_prng_int_unbiased () =
     buckets
 
 let test_table_render () =
-  let t = Table.create ~title:"T" ~header:[ "name"; "v" ] () in
+  let t = Table.create ~title:"T" ~header:[ "name"; "v" ] in
   Table.add_row t [ "alpha"; "1" ];
   Table.add_row t [ "b"; "22" ];
   let s = Table.render t in
